@@ -11,11 +11,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ClassRole, DomainDataset
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, NumericError, UsageError
 from .losses import crs_rows
 from .nn import TwoHeadModel, forward
 
 UNKNOWN = -1
+# boundary_grid forwards this many cells at a time.  At the default hidden
+# width of 32 a block's largest array, the stacked head activations, is
+# 2 x 4096 x 32 float64 = 2 MiB: under the 4 MiB from which numpy asks for
+# transparent huge pages, whose faults (and compaction) every block would
+# otherwise pay again.
+GRID_BLOCK_ROWS = 4096
 
 
 def predict(model: TwoHeadModel, x: np.ndarray, delta: float
@@ -24,8 +30,12 @@ def predict(model: TwoHeadModel, x: np.ndarray, delta: float
     as unknown (label -1); otherwise the head-averaged probabilities
     decide, ties going to the lower class index.
 
-    Returns (labels, per-sample crs).
+    Returns (labels, per-sample crs).  NaN/Inf in ``x`` raises
+    NumericError.
     """
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise NumericError("prediction input contains NaN/Inf")
     p1, p2, _ = forward(model, x)
     l_crs = crs_rows(p1, p2)
     mean_p = 0.5 * (p1 + p2)
@@ -142,29 +152,38 @@ class BoundaryGrid:
     delta: float
 
     def to_csv(self, path) -> None:
+        # Cells are read from python lists, not as one numpy scalar each,
+        # and every field is a number, so rows are formatted without the
+        # csv module's quoting checks.
+        pred1, pred2 = self.pred1.tolist(), self.pred2.tolist()
+        l_crs, unknown = self.l_crs.tolist(), self.unknown.tolist()
+        xs = [repr(x) for x in self.xs.tolist()]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x", "y", "pred1", "pred2", "l_crs", "unknown"])
-            for j, y in enumerate(self.ys):
-                for i, x in enumerate(self.xs):
-                    writer.writerow([repr(float(x)), repr(float(y)),
-                                     int(self.pred1[j, i]), int(self.pred2[j, i]),
-                                     repr(float(self.l_crs[j, i])),
-                                     int(self.unknown[j, i])])
+            fh.write("x,y,pred1,pred2,l_crs,unknown\n")
+            for j, y in enumerate(self.ys.tolist()):
+                p1, p2, crs, unk = pred1[j], pred2[j], l_crs[j], unknown[j]
+                fh.write("".join(f"{x},{y!r},{p1[i]},{p2[i]},{crs[i]!r},{unk[i]:d}\n"
+                                 for i, x in enumerate(xs)))
 
 
 def boundary_grid(model: TwoHeadModel, bounds: tuple[tuple[float, float], tuple[float, float]],
                   resolution: int, delta: float) -> BoundaryGrid:
     """Evaluate both heads on a regular 2-D grid (resolution cells per
-    axis)."""
+    axis).  Cells go through the network GRID_BLOCK_ROWS at a time, so the
+    forward caches of only one block are alive at once."""
     if model.input_dim != 2:
         raise ConfigError("boundary grids need a 2-D input model")
+    if not np.isfinite(bounds).all():
+        raise NumericError(f"grid bounds contain NaN/Inf: {bounds}")
     (x0, x1), (y0, y1) = bounds
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    p1, p2, _ = forward(model, pts)
+    blocks = [forward(model, pts[i:i + GRID_BLOCK_ROWS])[:2]
+              for i in range(0, len(pts), GRID_BLOCK_ROWS)]
+    p1 = np.concatenate([b[0] for b in blocks])
+    p2 = np.concatenate([b[1] for b in blocks])
     l_crs = crs_rows(p1, p2).reshape(resolution, resolution)
     return BoundaryGrid(
         xs=xs, ys=ys,
@@ -203,17 +222,18 @@ def write_boundary_svg(grid: BoundaryGrid, path,
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
              f'height="{size}" viewBox="0 0 {size} {size}">']
-    for j in range(res):
-        for i in range(res):
-            if grid.unknown[j, i]:
+    unknown, pred1, pred2 = grid.unknown.tolist(), grid.pred1.tolist(), grid.pred2.tolist()
+    cxs = [f'{sx(x) - cell / 2:.2f}' for x in grid.xs.tolist()]
+    for j, y in enumerate(grid.ys.tolist()):
+        cy = f'{sy(y) - cell / 2:.2f}'
+        for i, cx in enumerate(cxs):
+            if unknown[j][i]:
                 color = _UNKNOWN_COLOR
-            elif grid.pred1[j, i] == grid.pred2[j, i]:
-                color = _REGION_COLORS[int(grid.pred1[j, i]) % len(_REGION_COLORS)]
+            elif pred1[j][i] == pred2[j][i]:
+                color = _REGION_COLORS[pred1[j][i] % len(_REGION_COLORS)]
             else:
                 color = _DISAGREE_COLOR
-            cx = sx(float(grid.xs[i])) - cell / 2
-            cy = sy(float(grid.ys[j])) - cell / 2
-            parts.append(f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{cell:.2f}" '
+            parts.append(f'<rect x="{cx}" y="{cy}" width="{cell:.2f}" '
                          f'height="{cell:.2f}" fill="{color}"/>')
     if source is not None and source.observed_labels is not None:
         for (px, py), lab in zip(source.features, source.observed_labels):

@@ -3,7 +3,8 @@
 Everything runs on float64 numpy arrays (shape (rows, cols), row per
 sample) so gradient checks and bit-identity tests stay tight.  The model
 is one shared feature generator feeding two independently initialized
-classifier heads.
+classifier heads, with all parameters in one flat buffer per kind (see
+``TwoHeadModel``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ class Activation(Enum):
 
 
 class Scope(Enum):
-    """Which parameter subset an SGD step may touch."""
+    """Which parameter subset a backward pass fills and an SGD step
+    updates: a slice of the model's flat buffers (``scope_slice``)."""
 
     ALL = "all"
     HEADS_ONLY = "heads_only"
@@ -50,50 +52,58 @@ class SgdConfig:
 
 class DenseLayer:
     """Fully connected layer with weight (out, in), bias (out,) and an
-    activation.  Gradient and momentum buffers always shape-match the
-    parameters."""
+    activation, or a stack of such layers sharing one activation, with
+    weight (k, out, in) and bias (k, out).  The weight, bias, gradient and
+    momentum arrays are views into the owning model's flat buffers, so an
+    in-place edit of any of them edits the model."""
 
-    def __init__(self, weight: np.ndarray, bias: np.ndarray, activation: Activation):
-        self.weight = np.asarray(weight, dtype=np.float64)
-        self.bias = np.asarray(bias, dtype=np.float64)
-        if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
-            raise DimensionError("weight must be (out, in) and bias (out,)")
+    def __init__(self, params: tuple[np.ndarray, np.ndarray],
+                 grads: tuple[np.ndarray, np.ndarray],
+                 velocity: tuple[np.ndarray, np.ndarray], activation: Activation):
+        self.weight, self.bias = params
+        self.grad_weight, self.grad_bias = grads
+        self.vel_weight, self.vel_bias = velocity
         self.activation = activation
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
-        self.vel_weight = np.zeros_like(self.weight)
-        self.vel_bias = np.zeros_like(self.bias)
 
     @property
     def out_dim(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[-2]
 
     @property
     def in_dim(self) -> int:
-        return self.weight.shape[1]
+        return self.weight.shape[-1]
+
+    def member(self, k: int) -> DenseLayer:
+        """Layer ``k`` of a stacked layer, as views into the same buffers."""
+        return DenseLayer((self.weight[k], self.bias[k]),
+                          (self.grad_weight[k], self.grad_bias[k]),
+                          (self.vel_weight[k], self.vel_bias[k]), self.activation)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (activation output, pre-activation); caller keeps the cache."""
-        z = x @ self.weight.T + self.bias
+        """Return (activation output, pre-activation); caller keeps the cache.
+        A stacked layer maps (N, in) or (k, N, in) to (k, N, out)."""
+        z = x @ self.weight.swapaxes(-1, -2) + self.bias[..., None, :]
         if self.activation is Activation.RELU:
             return np.maximum(z, 0.0), z
         return z, z
 
-    def backward(self, x: np.ndarray, z: np.ndarray, dout: np.ndarray) -> np.ndarray:
-        """Accumulate parameter grads for upstream dout; return dX."""
+    def backward(self, x: np.ndarray, z: np.ndarray, dout: np.ndarray,
+                 param_grads: bool = True, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate parameter grads for upstream dout (if ``param_grads``);
+        return dX (if ``input_grad``, else None)."""
         if self.activation is Activation.RELU:
             dz = dout * (z > 0.0)
         else:
             dz = dout
-        self.grad_weight += dz.T @ x
-        self.grad_bias += dz.sum(axis=0)
-        return dz @ self.weight
+        if param_grads:
+            self.grad_weight += dz.swapaxes(-1, -2) @ x
+            self.grad_bias += dz.sum(axis=-2)
+        return dz @ self.weight if input_grad else None
 
 
 FEATURE_SCALE = 10.0  # inverse temperature applied to the unit-norm features
 
 
-@dataclass
 class TwoHeadModel:
     """Shared generator feeding two classifier heads.
 
@@ -101,14 +111,52 @@ class TwoHeadModel:
     ``feature_scale`` before entering the heads (normalized-feature
     classifier convention); this bounds attainable confidence by the head
     weight norms instead of the input magnitude.
+
+    All parameters live in one flat float64 array, ``params``, with
+    ``grads`` and ``velocity`` laid out alike: each generator layer's
+    weight then bias, then per head depth both heads stacked as a
+    (2, out, in) weight and a (2, out) bias.  ``heads[d]`` is that stacked
+    layer; ``head1[d]`` and ``head2[d]`` are its two members.  So the
+    generator is ``[0, gen_end)`` of each buffer and the heads are the rest.
     """
 
-    generator: list[DenseLayer]
-    head1: list[DenseLayer]
-    head2: list[DenseLayer]
-    num_classes: int
-    feature_scale: float = FEATURE_SCALE
-    version: int = 0  # bumped on every parameter update; guards stale caches
+    def __init__(self, gen_widths: Sequence[int], head_widths: Sequence[int],
+                 feature_scale: float = FEATURE_SCALE):
+        if gen_widths[-1] != head_widths[0]:
+            raise DimensionError(f"generator output width {gen_widths[-1]} does not "
+                                 f"match head input width {head_widths[0]}")
+        gen_shapes = [(gen_widths[i + 1], gen_widths[i]) for i in range(len(gen_widths) - 1)]
+        head_shapes = [(2, head_widths[i + 1], head_widths[i])
+                       for i in range(len(head_widths) - 1)]
+        size = sum(math.prod(s) + math.prod(s[:-1]) for s in gen_shapes + head_shapes)
+        self.params = np.zeros(size)
+        self.grads = np.zeros(size)
+        self.velocity = np.zeros(size)
+        offset = 0
+
+        def carve(shape: tuple[int, ...], activation: Activation) -> DenseLayer:
+            nonlocal offset
+            n_w, n_b = math.prod(shape), math.prod(shape[:-1])
+
+            def views(flat):
+                return (flat[offset:offset + n_w].reshape(shape),
+                        flat[offset + n_w:offset + n_w + n_b].reshape(shape[:-1]))
+
+            layer = DenseLayer(views(self.params), views(self.grads),
+                               views(self.velocity), activation)
+            offset += n_w + n_b
+            return layer
+
+        self.generator = [carve(s, Activation.RELU) for s in gen_shapes]
+        self.gen_end = offset
+        last = len(head_shapes) - 1
+        self.heads = [carve(s, Activation.IDENTITY if i == last else Activation.RELU)
+                      for i, s in enumerate(head_shapes)]
+        self.head1 = [layer.member(0) for layer in self.heads]
+        self.head2 = [layer.member(1) for layer in self.heads]
+        self.num_classes = head_widths[-1]
+        self.feature_scale = feature_scale
+        self.version = 0  # bumped on every parameter update; guards stale caches
 
     @property
     def input_dim(self) -> int:
@@ -122,58 +170,41 @@ class TwoHeadModel:
         for i, layer in enumerate(self.head2):
             yield f"head2.{i}", layer
 
-    def scope_layers(self, scope: Scope) -> list[DenseLayer]:
-        if scope is Scope.ALL:
-            return self.generator + self.head1 + self.head2
+    def scope_slice(self, scope: Scope) -> slice:
+        """The part of each flat buffer that ``scope`` covers."""
+        if scope is Scope.GENERATOR_ONLY:
+            return slice(0, self.gen_end)
         if scope is Scope.HEADS_ONLY:
-            return self.head1 + self.head2
-        return list(self.generator)
+            return slice(self.gen_end, None)
+        return slice(None)
 
     def zero_grads(self) -> None:
-        for _, layer in self.named_layers():
-            layer.grad_weight[:] = 0.0
-            layer.grad_bias[:] = 0.0
+        self.grads.fill(0.0)
 
     def parameters_blob(self) -> bytes:
         """All parameters as one byte string, for bit-identity checks."""
-        return b"".join(
-            part.tobytes()
-            for _, layer in self.named_layers()
-            for part in (layer.weight, layer.bias)
-        )
+        return self.params.tobytes()
 
 
 @dataclass
 class ForwardCache:
     version: int
-    x: np.ndarray
-    gen_io: list[tuple[np.ndarray, np.ndarray]]  # (input, pre-activation) per layer
+    gen_io: list[tuple[np.ndarray, np.ndarray]]   # (input, pre-activation) per layer
     raw_features: np.ndarray
     feat_norms: np.ndarray
-    features: np.ndarray                         # normalized and scaled
-    head1_io: list[tuple[np.ndarray, np.ndarray]]
-    head2_io: list[tuple[np.ndarray, np.ndarray]]
-    p1: np.ndarray
-    p2: np.ndarray
+    head_io: list[tuple[np.ndarray, np.ndarray]]  # per depth, both heads stacked
+    p: np.ndarray                                 # (2, N, C): p1 and p2
 
 
-def _glorot_layer(rng, in_dim: int, out_dim: int, activation: Activation) -> DenseLayer:
+def _glorot(rng, weight: np.ndarray) -> None:
+    out_dim, in_dim = weight.shape
     bound = math.sqrt(6.0 / (in_dim + out_dim))
-    w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-    b = np.zeros(out_dim)
-    return DenseLayer(w, b, activation)
-
-
-def _stack(rng, widths: Sequence[int], final_activation: Activation) -> list[DenseLayer]:
-    layers = []
-    for i in range(len(widths) - 1):
-        act = final_activation if i == len(widths) - 2 else Activation.RELU
-        layers.append(_glorot_layer(rng, widths[i], widths[i + 1], act))
-    return layers
+    weight[...] = rng.uniform(-bound, bound, size=weight.shape)
 
 
 def init_model(layer_widths: Sequence[int], num_classes: int, seed: int) -> TwoHeadModel:
-    """Build generator + two heads with Glorot-uniform weights.
+    """Build generator + two heads with Glorot-uniform weights and zero
+    biases.
 
     ``layer_widths`` describes the generator (input width first); each head
     mirrors the generator depth at the last hidden width and ends in a
@@ -189,10 +220,13 @@ def init_model(layer_widths: Sequence[int], num_classes: int, seed: int) -> TwoH
 
     feat = layer_widths[-1]
     head_widths = [feat] * len(layer_widths[:-1]) + [num_classes]
-    gen = _stack(make_rng(seed, "generator"), layer_widths, Activation.RELU)
-    h1 = _stack(make_rng(seed, "head1"), head_widths, Activation.IDENTITY)
-    h2 = _stack(make_rng(seed, "head2"), head_widths, Activation.IDENTITY)
-    return TwoHeadModel(generator=gen, head1=h1, head2=h2, num_classes=num_classes)
+    model = TwoHeadModel(layer_widths, head_widths)
+    for label, layers in (("generator", model.generator), ("head1", model.head1),
+                          ("head2", model.head2)):
+        rng = make_rng(seed, label)
+        for layer in layers:
+            _glorot(rng, layer.weight)
+    return model
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -207,8 +241,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    """Stable softmax over the last axis."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _run_stack(layers: list[DenseLayer], x: np.ndarray):
@@ -223,74 +258,79 @@ def _run_stack(layers: list[DenseLayer], x: np.ndarray):
 
 def forward(model: TwoHeadModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
     """Run both heads on a batch; returns class probabilities and a cache
-    for ``backward``."""
+    for ``backward``.  The input is not checked for NaN/Inf here: callers
+    that take data from outside (training, prediction, grids) check it
+    once at their boundary."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise DimensionError(
             f"input must be (N, {model.input_dim}), got {x.shape}"
         )
-    if not np.all(np.isfinite(x)):
-        raise NumericError("forward input contains NaN/Inf")
 
     raw, gen_io = _run_stack(model.generator, x)
-    norms = np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-12)
+    norms = np.maximum(np.sqrt((raw * raw).sum(axis=1, keepdims=True)), 1e-12)
     feats = model.feature_scale * raw / norms
-    logits1, h1_io = _run_stack(model.head1, feats)
-    logits2, h2_io = _run_stack(model.head2, feats)
-    p1 = softmax_rows(logits1)
-    p2 = softmax_rows(logits2)
-    cache = ForwardCache(model.version, x, gen_io, raw, norms, feats,
-                         h1_io, h2_io, p1, p2)
-    return p1, p2, cache
+    logits, head_io = _run_stack(model.heads, feats)
+    p = softmax_rows(logits)
+    cache = ForwardCache(model.version, gen_io, raw, norms, head_io, p)
+    return p[0], p[1], cache
 
 
 def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
-    inner = (dp * p).sum(axis=1, keepdims=True)
+    inner = (dp * p).sum(axis=-1, keepdims=True)
     return p * (dp - inner)
 
 
-def _stack_backward(layers: list[DenseLayer], io, dout: np.ndarray) -> np.ndarray:
-    for layer, (x_in, z) in zip(reversed(layers), reversed(io)):
-        dout = layer.backward(x_in, z, dout)
+def _stack_backward(layers: list[DenseLayer], io, dout: np.ndarray,
+                    param_grads: bool, input_grad: bool) -> np.ndarray | None:
+    """Backpropagate through ``layers``; the gradient with respect to the
+    stack's input is computed only if ``input_grad``."""
+    for i in reversed(range(len(layers))):
+        x_in, z = io[i]
+        dout = layers[i].backward(x_in, z, dout, param_grads, input_grad or i > 0)
     return dout
 
 
 def backward(model: TwoHeadModel, cache: ForwardCache,
-             dp1: np.ndarray, dp2: np.ndarray) -> None:
-    """Accumulate d(loss)/d(theta) into grad buffers, given upstream
+             dp1: np.ndarray, dp2: np.ndarray, scope: Scope = Scope.ALL) -> None:
+    """Accumulate d(loss)/d(theta) into the grad buffer, given upstream
     gradients on the two probability outputs.  The generator gradient is
-    the sum of both heads' contributions."""
+    the sum of both heads' contributions.
+
+    Only ``scope``'s slice of the grad buffer is written: HEADS_ONLY stops
+    at the features, and GENERATOR_ONLY carries only dX through the heads.
+    """
     if cache.version != model.version:
         raise UsageError("stale forward cache: parameters changed since forward()")
-    if dp1.shape != cache.p1.shape or dp2.shape != cache.p2.shape:
+    if dp1.shape != cache.p.shape[1:] or dp2.shape != cache.p.shape[1:]:
         raise DimensionError("upstream gradient shapes do not match probabilities")
 
-    dz1 = _softmax_backward(cache.p1, dp1)
-    dz2 = _softmax_backward(cache.p2, dp2)
-    dfeat = _stack_backward(model.head1, cache.head1_io, dz1)
-    dfeat = dfeat + _stack_backward(model.head2, cache.head2_io, dz2)
+    to_heads = scope is not Scope.GENERATOR_ONLY
+    to_gen = scope is not Scope.HEADS_ONLY
+    dz = _softmax_backward(cache.p, np.stack((dp1, dp2)))
+    dfeat = _stack_backward(model.heads, cache.head_io, dz, to_heads, to_gen)
+    if not to_gen:
+        return
+    dfeat = dfeat[0] + dfeat[1]
     # through h -> scale * h / ||h||: project out the radial component
     unit = cache.raw_features / cache.feat_norms
     radial = (dfeat * unit).sum(axis=1, keepdims=True)
     draw = model.feature_scale * (dfeat - unit * radial) / cache.feat_norms
-    _stack_backward(model.generator, cache.gen_io, draw)
+    _stack_backward(model.generator, cache.gen_io, draw, True, False)
 
 
 def sgd_step(model: TwoHeadModel, cfg: SgdConfig, scope: Scope = Scope.ALL) -> None:
     """Momentum SGD (with optional L2 weight decay folded into the
-    gradient) on the layers in scope; out-of-scope parameters stay
-    bit-identical.  All gradient buffers are zeroed afterward."""
-    for layer in model.scope_layers(scope):
-        layer.vel_weight *= cfg.momentum
-        layer.vel_weight += layer.grad_weight
-        if cfg.weight_decay:
-            layer.vel_weight += cfg.weight_decay * layer.weight
-        layer.weight -= cfg.learning_rate * layer.vel_weight
-        layer.vel_bias *= cfg.momentum
-        layer.vel_bias += layer.grad_bias
-        if cfg.weight_decay:
-            layer.vel_bias += cfg.weight_decay * layer.bias
-        layer.bias -= cfg.learning_rate * layer.vel_bias
+    gradient) on ``scope``'s slice of the parameter buffer; out-of-scope
+    parameters stay bit-identical.  The whole grad buffer is zeroed
+    afterward."""
+    s = model.scope_slice(scope)
+    params, vel = model.params[s], model.velocity[s]
+    vel *= cfg.momentum
+    vel += model.grads[s]
+    if cfg.weight_decay:
+        vel += cfg.weight_decay * params
+    params -= cfg.learning_rate * vel
     model.zero_grads()
     model.version += 1
 
@@ -379,36 +419,41 @@ def save_model_csv(model: TwoHeadModel, path) -> None:
 
 def load_model_csv(path) -> TwoHeadModel:
     """Rebuild a model from ``save_model_csv`` output.  Layer roles and
-    activations are implied by the layer names and positions."""
+    activations are implied by the layer names and positions.  Each
+    layer's input width must match the previous layer's output width, and
+    the two heads must have the same shapes, since they share one stacked
+    buffer."""
     entries: dict[str, dict[tuple[int, int], float]] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             entries.setdefault(row["layer"], {})[(int(row["row"]), int(row["col"]))] = float(row["value"])
 
-    def build(prefix: str, final_act: Activation) -> list[DenseLayer]:
+    def shape_table(prefix: str) -> tuple[list[str], list[int]]:
         names = sorted((n for n in entries if n.startswith(prefix + ".")),
                         key=lambda n: int(n.split(".")[1]))
         if not names:
             raise ConfigError(f"model file has no '{prefix}' layers")
-        layers = []
-        for i, name in enumerate(names):
-            cells = entries[name]
-            rows = 1 + max(r for r, _ in cells)
-            cols = 1 + max(c for _, c in cells)
-            w = np.zeros((rows, cols))
-            b = np.zeros(rows)
-            for (r, c), v in cells.items():
-                if c < 0:
-                    b[r] = v
-                else:
-                    w[r, c] = v
-            act = final_act if i == len(names) - 1 else Activation.RELU
-            layers.append(DenseLayer(w, b, act))
-        return layers
+        dims = [(1 + max(r for r, _ in entries[n]), 1 + max(c for _, c in entries[n]))
+                for n in names]
+        widths = [dims[0][1]] + [rows for rows, _ in dims]
+        if any(cols != widths[i] for i, (_, cols) in enumerate(dims)):
+            raise ConfigError(f"model file '{prefix}' layer shapes do not chain: {dims}")
+        return names, widths
 
-    gen = build("gen", Activation.RELU)
-    h1 = build("head1", Activation.IDENTITY)
-    h2 = build("head2", Activation.IDENTITY)
-    return TwoHeadModel(generator=gen, head1=h1, head2=h2,
-                        num_classes=h1[-1].out_dim)
+    gen_names, gen_widths = shape_table("gen")
+    h1_names, head_widths = shape_table("head1")
+    h2_names, h2_widths = shape_table("head2")
+    if h2_widths != head_widths or head_widths[0] != gen_widths[-1]:
+        raise ConfigError(f"model file head widths {head_widths} / {h2_widths} do not "
+                          f"match each other and the generator output {gen_widths[-1]}")
+    model = TwoHeadModel(gen_widths, head_widths)
+    for names, layers in ((gen_names, model.generator), (h1_names, model.head1),
+                          (h2_names, model.head2)):
+        for name, layer in zip(names, layers):
+            for (r, c), v in entries[name].items():
+                if c < 0:
+                    layer.bias[r] = v
+                else:
+                    layer.weight[r, c] = v
+    return model

@@ -10,7 +10,8 @@ Per source/target batch pair the loop runs four phases in order:
   B    heads only: keep the source subset loss low while raising target
        crs (heads act as a discriminator, generator frozen)
   C    generator only: lower crs on the detected target-common subset,
-       repeated n_inner times with the subset re-detected each time
+       repeated up to n_inner times with the subset re-detected each time;
+       an empty subset ends the phase
 
 Variants switch phases or terms off; see losses.variant_losses.
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import losses
 from .data import DomainDataset, minibatches
-from .errors import ConfigError, NonFiniteLossError
+from .errors import ConfigError, NonFiniteLossError, NumericError
 from .losses import MethodVariant, SeparationParams, VariantPlan
 from .nn import Scope, SgdConfig, TwoHeadModel, backward, forward, init_model, sgd_step
 from .rng import derive_seed
@@ -110,14 +111,6 @@ class TrainState:
     trace: list[TraceRow] = field(default_factory=list)
     step_log: list[str] = field(default_factory=list)
 
-    def epoch_means(self, column: str) -> np.ndarray:
-        epochs = max(r.epoch for r in self.trace) + 1
-        out = np.zeros(epochs)
-        for e in range(epochs):
-            vals = [getattr(r, column) for r in self.trace if r.epoch == e]
-            out[e] = float(np.mean(vals))
-        return out
-
     def trace_to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -187,16 +180,17 @@ def step_b(model: TwoHeadModel, x_sel: np.ndarray, y_sel: np.ndarray,
            cap: float | None = None, weight: float = 1.0) -> float:
     """Heads-only discriminator update: keep the selected source loss low
     while raising the mean target crs (``weight`` times).  The generator
-    stays bit-identical.  Target rows whose crs already exceeds ``cap``
-    stop contributing gradient (their rejection is decided)."""
+    stays bit-identical, so both backward passes stop at the features.
+    Target rows whose crs already exceeds ``cap`` stop contributing
+    gradient (their rejection is decided)."""
     ps1, ps2, cache_s = forward(model, x_sel)
     val_s, dps1, dps2 = losses.source_loss_grad(ps1, ps2, y_sel, plan.lam)
-    backward(model, cache_s, dps1, dps2)
+    backward(model, cache_s, dps1, dps2, Scope.HEADS_ONLY)
 
     pt1, pt2, cache_t = forward(model, x_t)
     crs_t, g1, g2 = losses.crs_push_grad(pt1, pt2, cap=cap)
     n = len(x_t)
-    backward(model, cache_t, -weight * g1 / n, -weight * g2 / n)
+    backward(model, cache_t, -weight * g1 / n, -weight * g2 / n, Scope.HEADS_ONLY)
 
     sgd_step(model, sgd, Scope.HEADS_ONLY)
     return val_s - float(crs_t.mean())
@@ -205,14 +199,16 @@ def step_b(model: TwoHeadModel, x_sel: np.ndarray, y_sel: np.ndarray,
 def step_c(model: TwoHeadModel, x_t: np.ndarray, sep: SeparationParams,
            sgd: SgdConfig, n_inner: int) -> list[float]:
     """Generator-only alignment: lower mean crs over the detected
-    target-common subset.  Repeated n_inner times, re-detecting the subset
-    each time; an empty subset skips that repeat."""
+    target-common subset.  Repeated up to n_inner times, re-detecting the
+    subset each time.  An empty subset ends the loop: no update was applied,
+    so every later repeat would detect the same empty subset.  Returns one
+    value per applied update."""
     out = []
     for _ in range(n_inner):
         p1, p2, cache = forward(model, x_t)
         mask = losses.common_mask(p1, p2, sep)
         if not mask.any():
-            continue
+            break
         rows = np.flatnonzero(mask)
         crs = losses.crs_rows(p1, p2)
         value = float(crs[rows].mean())
@@ -221,7 +217,7 @@ def step_c(model: TwoHeadModel, x_t: np.ndarray, sep: SeparationParams,
         dp2 = np.zeros_like(p2)
         dp1[rows] = g1[rows] / len(rows)
         dp2[rows] = g2[rows] / len(rows)
-        backward(model, cache, dp1, dp2)
+        backward(model, cache, dp1, dp2, Scope.GENERATOR_ONLY)
         sgd_step(model, sgd, Scope.GENERATOR_ONLY)
         out.append(value)
     return out
@@ -234,6 +230,9 @@ def train(source: DomainDataset, target: DomainDataset, config: TrainConfig,
         raise ConfigError("source and target feature dimensions differ")
     if source.observed_labels is None:
         raise ConfigError("source dataset has no observed labels")
+    for name, dataset in (("source", source), ("target", target)):
+        if not np.isfinite(dataset.features).all():
+            raise NumericError(f"{name} features contain NaN/Inf")
 
     n_classes = source.num_model_classes
     if n_classes < 2:
@@ -292,7 +291,6 @@ def train(source: DomainDataset, target: DomainDataset, config: TrainConfig,
                 c_values = step_c(model, x_t, sep, sgd, config.n_inner)
                 for v in c_values:
                     _check_finite(v, "C", epoch)
-                for _ in range(config.n_inner):
                     fire("C", epoch)
                 loss_c = float(np.mean(c_values)) if c_values else 0.0
 

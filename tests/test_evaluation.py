@@ -1,13 +1,16 @@
+import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
 import pytest
 
-from twohead import (ConfigError, UNKNOWN, UsageError, boundary_grid,
-                     divergence_density, evaluate, init_model, predict,
-                     scott_bandwidth)
+from twohead import (ConfigError, NumericError, UNKNOWN, UsageError, boundary_grid,
+                     divergence_density, evaluate, evaluation, forward, init_model,
+                     predict, scott_bandwidth)
 from twohead.evaluation import density_to_csv, write_boundary_svg
+from twohead.losses import crs_rows
 from twohead.rng import make_rng
 
 
@@ -148,6 +151,34 @@ def test_boundary_grid_counts_and_uniform_case():
     assert np.array_equal(grid.unknown, grid.l_crs > delta)
 
 
+def test_boundary_grid_blocks_match_one_forward(monkeypatch):
+    """Row blocks, the last one partial, reassemble every cell in place."""
+    m = init_model([2, 8, 8, 8], 3, seed=4)
+    bounds, res = ((-3.0, 5.0), (-4.0, 2.0)), 10
+    monkeypatch.setattr(evaluation, "GRID_BLOCK_ROWS", 7)
+    grid = boundary_grid(m, bounds, res, 1.0)
+    gx, gy = np.meshgrid(grid.xs, grid.ys)
+    p1, p2, _ = forward(m, np.column_stack([gx.ravel(), gy.ravel()]))
+    assert np.array_equal(grid.pred1, np.argmax(p1, axis=1).reshape(res, res))
+    assert np.array_equal(grid.pred2, np.argmax(p2, axis=1).reshape(res, res))
+    np.testing.assert_allclose(grid.l_crs, crs_rows(p1, p2).reshape(res, res),
+                               rtol=0, atol=1e-12)
+
+
+def test_boundary_grid_rejects_nonfinite_bounds():
+    m = init_model([2, 8, 8, 8], 3, seed=1)
+    with pytest.raises(NumericError):
+        boundary_grid(m, ((-1.0, np.inf), (-1.0, 1.0)), 10, 1.0)
+
+
+def test_predict_rejects_nonfinite_row():
+    m = init_model([2, 8, 8, 8], 3, seed=1)
+    x = np.zeros((4, 2))
+    x[2, 0] = np.nan
+    with pytest.raises(NumericError):
+        predict(m, x, delta=1.0)
+
+
 def test_boundary_grid_rejects_non_2d():
     m = init_model([3, 8, 8, 8], 3, seed=1)
     with pytest.raises(ConfigError):
@@ -171,6 +202,50 @@ def test_boundary_csv_and_svg(tmp_path, toy_data):
     assert svg.rstrip().endswith("</svg>")
     assert "<rect" in svg and "<circle" in svg
     assert "http" not in svg.replace("http://www.w3.org/2000/svg", "")
+
+
+def test_boundary_writers_match_per_cell_reference(tmp_path):
+    """boundary.csv and the SVG's cell rects are byte for byte what a
+    csv.writer row and an f-string per numpy cell give."""
+    m = init_model([2, 8, 8, 8], 3, seed=3)
+    grid = boundary_grid(m, ((-3.0, 5.0), (-4.0, 2.0)), 9, 0.5)
+    grid.pred2[0, :4] = (grid.pred1[0, :4] + 1) % 3      # heads disagree
+    grid.unknown[1, :] = True
+    grid.unknown[2, :] = False
+    grid.l_crs[3, 3] = np.nan
+
+    csv_path = tmp_path / "b.csv"
+    grid.to_csv(csv_path)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["x", "y", "pred1", "pred2", "l_crs", "unknown"])
+    for j, y in enumerate(grid.ys):
+        for i, x in enumerate(grid.xs):
+            writer.writerow([repr(float(x)), repr(float(y)), int(grid.pred1[j, i]),
+                             int(grid.pred2[j, i]), repr(float(grid.l_crs[j, i])),
+                             int(grid.unknown[j, i])])
+    assert csv_path.read_bytes() == expected.getvalue().encode()
+
+    svg_path = tmp_path / "b.svg"
+    write_boundary_svg(grid, svg_path)
+    size, res = 640, len(grid.xs)
+    cell = size / res
+    (x0, x1), (y0, y1) = (grid.xs[0], grid.xs[-1]), (grid.ys[0], grid.ys[-1])
+    rects = []
+    for j in range(res):
+        for i in range(res):
+            if grid.unknown[j, i]:
+                color = "#b0b0b0"
+            elif grid.pred1[j, i] == grid.pred2[j, i]:
+                color = ["#f7b6c2", "#b6d4f7", "#f7ecb6"][int(grid.pred1[j, i])]
+            else:
+                color = "#ffffff"
+            cx = (float(grid.xs[i]) - x0) / (x1 - x0) * size - cell / 2
+            cy = size - (float(grid.ys[j]) - y0) / (y1 - y0) * size - cell / 2
+            rects.append(f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{cell:.2f}" '
+                         f'height="{cell:.2f}" fill="{color}"/>')
+    lines = svg_path.read_text().split("\n")
+    assert lines[1:-1] == rects
 
 
 def test_density_csv(tmp_path, reference_run):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twohead import (ConfigError, DimensionError, NumericError, Scope, SgdConfig,
+from twohead import (Activation, ConfigError, DimensionError, NumericError, Scope, SgdConfig,
                      UsageError, backward, forward, grad_check, init_model,
                      sgd_step, softmax)
 from twohead.nn import load_model_csv, save_model_csv
@@ -241,3 +243,164 @@ def test_model_csv_roundtrip(tmp_path):
     a1, a2, _ = forward(m, x)
     b1, b2, _ = forward(loaded, x)
     assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
+
+
+
+@pytest.mark.parametrize("drop", ["head2.0", "gen.1"])
+def test_model_csv_rejects_shapes_that_do_not_fit(tmp_path, drop):
+    """A head whose shapes differ from the other head's, or a generator
+    whose layers do not chain, cannot share the stacked buffer."""
+    m = init_model([2, 8, 8, 8], 3, seed=11)
+    path = tmp_path / "model.csv"
+    save_model_csv(m, path)
+    lines = path.read_text().splitlines()
+    # drop the last weight column of one layer
+    kept = [ln for ln in lines if not (ln.startswith(drop + ",") and ln.split(",")[2] == "7")]
+    path.write_text("\n".join(kept) + "\n")
+    with pytest.raises(ConfigError):
+        load_model_csv(path)
+
+
+# --- flat parameter buffer ---------------------------------------------------
+
+_SCOPE_LAYERS = {
+    Scope.ALL: lambda m: m.generator + m.head1 + m.head2,
+    Scope.GENERATOR_ONLY: lambda m: list(m.generator),
+    Scope.HEADS_ONLY: lambda m: m.head1 + m.head2,
+}
+
+_model_args = st.tuples(
+    st.lists(st.integers(1, 6), min_size=1, max_size=3),  # hidden widths
+    st.integers(2, 4),                                    # classes
+    st.integers(0, 2**16),                                # seed
+)
+
+
+def _model(args):
+    hidden, classes, seed = args
+    return init_model([2] + hidden, classes, seed=seed)
+
+
+def _assert_layers_tile_buffers(m):
+    """Every layer array is a view into its model buffer, and together the
+    layers cover each buffer exactly once."""
+    for kind, flat, parts in (("params", m.params, ("weight", "bias")),
+                              ("grads", m.grads, ("grad_weight", "grad_bias")),
+                              ("velocity", m.velocity, ("vel_weight", "vel_bias"))):
+        saved = flat.copy()
+        flat[:] = np.arange(flat.size)
+        seen = np.concatenate([getattr(layer, part).ravel()
+                               for _, layer in m.named_layers() for part in parts])
+        assert np.array_equal(np.sort(seen), np.arange(flat.size)), kind
+        flat[:] = saved
+
+
+@settings(max_examples=40, deadline=None)
+@given(_model_args, st.integers(1, 6), st.sampled_from(list(Scope)))
+def test_scoped_backward_fills_only_its_slice(args, rows, scope):
+    m = _model(args)
+    rng = make_rng(args[2], "scoped-backward")
+    x = rng.normal(size=(rows, 2))
+    dp1 = rng.normal(size=(rows, m.num_classes))
+    dp2 = rng.normal(size=(rows, m.num_classes))
+    _, _, cache = forward(m, x)
+    backward(m, cache, dp1, dp2)
+    full = m.grads.copy()
+    m.zero_grads()
+    backward(m, cache, dp1, dp2, scope)
+    inside = np.zeros(m.grads.size, dtype=bool)
+    inside[m.scope_slice(scope)] = True
+    assert m.grads[inside].tobytes() == full[inside].tobytes()
+    assert not m.grads[~inside].any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_model_args, st.integers(0, 100), st.integers(0, 100))
+def test_layer_edit_shows_in_buffer(args, pick, cell):
+    m = _model(args)
+    _assert_layers_tile_buffers(m)
+    layers = [layer for _, layer in m.named_layers()]
+    layer = layers[pick % len(layers)]
+    r, c = divmod(cell % layer.weight.size, layer.in_dim)
+    before = m.params.copy()
+    w_new, b_new = layer.weight[r, c] + 1.0, layer.bias[r] - 1.0
+    layer.weight[r, c] = w_new
+    layer.bias[r] = b_new
+    changed = np.flatnonzero(m.params != before)
+    assert sorted(m.params[changed]) == sorted([w_new, b_new])
+
+
+@settings(max_examples=15, deadline=None)
+@given(_model_args)
+def test_loaded_model_layers_view_its_buffer(tmp_path_factory, args):
+    m = _model(args)
+    m.params += make_rng(args[2], "load").normal(size=m.params.size)
+    path = tmp_path_factory.mktemp("model") / "model.csv"
+    save_model_csv(m, path)
+    loaded = load_model_csv(path)
+    _assert_layers_tile_buffers(loaded)
+    assert loaded.parameters_blob() == m.parameters_blob()
+    for (_, a), (_, b) in zip(m.named_layers(), loaded.named_layers()):
+        assert a.activation is b.activation
+
+
+def _reference_sgd(layers, cfg):
+    """The per-layer momentum SGD loop the whole-slice step replaced, on
+    copies: returns (weight, bias, vel_weight, vel_bias) per layer."""
+    out = []
+    for layer in layers:
+        w, b = layer.weight.copy(), layer.bias.copy()
+        vw, vb = layer.vel_weight.copy(), layer.vel_bias.copy()
+        for p, v, g in ((w, vw, layer.grad_weight), (b, vb, layer.grad_bias)):
+            v *= cfg.momentum
+            v += g
+            if cfg.weight_decay:
+                v += cfg.weight_decay * p
+            p -= cfg.learning_rate * v
+        out.append((w, b, vw, vb))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(_model_args, st.sampled_from(list(Scope)), st.floats(1e-4, 1.0),
+       st.floats(0.0, 0.99), st.sampled_from([0.0, 5e-4, 0.1]))
+def test_sgd_step_matches_layer_loop_and_freezes_the_rest(args, scope, lr, momentum, decay):
+    m = _model(args)
+    rng = make_rng(args[2], "sgd")
+    m.grads[:] = rng.normal(size=m.grads.size)
+    m.velocity[:] = rng.normal(size=m.velocity.size)
+    cfg = SgdConfig(learning_rate=lr, momentum=momentum, weight_decay=decay)
+    expect = _reference_sgd(_SCOPE_LAYERS[scope](m), cfg)
+    outside = np.ones(m.params.size, dtype=bool)
+    outside[m.scope_slice(scope)] = False
+    params_out, vel_out = m.params[outside].tobytes(), m.velocity[outside].tobytes()
+
+    sgd_step(m, cfg, scope)
+    for layer, (w, b, vw, vb) in zip(_SCOPE_LAYERS[scope](m), expect):
+        assert layer.weight.tobytes() == w.tobytes()
+        assert layer.bias.tobytes() == b.tobytes()
+        assert layer.vel_weight.tobytes() == vw.tobytes()
+        assert layer.vel_bias.tobytes() == vb.tobytes()
+    assert m.params[outside].tobytes() == params_out
+    assert m.velocity[outside].tobytes() == vel_out
+    assert not m.grads.any()
+
+
+def _reference_head(layers, feats):
+    out = feats
+    for layer in layers:
+        z = out @ layer.weight.T + layer.bias
+        out = np.maximum(z, 0.0) if layer.activation is Activation.RELU else z
+    e = np.exp(out - out.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_model_args, st.integers(1, 9))
+def test_stacked_heads_match_separate_heads(args, rows):
+    m = _model(args)
+    x = make_rng(args[2], "stacked").normal(size=(rows, 2))
+    p1, p2, cache = forward(m, x)
+    feats = cache.head_io[0][0]
+    assert p1.tobytes() == _reference_head(m.head1, feats).tobytes()
+    assert p2.tobytes() == _reference_head(m.head2, feats).tobytes()

@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from twohead import (ConfigError, MethodVariant, NonFiniteLossError,
-                     SeparationParams, SgdConfig, TrainConfig,
-                     build_toy_scenario, init_model, variant_losses)
+                     NumericError, SeparationParams, SgdConfig, TrainConfig,
+                     build_toy_scenario, init_model, trainer, variant_losses)
 from twohead.losses import crs_rows
 from twohead.nn import forward
 from twohead.rng import make_rng
@@ -42,27 +43,57 @@ def test_train_config_validation():
         TrainConfig(batch_size=1)
 
 
+def _hooked_iterations(source, target, config):
+    """Train with a hook recording (step, model.version) and split the
+    records into batch iterations, each starting at A-1."""
+    events = []
+    state = train(source, target, config,
+                  step_hook=lambda step, epoch, model: events.append((step, model.version)))
+    assert state.step_log == [step for step, _ in events]
+    iterations = []
+    for event in events:
+        if event[0] == "A-1":
+            iterations.append([])
+        iterations[-1].append(event)
+    assert len(iterations) == state.step_counter
+    return iterations
+
+
+def _check_c_counts(iterations, prefix):
+    """Each iteration is ``prefix`` then one C entry per generator update
+    that C applied.  Every SGD step bumps the model version and the C
+    hooks fire after the last C update, so the C updates of an iteration
+    are the version change from the hook of its last prefix step to its
+    last hook.  Returns the C count per iteration."""
+    counts = []
+    for it in iterations:
+        steps = [step for step, _ in it]
+        n_c = len(steps) - len(prefix)
+        assert steps == prefix + ["C"] * n_c
+        assert n_c == it[-1][1] - it[len(prefix) - 1][1]
+        assert 0 <= n_c <= TrainConfig().n_inner
+        counts.append(n_c)
+    return counts
+
+
 def test_step_ordering_full(toy_data):
     source, target = toy_data
-    state = train(source, target, TrainConfig(**SHORT))
-    per_iter = 1 + 1 + 1 + 4
-    n_iters = len(state.step_log) // per_iter
-    assert n_iters == 2 * (900 // 64)
-    for i in range(n_iters):
-        chunk = state.step_log[i * per_iter:(i + 1) * per_iter]
-        assert chunk == ["A-1", "A-2", "B", "C", "C", "C", "C"]
+    iterations = _hooked_iterations(source, target, TrainConfig(**SHORT))
+    assert len(iterations) == 2 * (900 // 64)
+    counts = _check_c_counts(iterations, ["A-1", "A-2", "B"])
+    assert sum(counts) > 0
 
 
 @pytest.mark.parametrize("variant,expected", [
     (MethodVariant.SOURCE_ONLY, ["A-1"]),
     (MethodVariant.NO_MINIMAX, ["A-1", "A-2"]),
-    (MethodVariant.NO_SEP, ["A-1", "B", "C", "C", "C", "C"]),
+    (MethodVariant.NO_SEP, ["A-1", "B"]),
 ])
 def test_step_ordering_variants(toy_data, variant, expected):
     source, target = toy_data
-    state = train(source, target, TrainConfig(variant=variant, **SHORT))
-    chunk = state.step_log[:len(expected)]
-    assert chunk == expected
+    iterations = _hooked_iterations(source, target, TrainConfig(variant=variant, **SHORT))
+    counts = _check_c_counts(iterations, expected)
+    assert (sum(counts) > 0) == (variant is MethodVariant.NO_SEP)
 
 
 def test_scope_enforcement_instrumented(toy_data):
@@ -142,14 +173,24 @@ def test_step_b_raises_target_divergence(toy_data):
     assert after > before
 
 
-def test_step_c_generator_only_and_empty_mask():
+def test_step_c_generator_only_and_empty_mask(monkeypatch):
     model = init_model([2, 8, 8, 8], 3, seed=2)
     x = make_rng(2, "c").normal(size=(8, 2))
     heads = _blob(model.head1 + model.head2)
-    # impossible gate: mask empty, generator untouched
+    forwards = []
+
+    def counting_forward(m, xs):
+        forwards.append(len(xs))
+        return forward(m, xs)
+
+    monkeypatch.setattr(trainer, "forward", counting_forward)
+    # impossible gate: mask empty, generator untouched, and the first empty
+    # subset ends the loop
     sep = SeparationParams(delta=1.0, margin=1.0)  # gate at 0: crs never < 0
     out = step_c(model, x, sep, SgdConfig(0.05, 0.9), n_inner=3)
     assert out == []
+    assert forwards == [8]
+    assert model.version == 0
     assert _blob(model.head1 + model.head2) == heads
     # permissive gate: generator moves, heads still frozen
     gen = _blob(model.generator)
@@ -219,9 +260,22 @@ def test_full_variant_selects_subset():
     assert len(res.selected) == 12
 
 
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_train_rejects_nonfinite_features_before_any_step(toy_data, side):
+    source, target = toy_data
+    data = {"source": source, "target": target}
+    features = data[side].features.copy()
+    features[5, 1] = np.nan
+    data[side] = dataclasses.replace(data[side], features=features)
+    steps = []
+    with pytest.raises(NumericError, match=side):
+        train(data["source"], data["target"], TrainConfig(**SHORT),
+              step_hook=lambda step, epoch, model: steps.append(step))
+    assert steps == []
+
+
 def test_train_rejects_mismatched_dims(toy_data):
     source, target = toy_data
-    import dataclasses
     bad = dataclasses.replace(target, features=np.zeros((10, 3)))
     with pytest.raises(ConfigError):
         train(source, bad, TrainConfig(**SHORT))
