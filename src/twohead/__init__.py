@@ -11,27 +11,22 @@ from .errors import (ConfigError, DataError, DimensionError, NonFiniteLossError,
                      NumericError, TwoHeadError, UsageError)
 from .evaluation import (BoundaryGrid, EvalReport, UNKNOWN, boundary_grid,
                          divergence_density, evaluate, predict, scott_bandwidth)
-from .losses import (LossBreakdown, MethodVariant, SeparationParams, VariantPlan,
-                     common_mask, crs_ent, joint_divergence, kl, loss_breakdown,
-                     reject_unknown, separation_loss, skld, small_loss_select,
-                     source_loss, supervised_loss, variant_losses)
+from .losses import (MethodVariant, SeparationParams, VariantPlan,
+                     small_loss_select, variant_losses)
 from .nn import (Activation, DenseLayer, Scope, SgdConfig, TwoHeadModel,
-                 backward, forward, grad_check, init_model, sgd_step, softmax)
+                 backward, forward, grad_check, init_model, sgd_step)
 from .trainer import TrainConfig, TrainState, train
 
 __all__ = [
     "__version__",
     "Activation", "BlobSpec", "BoundaryGrid", "ClassRole", "ConfigError",
     "DataError", "DenseLayer", "DimensionError", "DomainDataset", "EvalReport",
-    "LossBreakdown", "MethodVariant", "NoiseKind", "NoiseSpec",
+    "MethodVariant", "NoiseKind", "NoiseSpec",
     "NonFiniteLossError", "NumericError", "Scope", "SeparationParams",
     "SgdConfig", "TrainConfig", "TrainState", "TwoHeadError", "TwoHeadModel",
     "UNKNOWN", "UsageError", "VariantPlan", "backward", "boundary_grid",
-    "build_toy_scenario", "class_split", "common_mask", "crs_ent",
-    "divergence_density", "evaluate", "forward", "grad_check", "init_model",
-    "inject_noise", "joint_divergence", "kl", "loss_breakdown",
-    "make_transition_matrix",
-    "minibatches", "predict", "reject_unknown", "scott_bandwidth",
-    "separation_loss", "sgd_step", "skld", "small_loss_select", "softmax",
-    "source_loss", "supervised_loss", "train", "variant_losses",
+    "build_toy_scenario", "class_split", "divergence_density", "evaluate",
+    "forward", "grad_check", "init_model", "inject_noise",
+    "make_transition_matrix", "minibatches", "predict", "scott_bandwidth",
+    "sgd_step", "small_loss_select", "train", "variant_losses",
 ]

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from enum import Enum
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from . import __version__
 from .data import NoiseKind, NoiseSpec, build_toy_scenario, dataset_to_csv
@@ -26,18 +29,46 @@ from .trainer import TrainConfig, train
 TOY_BOUNDS = ((-10.0, 14.0), (-12.0, 10.0))
 DEFAULT_GRID_RESOLUTION = 120
 
-SWEEPABLE = {
-    "alpha": (0.0, 1.0, False),     # [lo, hi), float
-    "lambda": (0.0, None, False),
-    "delta": (0.0, None, False),    # exclusive lower bound handled below
-    "margin": (0.0, None, False),
-    "n_inner": (1, None, True),     # int
-}
+SWEEPABLE = ("alpha", "lambda", "delta", "margin", "n_inner")
+
+# config keys that differ from their dataclass field names
+_CONFIG_KEYS = {"lam": "lambda"}
+
+
+def _config_fields(owner: type) -> list[tuple[str, str, object]]:
+    """(field name, config key, type) for every config field of a dataclass;
+    ExperimentSpec's nested ``train`` config contributes its own fields."""
+    hints = get_type_hints(owner)
+    return [(f.name, _CONFIG_KEYS.get(f.name, f.name), hints[f.name])
+            for f in fields(owner) if f.name != "train"]
+
+
+def _convert(key: str, kind, value):
+    """``value`` as the field type ``kind``; numbers must be finite, int
+    fields take only integral numbers, and booleans are not numbers."""
+    args = get_args(kind)
+    if args:  # ``T | None``
+        if value is None:
+            return None
+        kind = args[0]
+    if kind in (int, float) and isinstance(value, bool):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    try:
+        out = kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    if kind is float and not math.isfinite(out):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return out
 
 
 @dataclass
 class ExperimentSpec:
-    """One experiment: scenario settings plus a full training config."""
+    """One experiment: scenario settings plus a full training config.  The
+    flat config mapping has one key per field of both, with ``lam`` spelled
+    ``lambda``."""
 
     preset: str = "toy"
     noise_kind: NoiseKind = NoiseKind.SYMMETRIC_FLIP
@@ -53,75 +84,30 @@ class ExperimentSpec:
             self.train = TrainConfig()
 
     def to_dict(self) -> dict:
-        t = self.train
-        return {
-            "preset": self.preset,
-            "noise_kind": self.noise_kind.value,
-            "noise_rate": self.noise_rate,
-            "samples_per_class": self.samples_per_class,
-            "stddev": self.stddev,
-            "alpha": t.alpha,
-            "lambda": t.lam,
-            "delta": t.delta,
-            "margin": t.margin,
-            "n_inner": t.n_inner,
-            "learning_rate": t.learning_rate,
-            "momentum": t.momentum,
-            "weight_decay": t.weight_decay,
-            "minimax_weight": t.minimax_weight,
-            "batch_size": t.batch_size,
-            "epochs": t.epochs,
-            "seed": t.seed,
-            "variant": t.variant.value,
-        }
+        out = {}
+        for obj in (self, self.train):
+            for name, key, _ in _config_fields(type(obj)):
+                value = getattr(obj, name)
+                out[key] = value.value if isinstance(value, Enum) else value
+        return out
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentSpec":
-        known = set(cls.default_dict())
-        unknown = set(raw) - known
+        merged = cls.default_dict()
+        unknown = set(raw) - set(merged)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged = cls.default_dict()
         merged.update(raw)
 
-        def field(key, conv):
-            try:
-                return conv(merged[key])
-            except ConfigError:
-                raise
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
+        def build(owner, **nested):
+            return owner(**{name: _convert(key, kind, merged[key])
+                            for name, key, kind in _config_fields(owner)}, **nested)
 
-        try:
-            train = TrainConfig(
-                alpha=field("alpha", float),
-                lam=field("lambda", float),
-                delta=None if merged["delta"] is None else field("delta", float),
-                margin=field("margin", float),
-                n_inner=field("n_inner", int),
-                learning_rate=field("learning_rate", float),
-                momentum=field("momentum", float),
-                weight_decay=field("weight_decay", float),
-                minimax_weight=field("minimax_weight", float),
-                batch_size=field("batch_size", int),
-                epochs=field("epochs", int),
-                seed=field("seed", int),
-                variant=field("variant", MethodVariant),
-            )
-        except ConfigError as exc:
-            raise ConfigError(str(exc)) from exc
-        return cls(
-            preset=field("preset", str),
-            noise_kind=field("noise_kind", NoiseKind),
-            noise_rate=field("noise_rate", float),
-            samples_per_class=field("samples_per_class", int),
-            stddev=field("stddev", float),
-            train=train,
-        )
+        return build(cls, train=build(TrainConfig))
 
     @staticmethod
     def default_dict() -> dict:
-        return ExperimentSpec(train=TrainConfig()).to_dict()
+        return ExperimentSpec().to_dict()
 
 
 @dataclass
@@ -136,16 +122,13 @@ class SweepSpec:
                 f"param: must be one of {sorted(SWEEPABLE)}, got {self.param!r}")
         if not self.values:
             raise ConfigError("values: need at least one sweep value")
-        lo, hi, is_int = SWEEPABLE[self.param]
         for v in self.values:
-            if is_int and int(v) != v:
-                raise ConfigError(f"values: {self.param} must be an integer, got {v}")
-            if self.param == "delta" and v <= 0:
-                raise ConfigError(f"values: delta must be > 0, got {v}")
-            if v < lo or (hi is not None and v >= hi):
-                upper = "inf" if hi is None else hi
-                raise ConfigError(
-                    f"values: {self.param}={v} outside [{lo}, {upper})")
+            raw = self.base.to_dict()
+            raw[self.param] = v
+            try:
+                ExperimentSpec.from_dict(raw)
+            except ConfigError as exc:
+                raise ConfigError(f"values: {self.param}={v}: {exc}") from exc
 
 
 def atomic_write(path: Path, write_fn) -> None:
@@ -243,7 +226,6 @@ def sweep(spec: SweepSpec, out_dir: Path, jobs: int = 1) -> list[RunSummary]:
     for v in spec.values:
         raw = spec.base.to_dict()
         raw[spec.param] = v
-        ExperimentSpec.from_dict(raw)  # validate eagerly, before spawning
         work.append((raw, str(out_dir / f"{spec.param}_{v}")))
     summaries = _run_many(jobs, work)
 

@@ -1,4 +1,4 @@
-"""Divergence losses, small-loss selection, separation hinge and variants.
+"""Training objectives, small-loss selection and method variants.
 
 All functions are pure and operate on probability rows (one sample per
 row, one column per class).  Probabilities are clamped at 1e-12 before
@@ -11,8 +11,21 @@ Naming used throughout:
   two heads agree.
 * ``crs``: H(p1, p2) + H(p2, p1), the pairwise cross-entropy sum.
 * ``ent``: H(p1) + H(p2), the confidence term.
-* ``joint divergence``: crs + ent, large when the heads disagree *and* are
-  unconfident; skld == crs - ent as an algebraic identity.
+* skld == crs - ent as an algebraic identity.
+
+Each training objective is one function that takes the clamped logs and
+safe inverses of the pair once and returns an ``Objective``: the batch
+value, the per-sample values and d(value)/dp of both heads, from the same
+pass.
+
+* ``source``: supervised loss plus lam * skld on the small-loss subset
+  (A-1; B's source term).
+* ``separation``: the dead-band hinge on crs and ent (A-2).
+* ``crs``: mean crs over every row or over the rows below a threshold;
+  B's target term (weight < 0, capped) and C's alignment.
+
+``crs_rows``, ``ent_rows`` and ``skld_rows`` give the per-sample values
+alone, for prediction and the self-checks.
 """
 
 from __future__ import annotations
@@ -20,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,12 +46,26 @@ def _clamped_log(p: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(p, P_CLAMP))
 
 
+def _safe_inv(p: np.ndarray) -> np.ndarray:
+    # derivative of log(max(p, clamp)): 1/p above the clamp, 0 below it
+    return np.where(p > P_CLAMP, 1.0 / np.maximum(p, P_CLAMP), 0.0)
+
+
 def _check_pair(p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p1 = np.atleast_2d(np.asarray(p1, dtype=np.float64))
     p2 = np.atleast_2d(np.asarray(p2, dtype=np.float64))
     if p1.shape != p2.shape:
         raise DimensionError(f"probability shapes differ: {p1.shape} vs {p2.shape}")
     return p1, p2
+
+
+def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    labels = np.asarray(labels)
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise DataError(
+            f"labels must lie in [0, {num_classes}), got range "
+            f"[{labels.min()}, {labels.max()}]")
+    return labels.astype(np.int64)
 
 
 @dataclass
@@ -66,40 +94,34 @@ class MethodVariant(Enum):
     WITH_KL = "with_kl"
 
 
-@dataclass
-class LossBreakdown:
-    """Batch diagnostics: supervised term, agreement divergence, mean crs,
-    mean ent, and the per-sample joint source losses used for selection."""
+class Objective(NamedTuple):
+    """One objective on a batch: ``value`` is the mean of ``per_sample``
+    over ``rows`` (times the objective's weight, if it has one), and
+    ``dp1``/``dp2`` are d(value)/d(p1) and d(value)/d(p2), zero outside
+    ``rows``."""
 
+    value: float
+    per_sample: np.ndarray
+    dp1: np.ndarray
+    dp2: np.ndarray
+    rows: np.ndarray
+
+
+class SourceObjective(NamedTuple):
+    """The joint source loss as an ``Objective`` whose ``rows`` are the
+    small-loss subset, plus the means over those rows of its supervised
+    term (``sup``) and of the agreement divergence (``skld``)."""
+
+    value: float
+    per_sample: np.ndarray
+    dp1: np.ndarray
+    dp2: np.ndarray
+    rows: np.ndarray
     sup: float
     skld: float
-    crs: float
-    ent: float
-    per_sample_joint: np.ndarray
 
 
-# --- elementary divergences ---------------------------------------------------
-
-def kl(p: np.ndarray, q: np.ndarray) -> float:
-    """KL divergence of two probability vectors, in nats."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape or p.ndim != 1:
-        raise DimensionError(f"kl expects equal-length vectors, got {p.shape}, {q.shape}")
-    return float(np.sum(p * (_clamped_log(p) - _clamped_log(q))))
-
-
-def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return (p * (_clamped_log(p) - _clamped_log(q))).sum(axis=1)
-
-
-def skld(p1: np.ndarray, p2: np.ndarray) -> float:
-    """Batch-mean symmetric agreement divergence."""
-    p1, p2 = _check_pair(p1, p2)
-    if p1.shape[0] == 0:
-        raise UsageError("skld needs a nonempty batch")
-    return float((kl_rows(p1, p2) + kl_rows(p2, p1)).mean())
-
+# --- per-sample divergences ---------------------------------------------------
 
 def crs_rows(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """Per-sample pairwise cross-entropy sum H(p1,p2) + H(p2,p1)."""
@@ -111,128 +133,10 @@ def ent_rows(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     return -(p1 * _clamped_log(p1) + p2 * _clamped_log(p2)).sum(axis=1)
 
 
-def crs_ent(p1: np.ndarray, p2: np.ndarray) -> tuple[float, float]:
-    """(crs, ent) of a single probability pair."""
-    p1, p2 = _check_pair(p1, p2)
-    return float(crs_rows(p1, p2)[0]), float(ent_rows(p1, p2)[0])
-
-
-def joint_divergence(p1: np.ndarray, p2: np.ndarray) -> float:
-    """crs + ent of a single pair; large means disagreement plus low
-    confidence."""
-    c, e = crs_ent(p1, p2)
-    return c + e
-
-
-# --- gradients of the per-sample terms ---------------------------------------
-# These return d(term_i)/d(p), unscaled; callers apply batch weights.
-
-def _safe_inv(p: np.ndarray) -> np.ndarray:
-    # derivative of log(max(p, clamp)): 1/p above the clamp, 0 below it
-    return np.where(p > P_CLAMP, 1.0 / np.maximum(p, P_CLAMP), 0.0)
-
-
-def crs_grad_rows(p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d1 = -_clamped_log(p2) - p2 * _safe_inv(p1)
-    d2 = -_clamped_log(p1) - p1 * _safe_inv(p2)
-    return d1, d2
-
-
-def ent_grad_rows(p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d1 = -_clamped_log(p1) - p1 * _safe_inv(p1)
-    d2 = -_clamped_log(p2) - p2 * _safe_inv(p2)
-    return d1, d2
-
-
-def skld_grad_rows(p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d1 = _clamped_log(p1) - _clamped_log(p2) + (p1 - p2) * _safe_inv(p1)
-    d2 = _clamped_log(p2) - _clamped_log(p1) + (p2 - p1) * _safe_inv(p2)
-    return d1, d2
-
-
-# --- supervised and joint source losses --------------------------------------
-
-def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise DataError(
-            f"labels must lie in [0, {num_classes}), got range "
-            f"[{labels.min()}, {labels.max()}]")
-    return labels.astype(np.int64)
-
-
-def supervised_loss(p1: np.ndarray, p2: np.ndarray, labels: np.ndarray) -> float:
-    """Batch-mean cross-entropy of both heads against the observed labels."""
-    p1, p2 = _check_pair(p1, p2)
-    labels = _check_labels(labels, p1.shape[1])
-    rows = np.arange(p1.shape[0])
-    per = -(_clamped_log(p1[rows, labels]) + _clamped_log(p2[rows, labels]))
-    return float(per.mean())
-
-
-def source_loss(p1: np.ndarray, p2: np.ndarray, labels: np.ndarray,
-                lam: float) -> tuple[float, np.ndarray]:
-    """Joint source loss: supervised + lam * agreement divergence.
-
-    Returns the batch mean and the per-sample values used by small-loss
-    selection.
-    """
-    if lam < 0:
-        raise ConfigError(f"lambda must be >= 0, got {lam}")
-    p1, p2 = _check_pair(p1, p2)
-    labels = _check_labels(labels, p1.shape[1])
-    rows = np.arange(p1.shape[0])
-    per = -(_clamped_log(p1[rows, labels]) + _clamped_log(p2[rows, labels]))
-    per = per + lam * (kl_rows(p1, p2) + kl_rows(p2, p1))
-    return float(per.mean()), per
-
-
-def source_loss_grad(p1: np.ndarray, p2: np.ndarray, labels: np.ndarray,
-                     lam: float, rows: np.ndarray | None = None
-                     ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value and d/dp of the joint source loss averaged over ``rows``
-    (default: the whole batch).  Gradient rows outside the subset are zero."""
-    p1, p2 = _check_pair(p1, p2)
-    labels = _check_labels(labels, p1.shape[1])
-    n = p1.shape[0]
-    if rows is None:
-        rows = np.arange(n)
-    k = len(rows)
-    if k == 0:
-        raise UsageError("source_loss_grad needs a nonempty subset")
-
-    sub1, sub2, suby = p1[rows], p2[rows], labels[rows]
-    idx = np.arange(k)
-    per = -(_clamped_log(sub1[idx, suby]) + _clamped_log(sub2[idx, suby]))
-    per = per + lam * (kl_rows(sub1, sub2) + kl_rows(sub2, sub1))
-    value = float(per.mean())
-
-    d1 = np.zeros((k, p1.shape[1]))
-    d2 = np.zeros((k, p1.shape[1]))
-    d1[idx, suby] = -_safe_inv(sub1[idx, suby])
-    d2[idx, suby] = -_safe_inv(sub2[idx, suby])
-    if lam != 0.0:
-        s1, s2 = skld_grad_rows(sub1, sub2)
-        d1 += lam * s1
-        d2 += lam * s2
-
-    dp1 = np.zeros_like(p1)
-    dp2 = np.zeros_like(p2)
-    dp1[rows] = d1 / k
-    dp2[rows] = d2 / k
-    return value, dp1, dp2
-
-
-def loss_breakdown(p1: np.ndarray, p2: np.ndarray, labels: np.ndarray,
-                   lam: float) -> LossBreakdown:
-    p1, p2 = _check_pair(p1, p2)
-    total_skld = skld(p1, p2)
-    c = crs_rows(p1, p2)
-    e = ent_rows(p1, p2)
-    _, per = source_loss(p1, p2, labels, lam)
-    return LossBreakdown(sup=supervised_loss(p1, p2, labels), skld=total_skld,
-                         crs=float(c.mean()), ent=float(e.mean()),
-                         per_sample_joint=per)
+def skld_rows(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Per-sample agreement divergence KL(p1||p2) + KL(p2||p1)."""
+    l1, l2 = _clamped_log(p1), _clamped_log(p2)
+    return (p1 * (l1 - l2)).sum(axis=1) + (p2 * (l2 - l1)).sum(axis=1)
 
 
 # --- small-loss selection ------------------------------------------------------
@@ -255,28 +159,56 @@ def small_loss_select(per_sample_losses: np.ndarray, alpha: float) -> np.ndarray
     return np.sort(order[:k])
 
 
-# --- separation hinge ---------------------------------------------------------
+# --- objectives ------------------------------------------------------------------
 
-def _hinge_rows(values: np.ndarray, params: SeparationParams,
-                reach: float | None = None) -> np.ndarray:
-    dist = np.abs(values - params.delta)
-    if reach is not None:
-        dist = np.minimum(dist, reach)
-    return np.where(np.abs(values - params.delta) > params.margin, -dist, 0.0)
+def source(p1: np.ndarray, p2: np.ndarray, labels: np.ndarray, lam: float,
+           alpha: float = 0.0) -> SourceObjective:
+    """Joint source loss: cross-entropy of both heads against the observed
+    labels plus ``lam`` times the agreement divergence, averaged over the
+    small-loss subset of its own per-sample values that drops the ``alpha``
+    fraction (alpha = 0 keeps every row)."""
+    if lam < 0:
+        raise ConfigError(f"lambda must be >= 0, got {lam}")
+    p1, p2 = _check_pair(p1, p2)
+    labels = _check_labels(labels, p1.shape[1])
+    l1, l2 = _clamped_log(p1), _clamped_log(p2)
+    i1, i2 = _safe_inv(p1), _safe_inv(p2)
+    idx = np.arange(p1.shape[0])
+    sup = -(l1[idx, labels] + l2[idx, labels])
+    agreement = (p1 * (l1 - l2)).sum(axis=1) + (p2 * (l2 - l1)).sum(axis=1)
+    per = sup + lam * agreement
+    rows = small_loss_select(per, alpha)
+
+    d1 = np.zeros_like(p1)
+    d2 = np.zeros_like(p2)
+    d1[idx, labels] = -i1[idx, labels]
+    d2[idx, labels] = -i2[idx, labels]
+    if lam != 0.0:
+        d1 += lam * (l1 - l2 + (p1 - p2) * i1)
+        d2 += lam * (l2 - l1 + (p2 - p1) * i2)
+    dp1 = np.zeros_like(p1)
+    dp2 = np.zeros_like(p2)
+    dp1[rows] = d1[rows] / len(rows)
+    dp2[rows] = d2[rows] / len(rows)
+    return SourceObjective(float(per[rows].mean()), per, dp1, dp2, rows,
+                           float(sup[rows].mean()), float(agreement[rows].mean()))
 
 
-def _hinge_grad_rows(values: np.ndarray, params: SeparationParams,
-                     reach: float | None = None) -> np.ndarray:
+def _hinge(values: np.ndarray, params: SeparationParams,
+           reach: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Dead-band hinge rows and their derivative in ``values``."""
     diff = values - params.delta
-    active = np.abs(diff) > params.margin
+    dist = np.abs(diff)
+    active = dist > params.margin
+    value = np.where(active, -dist if reach is None else -np.minimum(dist, reach), 0.0)
     if reach is not None:
-        active = active & (np.abs(diff) < reach)
-    return np.where(active, -np.sign(diff), 0.0)
+        active &= dist < reach
+    return value, np.where(active, -np.sign(diff), 0.0)
 
 
-def separation_loss(p1: np.ndarray, p2: np.ndarray, params: SeparationParams,
-                    use_crs: bool = True, use_ent: bool = True,
-                    ent_sign: float = 1.0, reach: float | None = None) -> float:
+def separation(p1: np.ndarray, p2: np.ndarray, params: SeparationParams,
+               use_crs: bool = True, use_ent: bool = True,
+               ent_sign: float = 1.0, reach: float | None = None) -> Objective:
     """Batch-mean dead-band hinge on per-sample crs and ent.
 
     Values inside [delta - margin, delta + margin] contribute nothing;
@@ -288,70 +220,56 @@ def separation_loss(p1: np.ndarray, p2: np.ndarray, params: SeparationParams,
     from the probability clamp).
     """
     p1, p2 = _check_pair(p1, p2)
-    total = np.zeros(p1.shape[0])
-    if use_crs:
-        total = total + _hinge_rows(crs_rows(p1, p2), params, reach)
-    if use_ent:
-        total = total + ent_sign * _hinge_rows(ent_rows(p1, p2), params, reach)
-    return float(total.mean())
-
-
-def separation_loss_grad(p1: np.ndarray, p2: np.ndarray, params: SeparationParams,
-                         use_crs: bool = True, use_ent: bool = True,
-                         ent_sign: float = 1.0, reach: float | None = None
-                         ) -> tuple[float, np.ndarray, np.ndarray]:
-    p1, p2 = _check_pair(p1, p2)
     n = p1.shape[0]
-    value = np.zeros(n)
+    l1, l2 = _clamped_log(p1), _clamped_log(p2)
+    i1, i2 = _safe_inv(p1), _safe_inv(p2)
+    per = np.zeros(n)
     dp1 = np.zeros_like(p1)
     dp2 = np.zeros_like(p2)
     if use_crs:
-        c = crs_rows(p1, p2)
-        value += _hinge_rows(c, params, reach)
-        w = _hinge_grad_rows(c, params, reach)[:, None] / n
-        g1, g2 = crs_grad_rows(p1, p2)
-        dp1 += w * g1
-        dp2 += w * g2
+        value, slope = _hinge(-(p1 * l2 + p2 * l1).sum(axis=1), params, reach)
+        per += value
+        w = slope[:, None] / n
+        dp1 += w * (-l2 - p2 * i1)
+        dp2 += w * (-l1 - p1 * i2)
     if use_ent:
-        e = ent_rows(p1, p2)
-        value += ent_sign * _hinge_rows(e, params, reach)
-        w = ent_sign * _hinge_grad_rows(e, params, reach)[:, None] / n
-        g1, g2 = ent_grad_rows(p1, p2)
-        dp1 += w * g1
-        dp2 += w * g2
-    return float(value.mean()), dp1, dp2
+        value, slope = _hinge(-(p1 * l1 + p2 * l2).sum(axis=1), params, reach)
+        per += ent_sign * value
+        w = ent_sign * slope[:, None] / n
+        dp1 += w * (-l1 - p1 * i1)
+        dp2 += w * (-l2 - p2 * i2)
+    return Objective(float(per.mean()), per, dp1, dp2, np.arange(n))
 
 
-def crs_push_grad(p1: np.ndarray, p2: np.ndarray, cap: float | None = None
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-sample crs with gradients for divergence-raising objectives.
+def crs(p1: np.ndarray, p2: np.ndarray, weight: float = 1.0,
+        cap: float | None = None, below: float = math.inf) -> Objective:
+    """``weight`` times the mean per-sample crs over ``rows``.
 
-    With a finite ``cap``, rows whose crs already exceeds it get zero
-    gradient (their rejection is decided; pushing further only saturates
-    the heads).  Returns (crs rows, d/dp1, d/dp2) with per-row scaling
-    left to the caller.
+    ``rows`` are the samples whose crs is strictly below ``below``: every
+    sample by default, or the detected target-common subset with a finite
+    threshold.  An empty subset gives value 0 and zero gradients.  With a
+    finite ``cap`` the per-sample values are min(crs, cap), so rows past the
+    cap carry no gradient (their rejection is decided; pushing further only
+    saturates the heads).
     """
-    c = crs_rows(p1, p2)
-    g1, g2 = crs_grad_rows(p1, p2)
-    if cap is not None:
-        live = (c < cap)[:, None]
-        g1 = g1 * live
-        g2 = g2 * live
-    return c, g1, g2
-
-
-def common_mask(p1: np.ndarray, p2: np.ndarray, params: SeparationParams) -> np.ndarray:
-    """Detected target-common samples: crs strictly below delta - margin."""
     p1, p2 = _check_pair(p1, p2)
-    return crs_rows(p1, p2) < (params.delta - params.margin)
-
-
-def reject_unknown(l_crs: float, delta: float) -> bool:
-    """Unknown (target-private) iff the cross divergence strictly exceeds
-    delta; a sample exactly at delta counts as known."""
-    if not delta > 0:
-        raise ConfigError(f"delta must be > 0, got {delta}")
-    return l_crs > delta
+    l1, l2 = _clamped_log(p1), _clamped_log(p2)
+    per = -(p1 * l2 + p2 * l1).sum(axis=1)
+    live = per < below
+    rows = np.flatnonzero(live)
+    if not rows.size:
+        return Objective(0.0, per, np.zeros_like(p1), np.zeros_like(p2), rows)
+    d1 = -l2 - p2 * _safe_inv(p1)
+    d2 = -l1 - p1 * _safe_inv(p2)
+    if cap is not None:
+        uncapped = (per < cap)[:, None]
+        d1 = d1 * uncapped
+        d2 = d2 * uncapped
+        per = np.minimum(per, cap)
+    live = live[:, None]
+    dp1 = np.where(live, weight * d1 / len(rows), 0.0)
+    dp2 = np.where(live, weight * d2 / len(rows), 0.0)
+    return Objective(weight * float(per[rows].mean()), per, dp1, dp2, rows)
 
 
 # --- variant plumbing ----------------------------------------------------------
@@ -360,10 +278,8 @@ def reject_unknown(l_crs: float, delta: float) -> bool:
 class VariantPlan:
     """Effective objective set for one method variant."""
 
-    variant: MethodVariant
     alpha: float
     lam: float
-    source_only: bool
     sep_enabled: bool
     sep_use_crs: bool
     sep_use_ent: bool
@@ -384,10 +300,8 @@ def variant_losses(variant: MethodVariant, alpha: float, lam: float) -> VariantP
     """
     v = variant
     return VariantPlan(
-        variant=v,
         alpha=0.0 if v in (MethodVariant.NO_SELECT, MethodVariant.SOURCE_ONLY) else alpha,
         lam=0.0 if v in (MethodVariant.NO_DIV, MethodVariant.SOURCE_ONLY) else lam,
-        source_only=v is MethodVariant.SOURCE_ONLY,
         sep_enabled=v not in (MethodVariant.NO_SEP, MethodVariant.SOURCE_ONLY),
         sep_use_crs=v is not MethodVariant.NO_CRS,
         sep_use_ent=v is not MethodVariant.NO_ENT,

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError, UsageError
+from .errors import ConfigError, DimensionError, UsageError
 from .rng import make_rng
 
 
@@ -227,17 +227,6 @@ def init_model(layer_widths: Sequence[int], num_classes: int, seed: int) -> TwoH
         for layer in layers:
             _glorot(rng, layer.weight)
     return model
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax of a single logit vector."""
-    v = np.asarray(logits, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionError(f"softmax expects a vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise NumericError("softmax input contains NaN/Inf")
-    e = np.exp(v - v.max())
-    return e / e.sum()
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

@@ -27,114 +27,86 @@ class CheckResult:
 
 def check_loss_identities(n_pairs: int = 1000, seed: int = 2024) -> CheckResult:
     """Random probability pairs over 2..20 classes must satisfy
-    skld == crs - ent (within 1e-10), joint == crs + ent exactly, and
-    ent <= 2 ln C."""
+    skld == crs - ent (within 1e-10), crs >= ent and ent <= 2 ln C."""
     rng = make_rng(seed, "identities")
     worst_decomp = 0.0
-    for i in range(n_pairs):
-        c = 2 + i % 19
-        p1 = rng.dirichlet(np.ones(c))
-        p2 = rng.dirichlet(np.ones(c))
-        pair_skld = losses.kl(p1, p2) + losses.kl(p2, p1)
-        crs, ent = losses.crs_ent(p1, p2)
-        worst_decomp = max(worst_decomp, abs(pair_skld - (crs - ent)))
-        if losses.joint_divergence(p1, p2) != crs + ent:
+    for c in range(2, 21):
+        n = len(range(c - 2, n_pairs, 19))  # pairs i with 2 + i % 19 == c
+        if not n:
+            continue
+        p1 = rng.dirichlet(np.ones(c), size=n)
+        p2 = rng.dirichlet(np.ones(c), size=n)
+        crs, ent = losses.crs_rows(p1, p2), losses.ent_rows(p1, p2)
+        worst_decomp = max(worst_decomp,
+                           float(np.abs(losses.skld_rows(p1, p2) - (crs - ent)).max()))
+        if (ent > 2.0 * math.log(c) + 1e-12).any():
             return CheckResult("loss-identities", False,
-                               f"joint divergence != crs + ent at pair {i}")
-        if ent > 2.0 * math.log(c) + 1e-12:
+                               f"ent exceeds 2 ln {c} for a {c}-class pair")
+        if (crs < ent).any():
             return CheckResult("loss-identities", False,
-                               f"ent {ent} exceeds 2 ln {c} at pair {i}")
-        if crs < ent:
-            return CheckResult("loss-identities", False,
-                               f"crs < ent at pair {i}")
+                               f"crs < ent for a {c}-class pair")
     ok = worst_decomp < 1e-10
     return CheckResult("loss-identities", ok,
                        f"{n_pairs} pairs, max |skld - (crs - ent)| = {worst_decomp:.3e}")
 
 
+def _value_and_grads(objective) -> tuple[float, np.ndarray, np.ndarray]:
+    return objective.value, objective.dp1, objective.dp2
+
+
 def _grad_objectives(num_classes: int, n_samples: int, seed: int):
-    """Named (loss_fn, batch-layout) closures covering every training
-    objective.  Mixed-batch objectives mark the first ``n_samples`` rows
-    as source and the rest as target."""
+    """Named (loss_fn, batch-layout) closures over the objectives in
+    ``losses`` that training applies.  Mixed-batch objectives mark the
+    first ``n_samples`` rows as source and the rest as target."""
     rng = make_rng(seed, "gradcheck-labels")
     labels = rng.integers(0, num_classes, size=n_samples)
     sep = SeparationParams(delta=math.log(num_classes), margin=0.35)
     lam = 0.1
 
     def source_joint(p1, p2):
-        return losses.source_loss_grad(p1, p2, labels, lam)
+        return _value_and_grads(losses.source(p1, p2, labels, lam))
 
     def supervised_only(p1, p2):
-        return losses.source_loss_grad(p1, p2, labels, 0.0)
+        return _value_and_grads(losses.source(p1, p2, labels, 0.0))
 
-    def separation_joint(p1, p2):
-        return losses.separation_loss_grad(p1, p2, sep)
-
-    def separation_kl(p1, p2):
-        return losses.separation_loss_grad(p1, p2, sep, ent_sign=-1.0)
-
-    def separation_crs_only(p1, p2):
-        return losses.separation_loss_grad(p1, p2, sep, use_ent=False)
-
-    def separation_ent_only(p1, p2):
-        return losses.separation_loss_grad(p1, p2, sep, use_crs=False)
+    def separation(**switches):
+        return lambda p1, p2: _value_and_grads(losses.separation(p1, p2, sep, **switches))
 
     def separation_off(p1, p2):
         return 0.0, np.zeros_like(p1), np.zeros_like(p2)
 
-    def separation_saturated(p1, p2):
-        return losses.separation_loss_grad(p1, p2, sep, reach=2.0 * sep.margin)
-
-    def discriminator(p1, p2):
-        # first half source rows with the joint loss, second half target
-        # rows entering negatively through their mean crs
-        src = np.arange(n_samples)
-        tgt = np.arange(n_samples, p1.shape[0])
-        val_s, d1, d2 = losses.source_loss_grad(p1, p2, _pad_labels(labels, p1), rows=src, lam=lam)
-        crs = losses.crs_rows(p1[tgt], p2[tgt])
-        g1, g2 = losses.crs_grad_rows(p1[tgt], p2[tgt])
-        d1[tgt] -= g1 / len(tgt)
-        d2[tgt] -= g2 / len(tgt)
-        return val_s - float(crs.mean()), d1, d2
+    def discriminator(p1, p2, cap=None):
+        # source rows with the joint loss, target rows entering negatively
+        # through their mean (capped) crs, as step B applies them
+        src = losses.source(p1[:n_samples], p2[:n_samples], labels, lam)
+        tgt = losses.crs(p1[n_samples:], p2[n_samples:], weight=-1.0, cap=cap)
+        return (src.value + tgt.value, np.vstack([src.dp1, tgt.dp1]),
+                np.vstack([src.dp2, tgt.dp2]))
 
     def discriminator_capped(p1, p2):
-        src = np.arange(n_samples)
-        tgt = np.arange(n_samples, p1.shape[0])
-        cap = sep.delta + 2.0 * sep.margin
-        val_s, d1, d2 = losses.source_loss_grad(p1, p2, _pad_labels(labels, p1), rows=src, lam=lam)
-        crs, g1, g2 = losses.crs_push_grad(p1[tgt], p2[tgt], cap=cap)
-        d1[tgt] -= g1 / len(tgt)
-        d2[tgt] -= g2 / len(tgt)
-        return val_s - float(np.minimum(crs, cap).mean()), d1, d2
+        return discriminator(p1, p2, cap=sep.delta + 2.0 * sep.margin)
 
     def alignment(p1, p2):
         rows = np.arange(0, p1.shape[0], 2)  # fixed detected-common subset
-        crs = losses.crs_rows(p1, p2)
-        g1, g2 = losses.crs_grad_rows(p1, p2)
+        common = losses.crs(p1[rows], p2[rows])
         d1 = np.zeros_like(p1)
         d2 = np.zeros_like(p2)
-        d1[rows] = g1[rows] / len(rows)
-        d2[rows] = g2[rows] / len(rows)
-        return float(crs[rows].mean()), d1, d2
+        d1[rows] = common.dp1
+        d2[rows] = common.dp2
+        return common.value, d1, d2
 
     single = [("source-joint", source_joint),
               ("supervised-only", supervised_only),
-              ("separation-joint", separation_joint),
-              ("separation-kl", separation_kl),
-              ("separation-crs-only", separation_crs_only),
-              ("separation-ent-only", separation_ent_only),
-              ("separation-saturated", separation_saturated),
+              ("separation-joint", separation()),
+              ("separation-kl", separation(ent_sign=-1.0)),
+              ("separation-crs-only", separation(use_ent=False)),
+              ("separation-ent-only", separation(use_crs=False)),
+              ("separation-saturated", separation(reach=2.0 * sep.margin)),
               ("separation-off", separation_off)]
     mixed = [("discriminator", discriminator),
              ("discriminator-capped", discriminator_capped),
              ("alignment", alignment)]
     return single, mixed, sep
-
-
-def _pad_labels(labels: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    out = np.zeros(p1.shape[0], dtype=np.int64)
-    out[:len(labels)] = labels
-    return out
 
 
 def _hinge_gap(p1, p2, sep: SeparationParams) -> float:

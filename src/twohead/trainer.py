@@ -128,32 +128,15 @@ def _check_finite(value: float, step: str, epoch: int) -> float:
     return value
 
 
-@dataclass
-class A1Result:
-    loss: float
-    sup: float
-    skld: float
-    selected: np.ndarray
-
-
 def step_a1(model: TwoHeadModel, x: np.ndarray, y_obs: np.ndarray,
-            plan: VariantPlan, sgd: SgdConfig) -> A1Result:
+            plan: VariantPlan, sgd: SgdConfig) -> losses.SourceObjective:
     """Small-loss selection plus one full-network update on the selected
-    subset.  Source-only training uses the plain supervised loss on the
-    whole batch."""
+    subset (``rows`` of the result)."""
     p1, p2, cache = forward(model, x)
-    if plan.source_only:
-        selected = np.arange(len(x))
-    else:
-        _, per_sample = losses.source_loss(p1, p2, y_obs, plan.lam)
-        selected = losses.small_loss_select(per_sample, plan.alpha)
-
-    value, dp1, dp2 = losses.source_loss_grad(p1, p2, y_obs, plan.lam, rows=selected)
-    sup = losses.supervised_loss(p1[selected], p2[selected], y_obs[selected])
-    agreement = losses.skld(p1[selected], p2[selected])
-    backward(model, cache, dp1, dp2)
+    source = losses.source(p1, p2, y_obs, plan.lam, plan.alpha)
+    backward(model, cache, source.dp1, source.dp2)
     sgd_step(model, sgd, Scope.ALL)
-    return A1Result(loss=value, sup=sup, skld=agreement, selected=selected)
+    return source
 
 
 def step_a2(model: TwoHeadModel, x_t: np.ndarray, sep: SeparationParams,
@@ -161,18 +144,16 @@ def step_a2(model: TwoHeadModel, x_t: np.ndarray, sep: SeparationParams,
             reach: float | None = None, weight: float = 1.0) -> float:
     """Full-network update on the target separation hinge, weighted by
     ``weight``.  A batch whose gradient vanishes (everything inside the
-    band, or the separation variant is off) leaves the parameters
-    untouched.  The returned value is the unweighted hinge loss."""
-    if not plan.sep_enabled:
-        return 0.0
+    band) leaves the parameters untouched.  The returned value is the
+    unweighted hinge loss."""
     p1, p2, cache = forward(model, x_t)
-    value, dp1, dp2 = losses.separation_loss_grad(
+    hinge = losses.separation(
         p1, p2, sep, use_crs=plan.sep_use_crs, use_ent=plan.sep_use_ent,
         ent_sign=plan.sep_ent_sign, reach=reach)
-    if np.any(dp1) or np.any(dp2):
-        backward(model, cache, weight * dp1, weight * dp2)
+    if np.any(hinge.dp1) or np.any(hinge.dp2):
+        backward(model, cache, weight * hinge.dp1, weight * hinge.dp2)
         sgd_step(model, sgd, Scope.ALL)
-    return value
+    return hinge.value
 
 
 def step_b(model: TwoHeadModel, x_sel: np.ndarray, y_sel: np.ndarray,
@@ -182,44 +163,37 @@ def step_b(model: TwoHeadModel, x_sel: np.ndarray, y_sel: np.ndarray,
     while raising the mean target crs (``weight`` times).  The generator
     stays bit-identical, so both backward passes stop at the features.
     Target rows whose crs already exceeds ``cap`` stop contributing
-    gradient (their rejection is decided)."""
+    gradient (their rejection is decided).  Returns the source loss minus
+    the mean capped target crs, the objective whose gradient was applied
+    (without the weight)."""
     ps1, ps2, cache_s = forward(model, x_sel)
-    val_s, dps1, dps2 = losses.source_loss_grad(ps1, ps2, y_sel, plan.lam)
-    backward(model, cache_s, dps1, dps2, Scope.HEADS_ONLY)
+    source = losses.source(ps1, ps2, y_sel, plan.lam)
+    backward(model, cache_s, source.dp1, source.dp2, Scope.HEADS_ONLY)
 
     pt1, pt2, cache_t = forward(model, x_t)
-    crs_t, g1, g2 = losses.crs_push_grad(pt1, pt2, cap=cap)
-    n = len(x_t)
-    backward(model, cache_t, -weight * g1 / n, -weight * g2 / n, Scope.HEADS_ONLY)
+    target = losses.crs(pt1, pt2, weight=-weight, cap=cap)
+    backward(model, cache_t, target.dp1, target.dp2, Scope.HEADS_ONLY)
 
     sgd_step(model, sgd, Scope.HEADS_ONLY)
-    return val_s - float(crs_t.mean())
+    return source.value - float(target.per_sample.mean())
 
 
 def step_c(model: TwoHeadModel, x_t: np.ndarray, sep: SeparationParams,
            sgd: SgdConfig, n_inner: int) -> list[float]:
     """Generator-only alignment: lower mean crs over the detected
-    target-common subset.  Repeated up to n_inner times, re-detecting the
-    subset each time.  An empty subset ends the loop: no update was applied,
-    so every later repeat would detect the same empty subset.  Returns one
-    value per applied update."""
+    target-common subset (crs < delta - margin).  Repeated up to n_inner
+    times, re-detecting the subset each time.  An empty subset ends the
+    loop: no update was applied, so every later repeat would detect the
+    same empty subset.  Returns one value per applied update."""
     out = []
     for _ in range(n_inner):
         p1, p2, cache = forward(model, x_t)
-        mask = losses.common_mask(p1, p2, sep)
-        if not mask.any():
+        common = losses.crs(p1, p2, below=sep.delta - sep.margin)
+        if not common.rows.size:
             break
-        rows = np.flatnonzero(mask)
-        crs = losses.crs_rows(p1, p2)
-        value = float(crs[rows].mean())
-        g1, g2 = losses.crs_grad_rows(p1, p2)
-        dp1 = np.zeros_like(p1)
-        dp2 = np.zeros_like(p2)
-        dp1[rows] = g1[rows] / len(rows)
-        dp2[rows] = g2[rows] / len(rows)
-        backward(model, cache, dp1, dp2, Scope.GENERATOR_ONLY)
+        backward(model, cache, common.dp1, common.dp2, Scope.GENERATOR_ONLY)
         sgd_step(model, sgd, Scope.GENERATOR_ONLY)
-        out.append(value)
+        out.append(common.value)
     return out
 
 
@@ -233,6 +207,10 @@ def train(source: DomainDataset, target: DomainDataset, config: TrainConfig,
     for name, dataset in (("source", source), ("target", target)):
         if not np.isfinite(dataset.features).all():
             raise NumericError(f"{name} features contain NaN/Inf")
+        if len(dataset) < config.batch_size:
+            raise ConfigError(
+                f"{name} has {len(dataset)} rows, fewer than batch_size "
+                f"{config.batch_size}: no training step would run")
 
     n_classes = source.num_model_classes
     if n_classes < 2:
@@ -269,11 +247,11 @@ def train(source: DomainDataset, target: DomainDataset, config: TrainConfig,
             x_t = target.features[tgt_idx]
 
             a1 = step_a1(model, x_s, y_s, plan, sgd)
-            _check_finite(a1.loss, "A-1", epoch)
+            _check_finite(a1.value, "A-1", epoch)
             fire("A-1", epoch)
 
             loss_sep = 0.0
-            if plan.sep_enabled and not plan.source_only:
+            if plan.sep_enabled:
                 loss_sep = step_a2(model, x_t, sep, plan, sgd, reach=push_reach,
                                    weight=config.minimax_weight)
                 _check_finite(loss_sep, "A-2", epoch)
@@ -281,8 +259,8 @@ def train(source: DomainDataset, target: DomainDataset, config: TrainConfig,
 
             loss_b = 0.0
             loss_c = 0.0
-            if plan.minimax and not plan.source_only:
-                loss_b = step_b(model, x_s[a1.selected], y_s[a1.selected],
+            if plan.minimax:
+                loss_b = step_b(model, x_s[a1.rows], y_s[a1.rows],
                                 x_t, plan, sgd, cap=push_cap,
                                 weight=config.minimax_weight)
                 _check_finite(loss_b, "B", epoch)
@@ -294,7 +272,7 @@ def train(source: DomainDataset, target: DomainDataset, config: TrainConfig,
                     fire("C", epoch)
                 loss_c = float(np.mean(c_values)) if c_values else 0.0
 
-            clean_frac = float(clean[src_idx][a1.selected].mean())
+            clean_frac = float(clean[src_idx][a1.rows].mean())
             state.trace.append(TraceRow(
                 epoch=epoch, step=state.step_counter,
                 loss_sup=a1.sup, loss_skld=a1.skld, loss_sep=loss_sep,

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -41,6 +42,20 @@ def test_manifest_roundtrips(tmp_path):
     assert manifest["build"].startswith("twohead-")
 
 
+def test_every_config_key_roundtrips():
+    raw = {"noise_kind": "pair", "noise_rate": 0.3, "samples_per_class": 40,
+           "stddev": 0.5, "alpha": 0.1, "lambda": 0.2, "delta": 1.5, "margin": 0.5,
+           "n_inner": 2, "learning_rate": 0.05, "momentum": 0.5, "weight_decay": 0.001,
+           "minimax_weight": 0.3, "batch_size": 32, "epochs": 3, "seed": 4,
+           "variant": "no_sep"}
+    defaults = ExperimentSpec.default_dict()
+    assert set(raw) == set(defaults) - {"preset"}
+    assert all(raw[k] != defaults[k] for k in raw)
+    spec = ExperimentSpec.from_dict(raw)
+    assert spec.train.lam == 0.2 and spec.train.batch_size == 32
+    assert spec.to_dict() == dict(raw, preset="toy")
+
+
 def test_rerun_is_bit_identical(tmp_path):
     cfg = _write_cfg(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -67,6 +82,27 @@ def test_invalid_alpha_rejected(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "alpha" in err
+
+
+@pytest.mark.parametrize("bad", [
+    {"n_inner": 1.5}, {"epochs": 2.9}, {"seed": True}, {"lambda": math.nan},
+    {"margin": math.nan}, {"stddev": math.nan}, {"minimax_weight": math.inf},
+])
+def test_non_integral_bool_and_nonfinite_values_rejected(tmp_path, capsys, bad):
+    out = tmp_path / "out"
+    rc = main(["run", "--config", _write_cfg(tmp_path, bad), "--out", str(out)])
+    assert rc == 2
+    assert next(iter(bad)) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dataset_smaller_than_a_batch_rejected(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["run", "--config", _write_cfg(tmp_path, {"samples_per_class": 10}),
+               "--out", str(out)])
+    assert rc == 2
+    assert "batch_size" in capsys.readouterr().err
+    assert not (out / "model.csv").exists()
 
 
 def test_unknown_key_rejected(tmp_path, capsys):

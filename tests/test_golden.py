@@ -3,8 +3,13 @@
 Training is deterministic, so a 40-epoch run at seed 7 must reproduce its
 loss trace and saved model byte for byte across commits, not only between
 two runs of the same code.  A change that moves the numerics on purpose
-re-records both digests and says why.  The digests were recorded with
-numpy 2.4 on OpenBLAS; another BLAS may round the matmuls differently.
+re-records the digest it moves and says why.  The digests were recorded
+with numpy 2.4 on OpenBLAS; another BLAS may round the matmuls differently.
+
+The trace digest was re-recorded when ``loss_b`` started reporting the
+source loss minus the mean *capped* target crs, the value whose gradient
+step B applies; it had subtracted the uncapped mean.  Only the ``loss_b``
+column moved (554 of the 560 rows); the model digest did not change.
 """
 
 import hashlib
@@ -13,7 +18,7 @@ from twohead import TrainConfig
 from twohead.nn import save_model_csv
 from twohead.trainer import train
 
-TRACE_SHA256 = "6feac7f85eafa5a749986a3f6d15de339429b4ff5e0abf18d8fa7805e1e63256"
+TRACE_SHA256 = "24a035934bb124a62a19a9b922da9b64821ae6d4f420305664fcefe5813b0cc9"
 MODEL_SHA256 = "0b70fc6d5c58e5fdbfd8201bdbac8561c4b6e51c93a14d6bb5a112483373a21a"
 
 

@@ -2,16 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twohead import (ConfigError, DataError, DimensionError, MethodVariant,
-                     SeparationParams, UsageError, common_mask, crs_ent,
-                     joint_divergence, kl, reject_unknown, separation_loss,
-                     skld, small_loss_select, source_loss, supervised_loss,
-                     variant_losses)
-from twohead.losses import (crs_rows, ent_rows, separation_loss_grad,
-                            skld_grad_rows)
+from twohead import (UNKNOWN, ConfigError, DataError, DimensionError, MethodVariant,
+                     SeparationParams, UsageError, init_model, predict,
+                     small_loss_select, variant_losses)
+from twohead import losses
+from twohead.losses import crs_rows, ent_rows, skld_rows
+from twohead.nn import forward
 from twohead.rng import make_rng
 
 P = np.array([0.9, 0.1])
@@ -25,105 +24,120 @@ def _kl_reference(p, q):
                for pi, qi in zip(p, q))
 
 
+def _pairs(seed, label, classes, n):
+    rng = make_rng(seed, label)
+    return rng.dirichlet(np.ones(classes), size=n), rng.dirichlet(np.ones(classes), size=n)
+
+
 def test_kl_zero_for_identical():
-    assert kl(P, P) == 0.0
+    assert skld_rows(P[None, :], P[None, :])[0] == 0.0
+    assert losses.source(P[None, :], P[None, :], [0], lam=1.0).skld == 0.0
 
 
 def test_kl_frozen_value():
-    expected = _kl_reference(P, Q)
-    assert abs(kl(P, Q) - expected) < 1e-12
-    assert abs(kl(P, Q) - 0.36814) < 1e-4
+    assert abs(_kl_reference(P, Q) - 0.36814) < 1e-4
+    pair = skld_rows(P[None, :], Q[None, :])[0]
+    assert abs(pair - (_kl_reference(P, Q) + _kl_reference(Q, P))) < 1e-12
+    # KL(P||Q) = H(P, Q) - H(P): the cross term of crs minus P's share of ent
+    h_pq = -(P * np.log(Q)).sum()
+    h_p = -(P * np.log(P)).sum()
+    assert abs((h_pq - h_p) - _kl_reference(P, Q)) < 1e-12
 
 
 def test_kl_dimension_mismatch():
+    a, b = np.full((2, 2), 0.5), np.full((2, 3), 1.0 / 3.0)
+    params = SeparationParams(delta=1.0, margin=0.5)
     with pytest.raises(DimensionError):
-        kl(np.array([0.5, 0.5]), np.array([1.0, 0.0, 0.0]))
+        losses.source(a, b, [0, 1], lam=0.1)
+    with pytest.raises(DimensionError):
+        losses.separation(a, b, params)
+    with pytest.raises(DimensionError):
+        losses.crs(a, b)
 
 
 def test_kl_nonnegative_random_pairs():
-    rng = make_rng(0, "gibbs")
-    for _ in range(1000):
-        c = int(rng.integers(2, 21))
-        p = rng.dirichlet(np.ones(c))
-        q = rng.dirichlet(np.ones(c))
-        assert kl(p, q) >= 0.0
+    for c in range(2, 21):
+        p, q = _pairs(0, f"gibbs{c}", c, 60)
+        assert (skld_rows(p, q) >= 0.0).all()
 
 
 def test_skld_frozen_value():
     expected = _kl_reference(P, Q) + _kl_reference(Q, P)
-    assert abs(skld(P[None, :], Q[None, :]) - expected) < 1e-12
+    assert abs(skld_rows(P[None, :], Q[None, :])[0] - expected) < 1e-12
     assert abs(expected - 0.87897) < 1e-4
+    with_div = losses.source(P[None, :], Q[None, :], [0], lam=1.0)
+    without = losses.source(P[None, :], Q[None, :], [0], lam=0.0)
+    assert abs(with_div.skld - expected) < 1e-12
+    assert abs((with_div.value - without.value) - expected) < 1e-12
 
 
 def test_skld_zero_and_symmetric():
-    rng = make_rng(1, "sym")
-    p1 = rng.dirichlet(np.ones(4), size=16)
-    p2 = rng.dirichlet(np.ones(4), size=16)
-    assert skld(p1, p1) == 0.0
-    assert abs(skld(p1, p2) - skld(p2, p1)) < 1e-12
+    p1, p2 = _pairs(1, "sym", 4, 16)
+    assert (skld_rows(p1, p1) == 0.0).all()
+    assert np.abs(skld_rows(p1, p2) - skld_rows(p2, p1)).max() < 1e-12
 
 
 def test_skld_empty_batch():
     with pytest.raises(UsageError):
-        skld(np.zeros((0, 3)), np.zeros((0, 3)))
+        losses.source(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, dtype=int), lam=0.1)
 
 
 def test_crs_ent_uniform():
-    u = np.full(3, 1.0 / 3.0)
-    c, e = crs_ent(u, u)
-    assert abs(c - 2.0 * math.log(3)) < 1e-12
-    assert abs(e - 2.0 * math.log(3)) < 1e-12
+    u = np.full((1, 3), 1.0 / 3.0)
+    assert abs(crs_rows(u, u)[0] - 2.0 * math.log(3)) < 1e-12
+    assert abs(ent_rows(u, u)[0] - 2.0 * math.log(3)) < 1e-12
+    assert abs(losses.crs(u, u).value - 2.0 * math.log(3)) < 1e-12
 
 
 def test_crs_ent_frozen_values():
-    c, e = crs_ent(P, Q)
+    c = crs_rows(P[None, :], Q[None, :])[0]
+    e = ent_rows(P[None, :], Q[None, :])[0]
     # entropy sum from direct evaluation, cross term via the decomposition
     h_p = -(0.9 * math.log(0.9) + 0.1 * math.log(0.1))
     h_q = math.log(2)
     assert abs(e - (h_p + h_q)) < 1e-12
     assert abs(e - 1.01823) < 1e-4
     assert abs(c - 1.89720) < 1e-4
+    assert losses.crs(P[None, :], Q[None, :]).value == c
+    assert losses.crs(P[None, :], Q[None, :], weight=-0.5).value == -0.5 * c
 
 
 def test_decomposition_identity_random_pairs():
-    rng = make_rng(2, "decomp")
     worst = 0.0
-    for _ in range(1000):
-        c_n = int(rng.integers(2, 21))
-        p1 = rng.dirichlet(np.ones(c_n))
-        p2 = rng.dirichlet(np.ones(c_n))
-        pair_skld = kl(p1, p2) + kl(p2, p1)
-        c, e = crs_ent(p1, p2)
-        worst = max(worst, abs(pair_skld - (c - e)))
-        assert e <= 2.0 * math.log(c_n) + 1e-12
-        assert c >= e
+    for c_n in range(2, 21):
+        p1, p2 = _pairs(2, f"decomp{c_n}", c_n, 60)
+        c, e = crs_rows(p1, p2), ent_rows(p1, p2)
+        worst = max(worst, float(np.abs(skld_rows(p1, p2) - (c - e)).max()))
+        assert (e <= 2.0 * math.log(c_n) + 1e-12).all()
+        assert (c >= e).all()
     assert worst < 1e-10
 
 
 def test_joint_divergence_values():
-    u = np.full(3, 1.0 / 3.0)
-    assert abs(joint_divergence(u, u) - 4.0 * math.log(3)) < 1e-12
-    onehot = np.array([1.0, 0.0])
-    assert joint_divergence(onehot, onehot) <= 1e-9
-    c, e = crs_ent(P, Q)
-    assert joint_divergence(P, Q) == c + e
-    assert abs(joint_divergence(P, Q) - 2.91543) < 1e-4
+    u = np.full((1, 3), 1.0 / 3.0)
+    assert abs(crs_rows(u, u)[0] + ent_rows(u, u)[0] - 4.0 * math.log(3)) < 1e-12
+    onehot = np.array([[1.0, 0.0]])
+    assert crs_rows(onehot, onehot)[0] + ent_rows(onehot, onehot)[0] <= 1e-9
+    joint = crs_rows(P[None, :], Q[None, :])[0] + ent_rows(P[None, :], Q[None, :])[0]
+    assert abs(joint - 2.91543) < 1e-4
 
 
 def test_supervised_loss_values():
     onehot = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert supervised_loss(onehot, onehot, np.array([0, 1])) <= 1e-9
+    assert losses.source(onehot, onehot, [0, 1], lam=0.0).value <= 1e-9
     u = np.full((2, 3), 1.0 / 3.0)
-    assert abs(supervised_loss(u, u, np.array([0, 2])) - 2.0 * math.log(3)) < 1e-12
+    assert abs(losses.source(u, u, [0, 2], lam=0.0).value - 2.0 * math.log(3)) < 1e-12
     p1 = np.array([[0.5, 0.5]])
     p2 = np.array([[0.25, 0.75]])
-    assert abs(supervised_loss(p1, p2, np.array([0])) - (math.log(2) + math.log(4))) < 1e-6
+    got = losses.source(p1, p2, [0], lam=0.0)
+    assert abs(got.value - (math.log(2) + math.log(4))) < 1e-6
+    assert got.sup == got.value
 
 
 def test_supervised_loss_label_range():
     u = np.full((2, 3), 1.0 / 3.0)
     with pytest.raises(DataError):
-        supervised_loss(u, u, np.array([0, 3]))
+        losses.source(u, u, np.array([0, 3]), lam=0.1)
 
 
 def test_source_loss_degenerate_lambda():
@@ -131,18 +145,52 @@ def test_source_loss_degenerate_lambda():
     p1 = rng.dirichlet(np.ones(3), size=8)
     p2 = rng.dirichlet(np.ones(3), size=8)
     y = rng.integers(0, 3, size=8)
-    total, per = source_loss(p1, p2, y, 0.0)
-    assert abs(total - supervised_loss(p1, p2, y)) < 1e-12
-    assert per.shape == (8,)
+    plain = losses.source(p1, p2, y, 0.0)
+    assert plain.value == plain.sup
+    assert plain.per_sample.shape == (8,)
+    assert list(plain.rows) == list(range(8))
     # agreeing heads contribute no divergence term
-    total_same, _ = source_loss(p1, p1, y, 0.7)
-    assert abs(total_same - supervised_loss(p1, p1, y)) < 1e-12
+    same = losses.source(p1, p1, y, 0.7)
+    assert same.skld == 0.0
+    assert abs(same.value - same.sup) < 1e-12
 
 
 def test_source_loss_rejects_negative_lambda():
     u = np.full((1, 2), 0.5)
     with pytest.raises(ConfigError):
-        source_loss(u, u, np.array([0]), -0.1)
+        losses.source(u, u, np.array([0]), -0.1)
+
+
+def test_source_selects_on_its_own_per_sample_values():
+    rng = make_rng(11, "srcsel")
+    p1 = rng.dirichlet(np.ones(3), size=16)
+    p2 = rng.dirichlet(np.ones(3), size=16)
+    y = rng.integers(0, 3, size=16)
+    got = losses.source(p1, p2, y, lam=0.1, alpha=0.25)
+    assert np.array_equal(got.rows, small_loss_select(got.per_sample, 0.25))
+    assert len(got.rows) == 12
+    assert got.value == float(got.per_sample[got.rows].mean())
+    dropped = np.setdiff1d(np.arange(16), got.rows)
+    assert (got.dp1[dropped] == 0.0).all() and (got.dp2[dropped] == 0.0).all()
+    # the selected rows carry the same gradient as a source loss on them alone
+    alone = losses.source(p1[got.rows], p2[got.rows], y[got.rows], lam=0.1)
+    assert np.array_equal(got.dp1[got.rows], alone.dp1)
+    assert got.value == alone.value
+
+
+def test_source_trace_means_invariants():
+    rng = make_rng(10, "bd")
+    p1 = rng.dirichlet(np.ones(4), size=32)
+    p2 = rng.dirichlet(np.ones(4), size=32)
+    y = rng.integers(0, 4, size=32)
+    got = losses.source(p1, p2, y, lam=0.1, alpha=0.2)
+    rows = got.rows
+    c, e = crs_rows(p1, p2)[rows].mean(), ent_rows(p1, p2)[rows].mean()
+    assert c >= e >= 0.0
+    assert np.isfinite([got.value, got.sup, got.skld]).all()
+    assert np.isfinite(got.per_sample).all() and got.per_sample.shape == (32,)
+    assert abs(got.skld - (c - e)) < 1e-10
+    assert abs(got.value - (got.sup + 0.1 * got.skld)) < 1e-12
 
 
 def test_small_loss_select_examples():
@@ -188,34 +236,34 @@ def test_separation_hinge_arithmetic():
 
 def test_separation_loss_dead_band_and_values():
     params = SeparationParams(delta=math.log(3), margin=1.0)
-    rng = make_rng(4, "sep")
-    p1 = rng.dirichlet(np.ones(3), size=32)
-    p2 = rng.dirichlet(np.ones(3), size=32)
+    p1, p2 = _pairs(4, "sep", 3, 32)
     # reference: hinge applied to independently computed crs/ent rows
     c = crs_rows(p1, p2)
     e = ent_rows(p1, p2)
-    expect = np.mean([_hinge_reference(ci, params.delta, 1.0)
-                      + _hinge_reference(ei, params.delta, 1.0)
-                      for ci, ei in zip(c, e)])
-    assert abs(separation_loss(p1, p2, params) - expect) < 1e-12
+    expect = [_hinge_reference(ci, params.delta, 1.0) + _hinge_reference(ei, params.delta, 1.0)
+              for ci, ei in zip(c, e)]
+    got = losses.separation(p1, p2, params)
+    assert np.abs(got.per_sample - expect).max() < 1e-12
+    assert abs(got.value - np.mean(expect)) < 1e-12
 
     # everything inside the band contributes nothing
     mid = SeparationParams(delta=float(np.median(np.concatenate([c, e]))),
                            margin=10.0)
-    assert separation_loss(p1, p2, mid) == 0.0
+    inside = losses.separation(p1, p2, mid)
+    assert inside.value == 0.0
+    assert not inside.dp1.any() and not inside.dp2.any()
 
 
 def test_separation_grad_is_banded_subgradient():
     params = SeparationParams(delta=math.log(3), margin=0.4)
-    rng = make_rng(5, "sepg")
-    p1 = rng.dirichlet(np.ones(3), size=16)
-    p2 = rng.dirichlet(np.ones(3), size=16)
-    from twohead.losses import _hinge_grad_rows
+    p1, p2 = _pairs(5, "sepg", 3, 16)
     c = crs_rows(p1, p2)
-    g = _hinge_grad_rows(c, params)
+    _, g = losses._hinge(c, params, None)
     assert set(np.unique(g)).issubset({-1.0, 0.0, 1.0})
     inside = np.abs(c - params.delta) <= params.margin
     assert np.all(g[inside] == 0.0)
+    got = losses.separation(p1, p2, params, use_ent=False)
+    assert np.all(got.dp1[inside] == 0.0) and np.all(got.dp2[inside] == 0.0)
 
 
 def test_separation_saturation_reach():
@@ -224,41 +272,68 @@ def test_separation_saturation_reach():
     rng = make_rng(6, "reach")
     p1 = rng.dirichlet(np.ones(3) * 0.05, size=64)  # spiky: large crs spread
     p2 = rng.dirichlet(np.ones(3) * 0.05, size=64)
-    _, d1, _ = separation_loss_grad(p1, p2, params, use_ent=False, reach=0.5)
+    got = losses.separation(p1, p2, params, use_ent=False, reach=0.5)
     c = crs_rows(p1, p2)
     beyond = np.abs(c - params.delta) >= 0.5
     assert beyond.any()
-    assert np.all(d1[beyond] == 0.0)
+    assert np.all(got.dp1[beyond] == 0.0)
+    assert np.all(got.per_sample[beyond] == -0.5)
 
 
 def test_common_mask_matches_threshold():
     params = SeparationParams(delta=3.0, margin=1.0)
-    rng = make_rng(7, "mask")
-    p1 = rng.dirichlet(np.ones(3), size=64)
-    p2 = rng.dirichlet(np.ones(3), size=64)
-    mask = common_mask(p1, p2, params)
-    assert np.array_equal(mask, crs_rows(p1, p2) < 2.0)
+    p1, p2 = _pairs(7, "mask", 3, 64)
+    common = losses.crs(p1, p2, below=params.delta - params.margin)
+    c = crs_rows(p1, p2)
+    assert np.array_equal(common.rows, np.flatnonzero(c < 2.0))
+    assert common.value == float(c[common.rows].mean())
+    outside = np.setdiff1d(np.arange(64), common.rows)
+    assert (common.dp1[outside] == 0.0).all() and (common.dp2[outside] == 0.0).all()
     # margin equal to delta leaves nothing below the gate
-    degenerate = SeparationParams(delta=1.0, margin=1.0)
-    assert not common_mask(p1, p2, degenerate).any()
+    empty = losses.crs(p1, p2, below=0.0)
+    assert empty.rows.size == 0 and empty.value == 0.0
+    assert not empty.dp1.any() and not empty.dp2.any()
+
+
+def test_crs_cap_stops_gradient_past_the_cap():
+    p1, p2 = _pairs(12, "cap", 3, 64)
+    c = crs_rows(p1, p2)
+    cap = float(np.median(c))
+    got = losses.crs(p1, p2, weight=-0.2, cap=cap)
+    assert np.array_equal(got.per_sample, np.minimum(c, cap))
+    assert got.value == -0.2 * float(np.minimum(c, cap).mean())
+    past = c >= cap
+    assert past.any() and (~past).any()
+    assert (got.dp1[past] == 0.0).all() and (got.dp2[past] == 0.0).all()
+    assert got.dp1[~past].any()
+
+
+def _predict_one(delta):
+    model = init_model([2, 8, 8, 8], 3, seed=3)
+    x = make_rng(3, "reject").normal(scale=2.0, size=(6, 2))
+    labels, l_crs = predict(model, x, delta)
+    return labels, l_crs
 
 
 def test_reject_unknown_rule():
-    delta = math.log(3)
-    assert reject_unknown(1.2, delta) is True
-    assert reject_unknown(delta, delta) is False
-    assert reject_unknown(0.3, delta) is False
+    """crs strictly above delta is unknown; exactly at delta is known."""
+    _, l_crs = _predict_one(1.0)
+    at = float(l_crs[0])
+    labels, _ = _predict_one(at)
+    assert labels[0] != UNKNOWN
+    labels, _ = _predict_one(math.nextafter(at, -math.inf))
+    assert labels[0] == UNKNOWN
     # threshold for 20 classes sits near 3 nats
     assert abs(math.log(20) - 3.0) < 0.01
-    with pytest.raises(ConfigError):
-        reject_unknown(1.0, 0.0)
 
 
 def test_reject_unknown_monotone():
-    delta = 1.5
-    values = np.linspace(0.0, 3.0, 13)
-    flags = [reject_unknown(float(v), delta) for v in values]
-    assert flags == sorted(flags)
+    """Raising delta never turns a known sample unknown."""
+    _, l_crs = _predict_one(1.0)
+    deltas = np.linspace(l_crs.min() - 0.1, l_crs.max() + 0.1, 13)
+    flags = np.array([_predict_one(d)[0] == UNKNOWN for d in deltas])
+    assert flags.any() and not flags.all()
+    assert (np.diff(flags.astype(int), axis=0) <= 0).all()
 
 
 def test_variant_plans():
@@ -272,7 +347,7 @@ def test_variant_plans():
     assert no_select.alpha == 0.0 and no_select.lam == 0.1
 
     source_only = variant_losses(MethodVariant.SOURCE_ONLY, alpha=0.2, lam=0.1)
-    assert source_only.source_only
+    assert source_only.alpha == 0.0 and source_only.lam == 0.0
     assert not source_only.sep_enabled and not source_only.minimax
 
     no_sep = variant_losses(MethodVariant.NO_SEP, alpha=0.2, lam=0.1)
@@ -289,41 +364,85 @@ def test_variant_plans():
 def test_with_kl_matches_independent_form():
     """The flipped-sign separation equals banded crs minus banded ent."""
     params = SeparationParams(delta=math.log(3), margin=0.5)
-    rng = make_rng(8, "klvar")
-    p1 = rng.dirichlet(np.ones(3), size=48)
-    p2 = rng.dirichlet(np.ones(3), size=48)
+    p1, p2 = _pairs(8, "klvar", 3, 48)
     c = crs_rows(p1, p2)
     e = ent_rows(p1, p2)
     banded = np.array([_hinge_reference(v, params.delta, 0.5) for v in c]).mean() \
         - np.array([_hinge_reference(v, params.delta, 0.5) for v in e]).mean()
-    got = separation_loss(p1, p2, params, ent_sign=-1.0)
-    assert abs(got - banded) < 1e-12
-
-
-def test_loss_breakdown_invariants():
-    from twohead import loss_breakdown
-    rng = make_rng(10, "bd")
-    p1 = rng.dirichlet(np.ones(4), size=32)
-    p2 = rng.dirichlet(np.ones(4), size=32)
-    y = rng.integers(0, 4, size=32)
-    bd = loss_breakdown(p1, p2, y, lam=0.1)
-    assert bd.crs >= bd.ent >= 0.0
-    assert np.isfinite([bd.sup, bd.skld, bd.crs, bd.ent]).all()
-    assert np.isfinite(bd.per_sample_joint).all()
-    assert bd.per_sample_joint.shape == (32,)
-    assert abs(bd.skld - (bd.crs - bd.ent)) < 1e-10
+    got = losses.separation(p1, p2, params, ent_sign=-1.0)
+    assert abs(got.value - banded) < 1e-12
 
 
 def test_skld_grad_matches_numeric():
-    # scalar finite differences on the probability simplex interior
-    rng = make_rng(9, "sg")
-    p1 = rng.dirichlet(np.ones(3), size=1)
-    p2 = rng.dirichlet(np.ones(3), size=1)
-    d1, d2 = skld_grad_rows(p1, p2)
+    # the source loss's lam-term gradient against finite differences of skld
+    p1, p2 = _pairs(9, "sg", 3, 1)
+    d1 = (losses.source(p1, p2, [0], lam=1.0).dp1
+          - losses.source(p1, p2, [0], lam=0.0).dp1)
     h = 1e-7
     for k in range(3):
         up = p1.copy(); up[0, k] += h
         dn = p1.copy(); dn[0, k] -= h
-        num = ((kl(up[0], p2[0]) + kl(p2[0], up[0]))
-               - (kl(dn[0], p2[0]) + kl(p2[0], dn[0]))) / (2 * h)
+        num = (skld_rows(up, p2)[0] - skld_rows(dn, p2)[0]) / (2 * h)
         assert abs(num - d1[0, k]) < 1e-5
+
+
+# --- every objective's gradient against central differences of its value ---
+
+KINK_GAP = 1e-3
+FD_STEP = 1e-6
+
+
+def _objective_cases(labels, sep):
+    reach = 2.0 * sep.margin
+    cap = sep.delta + reach
+    return {
+        "source": (lambda p1, p2: losses.source(p1, p2, labels, 0.3), ()),
+        "source-selected": (lambda p1, p2: losses.source(p1, p2, labels, 0.3, alpha=0.4), ()),
+        "separation": (lambda p1, p2: losses.separation(p1, p2, sep, reach=reach),
+                       (sep.delta - reach, sep.delta - sep.margin,
+                        sep.delta + sep.margin, sep.delta + reach)),
+        "separation-kl": (lambda p1, p2: losses.separation(p1, p2, sep, ent_sign=-1.0),
+                          (sep.delta - sep.margin, sep.delta + sep.margin)),
+        "separation-crs-only": (lambda p1, p2: losses.separation(p1, p2, sep, use_ent=False),
+                                (sep.delta - sep.margin, sep.delta + sep.margin)),
+        "crs-capped": (lambda p1, p2: losses.crs(p1, p2, weight=-0.2, cap=cap), (cap,)),
+        "crs-below": (lambda p1, p2: losses.crs(p1, p2, below=sep.delta), (sep.delta,)),
+    }
+
+
+@pytest.mark.parametrize("name", ["source", "source-selected", "separation", "separation-kl",
+                                  "separation-crs-only", "crs-capped", "crs-below"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), classes=st.integers(2, 5), n=st.integers(1, 6),
+       margin=st.floats(0.05, 1.0))
+def test_objective_gradients_match_central_differences(name, seed, classes, n, margin):
+    rng = np.random.default_rng(seed)
+    # mixed with the uniform pair so no probability nears the clamp
+    p1 = 0.8 * rng.dirichlet(np.ones(classes), size=n) + 0.2 / classes
+    p2 = 0.8 * rng.dirichlet(np.ones(classes), size=n) + 0.2 / classes
+    labels = rng.integers(0, classes, size=n)
+    sep = SeparationParams(delta=math.log(classes), margin=margin)
+    fn, kinks = _objective_cases(labels, sep)[name]
+
+    # keep every row's crs and ent off the hinge kinks, the cap and the
+    # detection gate, and the selection off ties, so +-FD_STEP moves no
+    # row across a kink
+    values = np.concatenate([crs_rows(p1, p2), ent_rows(p1, p2)])
+    for kink in kinks:
+        assume(np.abs(values - kink).min() > KINK_GAP)
+    got = fn(p1, p2)
+    if name == "source-selected" and len(got.rows) < n:
+        ranked = np.sort(got.per_sample)
+        assume(ranked[len(got.rows)] - ranked[len(got.rows) - 1] > KINK_GAP)
+
+    for which, grad in ((0, got.dp1), (1, got.dp2)):
+        for i in range(n):
+            for k in range(classes):
+                pair = [p1.copy(), p2.copy()]
+                pair[which][i, k] += FD_STEP
+                up = fn(*pair).value
+                pair[which][i, k] -= 2 * FD_STEP
+                down = fn(*pair).value
+                numeric = (up - down) / (2 * FD_STEP)
+                assert abs(numeric - grad[i, k]) <= 1e-6 + 1e-5 * abs(grad[i, k]), \
+                    (which, i, k, numeric, grad[i, k])

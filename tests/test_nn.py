@@ -5,34 +5,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twohead import (Activation, ConfigError, DimensionError, NumericError, Scope, SgdConfig,
+from twohead import (Activation, ConfigError, DimensionError, Scope, SgdConfig,
                      UsageError, backward, forward, grad_check, init_model,
-                     sgd_step, softmax)
-from twohead.nn import load_model_csv, save_model_csv
+                     sgd_step)
+from twohead.nn import load_model_csv, save_model_csv, softmax_rows
 from twohead.rng import make_rng
 
 
 def test_softmax_uniform_on_zeros():
-    p = softmax(np.zeros(3))
+    p = softmax_rows(np.zeros((2, 3)))
     assert np.allclose(p, 1.0 / 3.0, atol=1e-15)
 
 
 def test_softmax_shift_invariance():
-    v = np.array([0.3, -1.2, 2.5])
-    assert np.allclose(softmax(v), softmax(v + 17.0), atol=1e-12)
+    v = np.array([[0.3, -1.2, 2.5], [4.0, 0.0, -3.0]])
+    assert np.allclose(softmax_rows(v), softmax_rows(v + 17.0), atol=1e-12)
+    # each row is normalised on its own: shifting one row moves no other
+    shifted = v.copy()
+    shifted[1] += 900.0
+    assert np.array_equal(softmax_rows(shifted)[0], softmax_rows(v)[0])
 
 
 def test_softmax_frozen_values():
-    # direct exp-normalize evaluation, frozen
-    p = softmax(np.array([1.0, 2.0, 3.0]))
-    assert np.allclose(p, [0.09003057, 0.24472847, 0.66524096], atol=1e-5)
-
-
-def test_softmax_rejects_nonfinite():
-    with pytest.raises(NumericError):
-        softmax(np.array([1.0, np.nan]))
-    with pytest.raises(DimensionError):
-        softmax(np.zeros((2, 2)))
+    # direct exp-normalize evaluation, frozen; the last axis of a stack
+    p = softmax_rows(np.array([[[1.0, 2.0, 3.0]], [[3.0, 2.0, 1.0]]]))
+    assert np.allclose(p[0, 0], [0.09003057, 0.24472847, 0.66524096], atol=1e-5)
+    assert np.allclose(p[1, 0], p[0, 0][::-1], atol=1e-15)
 
 
 def test_init_model_shapes():

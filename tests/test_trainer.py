@@ -7,6 +7,7 @@ import pytest
 from twohead import (ConfigError, MethodVariant, NonFiniteLossError,
                      NumericError, SeparationParams, SgdConfig, TrainConfig,
                      build_toy_scenario, init_model, trainer, variant_losses)
+from twohead import losses
 from twohead.losses import crs_rows
 from twohead.nn import forward
 from twohead.rng import make_rng
@@ -138,14 +139,18 @@ def test_step_a2_noop_inside_band(toy_data):
     assert model.parameters_blob() == before
 
 
-def test_step_a2_disabled_for_no_sep():
-    model = init_model([2, 8, 8, 8], 3, seed=1)
-    plan = variant_losses(MethodVariant.NO_SEP, 0.2, 0.1)
-    before = model.parameters_blob()
-    value = step_a2(model, np.zeros((4, 2)), SeparationParams(1.0, 0.5),
-                    plan, SgdConfig(0.05))
-    assert value == 0.0
-    assert model.parameters_blob() == before
+def test_step_a2_disabled_for_no_sep(toy_data, monkeypatch):
+    """The variant plan alone gates A-2: NO_SEP never calls step_a2."""
+    source, target = toy_data
+
+    def fail(*args, **kwargs):
+        raise AssertionError("step_a2 ran under NO_SEP")
+
+    monkeypatch.setattr(trainer, "step_a2", fail)
+    state = train(source, target, TrainConfig(epochs=1, seed=7,
+                                              variant=MethodVariant.NO_SEP))
+    assert state.step_counter > 0
+    assert all(r.loss_sep == 0.0 for r in state.trace)
 
 
 def test_step_b_raises_target_divergence(toy_data):
@@ -247,7 +252,7 @@ def test_source_only_uses_whole_batch():
     x = rng.normal(size=(16, 2))
     y = rng.integers(0, 3, size=16)
     res = step_a1(model, x, y, plan, SgdConfig(0.01))
-    assert list(res.selected) == list(range(16))
+    assert list(res.rows) == list(range(16))
 
 
 def test_full_variant_selects_subset():
@@ -257,7 +262,7 @@ def test_full_variant_selects_subset():
     x = rng.normal(size=(16, 2))
     y = rng.integers(0, 3, size=16)
     res = step_a1(model, x, y, plan, SgdConfig(0.01))
-    assert len(res.selected) == 12
+    assert len(res.rows) == 12
 
 
 @pytest.mark.parametrize("side", ["source", "target"])
@@ -279,3 +284,33 @@ def test_train_rejects_mismatched_dims(toy_data):
     bad = dataclasses.replace(target, features=np.zeros((10, 3)))
     with pytest.raises(ConfigError):
         train(source, bad, TrainConfig(**SHORT))
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_train_rejects_domain_smaller_than_a_batch(toy_data, side):
+    source, target = toy_data
+    data = {"source": source, "target": target}
+    d = data[side]
+    data[side] = dataclasses.replace(
+        d, features=d.features[:63], true_labels=d.true_labels[:63],
+        observed_labels=None if d.observed_labels is None else d.observed_labels[:63])
+    with pytest.raises(ConfigError, match=side):
+        train(data["source"], data["target"], TrainConfig(**SHORT))
+
+
+def test_step_b_reports_the_capped_objective():
+    """loss_b is the source loss minus the mean capped target crs: the
+    value whose gradient B applies."""
+    model = init_model([2, 8, 8, 8], 3, seed=5)
+    rng = make_rng(5, "bcap")
+    x_s, x_t = rng.normal(size=(8, 2)), rng.normal(scale=3.0, size=(8, 2))
+    y_s = rng.integers(0, 3, size=8)
+    plan = variant_losses(MethodVariant.FULL, 0.2, 0.1)
+    ps1, ps2, _ = forward(model, x_s)
+    pt1, pt2, _ = forward(model, x_t)
+    c = crs_rows(pt1, pt2)
+    cap = float(np.median(c))
+    expect = (losses.source(ps1, ps2, y_s, 0.1).value
+              - float(np.minimum(c, cap).mean()))
+    got = step_b(model, x_s, y_s, x_t, plan, SgdConfig(0.01), cap=cap, weight=0.2)
+    assert got == expect
