@@ -26,10 +26,15 @@ class UsageError(TwoHeadError, RuntimeError):
 
 
 class NonFiniteLossError(TwoHeadError, ArithmeticError):
-    """A training loss became NaN/Inf; carries the step and epoch."""
+    """A training loss or its gradient became NaN/Inf before the update
+    was applied; carries the step and epoch, and for a gradient the first
+    layer that holds a non-finite entry."""
 
-    def __init__(self, step: str, epoch: int, value: float):
+    def __init__(self, step: str, epoch: int, value: float, layer: str | None = None):
         self.step = step
         self.epoch = epoch
         self.value = value
-        super().__init__(f"non-finite loss {value!r} in step {step} at epoch {epoch}")
+        self.layer = layer
+        what = f"non-finite loss {value!r}" if layer is None else \
+            f"non-finite gradient in layer {layer} (loss {value!r})"
+        super().__init__(f"{what} in step {step} at epoch {epoch}")

@@ -5,6 +5,7 @@ boundary grids with SVG rendering."""
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,6 +25,12 @@ UNKNOWN = -1
 GRID_BLOCK_ROWS = 4096
 
 
+def _check_delta(delta: float) -> None:
+    # NaN would reject nothing and delta <= 0 everything
+    if not (math.isfinite(delta) and delta > 0):
+        raise ConfigError(f"delta must be finite and > 0, got {delta}")
+
+
 def predict(model: TwoHeadModel, x: np.ndarray, delta: float
             ) -> tuple[np.ndarray, np.ndarray]:
     """Classify a batch: a sample whose crs exceeds ``delta`` is rejected
@@ -31,8 +38,9 @@ def predict(model: TwoHeadModel, x: np.ndarray, delta: float
     decide, ties going to the lower class index.
 
     Returns (labels, per-sample crs).  NaN/Inf in ``x`` raises
-    NumericError.
+    NumericError, and a ``delta`` that is not finite and > 0 ConfigError.
     """
+    _check_delta(delta)
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise NumericError("prediction input contains NaN/Inf")
@@ -170,7 +178,9 @@ def boundary_grid(model: TwoHeadModel, bounds: tuple[tuple[float, float], tuple[
                   resolution: int, delta: float) -> BoundaryGrid:
     """Evaluate both heads on a regular 2-D grid (resolution cells per
     axis).  Cells go through the network GRID_BLOCK_ROWS at a time, so the
-    forward caches of only one block are alive at once."""
+    forward caches of only one block are alive at once.  A ``delta`` that
+    is not finite and > 0 raises ConfigError."""
+    _check_delta(delta)
     if model.input_dim != 2:
         raise ConfigError("boundary grids need a 2-D input model")
     if not np.isfinite(bounds).all():

@@ -13,10 +13,13 @@ Naming used throughout:
 * ``ent``: H(p1) + H(p2), the confidence term.
 * skld == crs - ent as an algebraic identity.
 
-Each training objective is one function that takes the clamped logs and
-safe inverses of the pair once and returns an ``Objective``: the batch
-value, the per-sample values and d(value)/dp of both heads, from the same
-pass.
+Each training objective is one function that takes the model's stacked
+(2, N, C) probabilities (head 1, head 2), computes the clamped logs and
+safe inverses of both heads at once, and returns an ``Objective``: the
+batch value, the per-sample values and one (2, N, C) gradient ``dp`` that
+``nn.backward`` takes as it is, from the same pass.  Cross terms pair each
+head with the other through ``x[::-1]``.  Batch means are ``x.sum() / n``,
+bit-identical to ``x.mean()`` without numpy's Python-level wrapper.
 
 * ``source``: supervised loss plus lam * skld on the small-loss subset
   (A-1; B's source term).
@@ -51,12 +54,11 @@ def _safe_inv(p: np.ndarray) -> np.ndarray:
     return np.where(p > P_CLAMP, 1.0 / np.maximum(p, P_CLAMP), 0.0)
 
 
-def _check_pair(p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p1 = np.atleast_2d(np.asarray(p1, dtype=np.float64))
-    p2 = np.atleast_2d(np.asarray(p2, dtype=np.float64))
-    if p1.shape != p2.shape:
-        raise DimensionError(f"probability shapes differ: {p1.shape} vs {p2.shape}")
-    return p1, p2
+def _check_stack(p: np.ndarray) -> np.ndarray:
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 3 or p.shape[0] != 2:
+        raise DimensionError(f"probabilities must be a (2, N, C) head pair, got {p.shape}")
+    return p
 
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -97,13 +99,12 @@ class MethodVariant(Enum):
 class Objective(NamedTuple):
     """One objective on a batch: ``value`` is the mean of ``per_sample``
     over ``rows`` (times the objective's weight, if it has one), and
-    ``dp1``/``dp2`` are d(value)/d(p1) and d(value)/d(p2), zero outside
-    ``rows``."""
+    ``dp`` is d(value)/dp for the stacked (2, N, C) head pair, zero
+    outside ``rows``."""
 
     value: float
     per_sample: np.ndarray
-    dp1: np.ndarray
-    dp2: np.ndarray
+    dp: np.ndarray
     rows: np.ndarray
 
 
@@ -114,8 +115,7 @@ class SourceObjective(NamedTuple):
 
     value: float
     per_sample: np.ndarray
-    dp1: np.ndarray
-    dp2: np.ndarray
+    dp: np.ndarray
     rows: np.ndarray
     sup: float
     skld: float
@@ -155,43 +155,48 @@ def small_loss_select(per_sample_losses: np.ndarray, alpha: float) -> np.ndarray
     n = losses.size
     # guard float drift: N - floor(alpha*N) == ceil((1-alpha)*N) for integer N
     k = n - int(math.floor(alpha * n + 1e-9))
+    if k == n:
+        return np.arange(n)
     order = np.argsort(losses, kind="stable")
     return np.sort(order[:k])
 
 
 # --- objectives ------------------------------------------------------------------
 
-def source(p1: np.ndarray, p2: np.ndarray, labels: np.ndarray, lam: float,
+def source(p: np.ndarray, labels: np.ndarray, lam: float,
            alpha: float = 0.0) -> SourceObjective:
-    """Joint source loss: cross-entropy of both heads against the observed
-    labels plus ``lam`` times the agreement divergence, averaged over the
-    small-loss subset of its own per-sample values that drops the ``alpha``
-    fraction (alpha = 0 keeps every row)."""
+    """Joint source loss on the (2, N, C) head pair: cross-entropy of both
+    heads against the observed labels plus ``lam`` times the agreement
+    divergence, averaged over the small-loss subset of its own per-sample
+    values that drops the ``alpha`` fraction (alpha = 0 keeps every row)."""
     if lam < 0:
         raise ConfigError(f"lambda must be >= 0, got {lam}")
-    p1, p2 = _check_pair(p1, p2)
-    labels = _check_labels(labels, p1.shape[1])
-    l1, l2 = _clamped_log(p1), _clamped_log(p2)
-    i1, i2 = _safe_inv(p1), _safe_inv(p2)
-    idx = np.arange(p1.shape[0])
-    sup = -(l1[idx, labels] + l2[idx, labels])
-    agreement = (p1 * (l1 - l2)).sum(axis=1) + (p2 * (l2 - l1)).sum(axis=1)
+    p = _check_stack(p)
+    n = p.shape[1]
+    labels = _check_labels(labels, p.shape[2])
+    logs, inv = _clamped_log(p), _safe_inv(p)
+    idx = np.arange(n)
+    picked = logs[:, idx, labels]
+    sup = -(picked[0] + picked[1])
+    kl = (p * (logs - logs[::-1])).sum(axis=2)   # KL(p1||p2), KL(p2||p1)
+    agreement = kl[0] + kl[1]
     per = sup + lam * agreement
     rows = small_loss_select(per, alpha)
+    k = len(rows)
 
-    d1 = np.zeros_like(p1)
-    d2 = np.zeros_like(p2)
-    d1[idx, labels] = -i1[idx, labels]
-    d2[idx, labels] = -i2[idx, labels]
+    d = np.zeros_like(p)
+    d[:, idx, labels] = -inv[:, idx, labels]
     if lam != 0.0:
-        d1 += lam * (l1 - l2 + (p1 - p2) * i1)
-        d2 += lam * (l2 - l1 + (p2 - p1) * i2)
-    dp1 = np.zeros_like(p1)
-    dp2 = np.zeros_like(p2)
-    dp1[rows] = d1[rows] / len(rows)
-    dp2[rows] = d2[rows] / len(rows)
-    return SourceObjective(float(per[rows].mean()), per, dp1, dp2, rows,
-                           float(sup[rows].mean()), float(agreement[rows].mean()))
+        d += lam * (logs - logs[::-1] + (p - p[::-1]) * inv)
+    if k == n:
+        kept = slice(None)
+        d /= n
+    else:
+        kept = rows
+        d_all, d = d, np.zeros_like(p)
+        d[:, rows] = d_all[:, rows] / k
+    return SourceObjective(float(per[kept].sum() / k), per, d, rows,
+                           float(sup[kept].sum() / k), float(agreement[kept].sum() / k))
 
 
 def _hinge(values: np.ndarray, params: SeparationParams,
@@ -206,10 +211,11 @@ def _hinge(values: np.ndarray, params: SeparationParams,
     return value, np.where(active, -np.sign(diff), 0.0)
 
 
-def separation(p1: np.ndarray, p2: np.ndarray, params: SeparationParams,
+def separation(p: np.ndarray, params: SeparationParams,
                use_crs: bool = True, use_ent: bool = True,
                ent_sign: float = 1.0, reach: float | None = None) -> Objective:
-    """Batch-mean dead-band hinge on per-sample crs and ent.
+    """Batch-mean dead-band hinge on per-sample crs and ent of the
+    (2, N, C) head pair.
 
     Values inside [delta - margin, delta + margin] contribute nothing;
     minimizing pushes values already outside the band further away from
@@ -219,31 +225,28 @@ def separation(p1: np.ndarray, p2: np.ndarray, params: SeparationParams,
     far outside the band stop being pushed (keeps the optimization away
     from the probability clamp).
     """
-    p1, p2 = _check_pair(p1, p2)
-    n = p1.shape[0]
-    l1, l2 = _clamped_log(p1), _clamped_log(p2)
-    i1, i2 = _safe_inv(p1), _safe_inv(p2)
+    p = _check_stack(p)
+    n = p.shape[1]
+    logs, inv = _clamped_log(p), _safe_inv(p)
     per = np.zeros(n)
-    dp1 = np.zeros_like(p1)
-    dp2 = np.zeros_like(p2)
+    dp = np.zeros_like(p)
     if use_crs:
-        value, slope = _hinge(-(p1 * l2 + p2 * l1).sum(axis=1), params, reach)
+        cross = p * logs[::-1]                   # p1 log p2, p2 log p1
+        value, slope = _hinge(-(cross[0] + cross[1]).sum(axis=1), params, reach)
         per += value
-        w = slope[:, None] / n
-        dp1 += w * (-l2 - p2 * i1)
-        dp2 += w * (-l1 - p1 * i2)
+        dp += slope[:, None] / n * (-logs[::-1] - p[::-1] * inv)
     if use_ent:
-        value, slope = _hinge(-(p1 * l1 + p2 * l2).sum(axis=1), params, reach)
+        own = p * logs
+        value, slope = _hinge(-(own[0] + own[1]).sum(axis=1), params, reach)
         per += ent_sign * value
-        w = ent_sign * slope[:, None] / n
-        dp1 += w * (-l1 - p1 * i1)
-        dp2 += w * (-l2 - p2 * i2)
-    return Objective(float(per.mean()), per, dp1, dp2, np.arange(n))
+        dp += ent_sign * slope[:, None] / n * (-logs - p * inv)
+    return Objective(float(per.sum() / n), per, dp, np.arange(n))
 
 
-def crs(p1: np.ndarray, p2: np.ndarray, weight: float = 1.0,
+def crs(p: np.ndarray, weight: float = 1.0,
         cap: float | None = None, below: float = math.inf) -> Objective:
-    """``weight`` times the mean per-sample crs over ``rows``.
+    """``weight`` times the mean per-sample crs of the (2, N, C) head pair
+    over ``rows``.
 
     ``rows`` are the samples whose crs is strictly below ``below``: every
     sample by default, or the detected target-common subset with a finite
@@ -252,24 +255,24 @@ def crs(p1: np.ndarray, p2: np.ndarray, weight: float = 1.0,
     cap carry no gradient (their rejection is decided; pushing further only
     saturates the heads).
     """
-    p1, p2 = _check_pair(p1, p2)
-    l1, l2 = _clamped_log(p1), _clamped_log(p2)
-    per = -(p1 * l2 + p2 * l1).sum(axis=1)
+    p = _check_stack(p)
+    n = p.shape[1]
+    logs = _clamped_log(p)
+    cross = p * logs[::-1]
+    per = -(cross[0] + cross[1]).sum(axis=1)
     live = per < below
     rows = np.flatnonzero(live)
-    if not rows.size:
-        return Objective(0.0, per, np.zeros_like(p1), np.zeros_like(p2), rows)
-    d1 = -l2 - p2 * _safe_inv(p1)
-    d2 = -l1 - p1 * _safe_inv(p2)
+    k = len(rows)
+    if not k:
+        return Objective(0.0, per, np.zeros_like(p), rows)
+    d = -logs[::-1] - p[::-1] * _safe_inv(p)
     if cap is not None:
-        uncapped = (per < cap)[:, None]
-        d1 = d1 * uncapped
-        d2 = d2 * uncapped
+        d = d * (per < cap)[:, None]
         per = np.minimum(per, cap)
-    live = live[:, None]
-    dp1 = np.where(live, weight * d1 / len(rows), 0.0)
-    dp2 = np.where(live, weight * d2 / len(rows), 0.0)
-    return Objective(weight * float(per[rows].mean()), per, dp1, dp2, rows)
+    if k == n:
+        return Objective(weight * float(per.sum() / n), per, weight * d / n, rows)
+    dp = np.where(live[:, None], weight * d / k, 0.0)
+    return Objective(weight * float(per[rows].sum() / k), per, dp, rows)
 
 
 # --- variant plumbing ----------------------------------------------------------

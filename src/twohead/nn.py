@@ -5,6 +5,16 @@ sample) so gradient checks and bit-identity tests stay tight.  The model
 is one shared feature generator feeding two independently initialized
 classifier heads, with all parameters in one flat buffer per kind (see
 ``TwoHeadModel``).
+
+``forward`` returns the two heads' probabilities and a ``ForwardCache``
+whose ``p`` is the stacked (2, N, C) pair; the objectives in ``losses``
+take that pair and return one (2, N, C) gradient, which ``backward`` takes
+as it is.  ``forward(..., reuse=cache)`` reuses an earlier cache of the
+same batch: all of it when no parameter has changed since, or its
+generator activations when only the heads have.  ``sgd_step`` bumps
+``model.version`` on every update and ``model.gen_version`` when the
+generator moves, and a cache with a stale generator or of another batch is
+refused with UsageError.
 """
 
 from __future__ import annotations
@@ -79,14 +89,6 @@ class DenseLayer:
                           (self.grad_weight[k], self.grad_bias[k]),
                           (self.vel_weight[k], self.vel_bias[k]), self.activation)
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (activation output, pre-activation); caller keeps the cache.
-        A stacked layer maps (N, in) or (k, N, in) to (k, N, out)."""
-        z = x @ self.weight.swapaxes(-1, -2) + self.bias[..., None, :]
-        if self.activation is Activation.RELU:
-            return np.maximum(z, 0.0), z
-        return z, z
-
     def backward(self, x: np.ndarray, z: np.ndarray, dout: np.ndarray,
                  param_grads: bool = True, input_grad: bool = True) -> np.ndarray | None:
         """Accumulate parameter grads for upstream dout (if ``param_grads``);
@@ -156,7 +158,10 @@ class TwoHeadModel:
         self.head2 = [layer.member(1) for layer in self.heads]
         self.num_classes = head_widths[-1]
         self.feature_scale = feature_scale
-        self.version = 0  # bumped on every parameter update; guards stale caches
+        # bumped on every parameter update, and gen_version on every update
+        # that moves the generator; they guard stale forward caches
+        self.version = 0
+        self.gen_version = 0
 
     @property
     def input_dim(self) -> int:
@@ -189,6 +194,7 @@ class TwoHeadModel:
 @dataclass
 class ForwardCache:
     version: int
+    gen_version: int
     gen_io: list[tuple[np.ndarray, np.ndarray]]   # (input, pre-activation) per layer
     raw_features: np.ndarray
     feat_norms: np.ndarray
@@ -230,38 +236,69 @@ def init_model(layer_widths: Sequence[int], num_classes: int, seed: int) -> TwoH
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax over the last axis."""
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    """Stable softmax over the last axis.  The row max is a chain of
+    elementwise maxima over the class columns, which is exact and, for a
+    few classes, cheaper than a reduction over the short last axis; the
+    normalising sum keeps numpy's reduction and its summation order."""
+    top = logits[..., 0]
+    for k in range(1, logits.shape[-1]):
+        top = np.maximum(top, logits[..., k])
+    e = np.exp(logits - top[..., None])
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _run_stack(layers: list[DenseLayer], x: np.ndarray):
+    """Run ``layers`` on ``x``; returns the output and (input,
+    pre-activation) per layer.  A stacked layer maps (N, in) or
+    (k, N, in) to (k, N, out)."""
     io = []
-    out = x
     for layer in layers:
-        nxt, z = layer.forward(out)
-        io.append((out, z))
-        out = nxt
-    return out, io
+        z = x @ layer.weight.swapaxes(-1, -2)
+        z += layer.bias[..., None, :]
+        io.append((x, z))
+        x = np.maximum(z, 0.0) if layer.activation is Activation.RELU else z
+    return x, io
 
 
-def forward(model: TwoHeadModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
-    """Run both heads on a batch; returns class probabilities and a cache
-    for ``backward``.  The input is not checked for NaN/Inf here: callers
+def forward(model: TwoHeadModel, x: np.ndarray, reuse: ForwardCache | None = None
+            ) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
+    """Run both heads on a batch; returns the class probabilities of each
+    head and a cache for ``backward``, whose ``p`` is the stacked
+    (2, N, C) pair.  The input is not checked for NaN/Inf here: callers
     that take data from outside (training, prediction, grids) check it
-    once at their boundary."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise DimensionError(
-            f"input must be (N, {model.input_dim}), got {x.shape}"
-        )
+    once at their boundary.
 
-    raw, gen_io = _run_stack(model.generator, x)
-    norms = np.maximum(np.sqrt((raw * raw).sum(axis=1, keepdims=True)), 1e-12)
-    feats = model.feature_scale * raw / norms
+    ``reuse`` is an earlier cache of the same batch.  Its generator
+    activations are taken as they are, and only the heads run again; if
+    no parameter has changed since, the cache itself is returned.  The
+    result is bit-identical to a fresh forward.  A cache whose generator
+    is stale (``sgd_step`` moved it since) or whose input is another
+    batch raises UsageError.  Parameters edited in place, not through
+    ``sgd_step``, are not tracked.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if reuse is not None:
+        if reuse.gen_version != model.gen_version:
+            raise UsageError("stale forward cache: the generator changed since forward()")
+        seen = reuse.gen_io[0][0]
+        if x is not seen and not np.array_equal(x, seen):
+            raise UsageError("forward cache is for another batch")
+        if reuse.version == model.version:
+            return reuse.p[0], reuse.p[1], reuse
+        gen_io, raw, norms = reuse.gen_io, reuse.raw_features, reuse.feat_norms
+        feats = reuse.head_io[0][0]
+    else:
+        if x.ndim != 2 or x.shape[1] != model.input_dim:
+            raise DimensionError(
+                f"input must be (N, {model.input_dim}), got {x.shape}"
+            )
+        raw, gen_io = _run_stack(model.generator, x)
+        norms = np.maximum(np.sqrt((raw * raw).sum(axis=1, keepdims=True)), 1e-12)
+        feats = model.feature_scale * raw / norms
     logits, head_io = _run_stack(model.heads, feats)
     p = softmax_rows(logits)
-    cache = ForwardCache(model.version, gen_io, raw, norms, head_io, p)
+    cache = ForwardCache(model.version, model.gen_version, gen_io, raw, norms, head_io, p)
     return p[0], p[1], cache
 
 
@@ -280,23 +317,25 @@ def _stack_backward(layers: list[DenseLayer], io, dout: np.ndarray,
     return dout
 
 
-def backward(model: TwoHeadModel, cache: ForwardCache,
-             dp1: np.ndarray, dp2: np.ndarray, scope: Scope = Scope.ALL) -> None:
-    """Accumulate d(loss)/d(theta) into the grad buffer, given upstream
-    gradients on the two probability outputs.  The generator gradient is
-    the sum of both heads' contributions.
+def backward(model: TwoHeadModel, cache: ForwardCache, dp: np.ndarray,
+             scope: Scope = Scope.ALL) -> None:
+    """Accumulate d(loss)/d(theta) into the grad buffer, given the upstream
+    gradient ``dp`` on the stacked (2, N, C) probabilities, as the
+    objectives in ``losses`` return it.  The generator gradient is the sum
+    of both heads' contributions.
 
     Only ``scope``'s slice of the grad buffer is written: HEADS_ONLY stops
     at the features, and GENERATOR_ONLY carries only dX through the heads.
     """
     if cache.version != model.version:
         raise UsageError("stale forward cache: parameters changed since forward()")
-    if dp1.shape != cache.p.shape[1:] or dp2.shape != cache.p.shape[1:]:
-        raise DimensionError("upstream gradient shapes do not match probabilities")
+    if dp.shape != cache.p.shape:
+        raise DimensionError(f"upstream gradient shape {dp.shape} does not match "
+                             f"the probabilities' {cache.p.shape}")
 
     to_heads = scope is not Scope.GENERATOR_ONLY
     to_gen = scope is not Scope.HEADS_ONLY
-    dz = _softmax_backward(cache.p, np.stack((dp1, dp2)))
+    dz = _softmax_backward(cache.p, dp)
     dfeat = _stack_backward(model.heads, cache.head_io, dz, to_heads, to_gen)
     if not to_gen:
         return
@@ -312,7 +351,8 @@ def sgd_step(model: TwoHeadModel, cfg: SgdConfig, scope: Scope = Scope.ALL) -> N
     """Momentum SGD (with optional L2 weight decay folded into the
     gradient) on ``scope``'s slice of the parameter buffer; out-of-scope
     parameters stay bit-identical.  The whole grad buffer is zeroed
-    afterward."""
+    afterward.  Bumps ``model.version``, and ``model.gen_version`` when the
+    scope includes the generator."""
     s = model.scope_slice(scope)
     params, vel = model.params[s], model.velocity[s]
     vel *= cfg.momentum
@@ -322,12 +362,14 @@ def sgd_step(model: TwoHeadModel, cfg: SgdConfig, scope: Scope = Scope.ALL) -> N
     params -= cfg.learning_rate * vel
     model.zero_grads()
     model.version += 1
+    if scope is not Scope.HEADS_ONLY:
+        model.gen_version += 1
 
 
 # --- gradient verification -------------------------------------------------
 
-LossFn = Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray, np.ndarray]]
-# maps (p1, p2) -> (loss value, d loss/d p1, d loss/d p2)
+LossFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
+# maps the stacked (2, N, C) probabilities p -> (loss value, d loss/d p)
 
 _ZERO_GRAD_FLOOR = 1e-6  # below this magnitude, compare absolutely
 
@@ -344,8 +386,8 @@ class GradCheckReport:
 
 
 def _loss_value(model: TwoHeadModel, loss_fn: LossFn, x: np.ndarray) -> float:
-    p1, p2, _ = forward(model, x)
-    return loss_fn(p1, p2)[0]
+    _, _, cache = forward(model, x)
+    return loss_fn(cache.p)[0]
 
 
 def grad_check(model: TwoHeadModel, loss_fn: LossFn, x: np.ndarray,
@@ -361,9 +403,8 @@ def grad_check(model: TwoHeadModel, loss_fn: LossFn, x: np.ndarray,
         raise ConfigError(f"h must be in (0, 1e-3], got {h}")
 
     model.zero_grads()
-    p1, p2, cache = forward(model, x)
-    _, dp1, dp2 = loss_fn(p1, p2)
-    backward(model, cache, dp1, dp2)
+    _, _, cache = forward(model, x)
+    backward(model, cache, loss_fn(cache.p)[1])
 
     worst = 0.0
     worst_param = ""
@@ -408,10 +449,11 @@ def save_model_csv(model: TwoHeadModel, path) -> None:
 
 def load_model_csv(path) -> TwoHeadModel:
     """Rebuild a model from ``save_model_csv`` output.  Layer roles and
-    activations are implied by the layer names and positions.  Each
+    activations are implied by the layer names and positions.  Each layer
+    must list every weight and bias cell of its shape exactly once, each
     layer's input width must match the previous layer's output width, and
     the two heads must have the same shapes, since they share one stacked
-    buffer."""
+    buffer.  A file that breaks any of these raises ConfigError."""
     entries: dict[str, dict[tuple[int, int], float]] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -425,6 +467,15 @@ def load_model_csv(path) -> TwoHeadModel:
             raise ConfigError(f"model file has no '{prefix}' layers")
         dims = [(1 + max(r for r, _ in entries[n]), 1 + max(c for _, c in entries[n]))
                 for n in names]
+        for n, (rows, cols) in zip(names, dims):
+            # cells are unique (row, col) keys with row in [0, rows) and col
+            # in [-1, cols), so the right count means none is missing
+            if (len(entries[n]) != rows * cols + rows
+                    or min(r for r, _ in entries[n]) < 0
+                    or min(c for _, c in entries[n]) < -1):
+                raise ConfigError(
+                    f"model file layer '{n}' has {len(entries[n])} cells, expected "
+                    f"{rows * cols + rows} for a ({rows}, {cols}) weight and its bias")
         widths = [dims[0][1]] + [rows for rows, _ in dims]
         if any(cols != widths[i] for i, (_, cols) in enumerate(dims)):
             raise ConfigError(f"model file '{prefix}' layer shapes do not chain: {dims}")

@@ -50,8 +50,8 @@ def check_loss_identities(n_pairs: int = 1000, seed: int = 2024) -> CheckResult:
                        f"{n_pairs} pairs, max |skld - (crs - ent)| = {worst_decomp:.3e}")
 
 
-def _value_and_grads(objective) -> tuple[float, np.ndarray, np.ndarray]:
-    return objective.value, objective.dp1, objective.dp2
+def _value_and_grad(objective) -> tuple[float, np.ndarray]:
+    return objective.value, objective.dp
 
 
 def _grad_objectives(num_classes: int, n_samples: int, seed: int):
@@ -63,37 +63,34 @@ def _grad_objectives(num_classes: int, n_samples: int, seed: int):
     sep = SeparationParams(delta=math.log(num_classes), margin=0.35)
     lam = 0.1
 
-    def source_joint(p1, p2):
-        return _value_and_grads(losses.source(p1, p2, labels, lam))
+    def source_joint(p):
+        return _value_and_grad(losses.source(p, labels, lam))
 
-    def supervised_only(p1, p2):
-        return _value_and_grads(losses.source(p1, p2, labels, 0.0))
+    def supervised_only(p):
+        return _value_and_grad(losses.source(p, labels, 0.0))
 
     def separation(**switches):
-        return lambda p1, p2: _value_and_grads(losses.separation(p1, p2, sep, **switches))
+        return lambda p: _value_and_grad(losses.separation(p, sep, **switches))
 
-    def separation_off(p1, p2):
-        return 0.0, np.zeros_like(p1), np.zeros_like(p2)
+    def separation_off(p):
+        return 0.0, np.zeros_like(p)
 
-    def discriminator(p1, p2, cap=None):
+    def discriminator(p, cap=None):
         # source rows with the joint loss, target rows entering negatively
         # through their mean (capped) crs, as step B applies them
-        src = losses.source(p1[:n_samples], p2[:n_samples], labels, lam)
-        tgt = losses.crs(p1[n_samples:], p2[n_samples:], weight=-1.0, cap=cap)
-        return (src.value + tgt.value, np.vstack([src.dp1, tgt.dp1]),
-                np.vstack([src.dp2, tgt.dp2]))
+        src = losses.source(p[:, :n_samples], labels, lam)
+        tgt = losses.crs(p[:, n_samples:], weight=-1.0, cap=cap)
+        return src.value + tgt.value, np.concatenate([src.dp, tgt.dp], axis=1)
 
-    def discriminator_capped(p1, p2):
-        return discriminator(p1, p2, cap=sep.delta + 2.0 * sep.margin)
+    def discriminator_capped(p):
+        return discriminator(p, cap=sep.delta + 2.0 * sep.margin)
 
-    def alignment(p1, p2):
-        rows = np.arange(0, p1.shape[0], 2)  # fixed detected-common subset
-        common = losses.crs(p1[rows], p2[rows])
-        d1 = np.zeros_like(p1)
-        d2 = np.zeros_like(p2)
-        d1[rows] = common.dp1
-        d2[rows] = common.dp2
-        return common.value, d1, d2
+    def alignment(p):
+        rows = np.arange(0, p.shape[1], 2)  # fixed detected-common subset
+        common = losses.crs(p[:, rows])
+        d = np.zeros_like(p)
+        d[:, rows] = common.dp
+        return common.value, d
 
     single = [("source-joint", source_joint),
               ("supervised-only", supervised_only),
@@ -167,8 +164,9 @@ def check_selection_contract(n_vectors: int = 10000, seed: int = 5) -> CheckResu
         if len(sel) != expect:
             return CheckResult("selection-contract", False,
                                f"vector {i}: kept {len(sel)}, expected {expect}")
-        rest = np.setdiff1d(np.arange(n), sel)
-        if rest.size and vec[sel].max() > vec[rest].min():
+        rest = np.ones(n, dtype=bool)
+        rest[sel] = False
+        if rest.any() and vec[sel].max() > vec[rest].min():
             return CheckResult("selection-contract", False,
                                f"vector {i}: selected loss above unselected")
     return CheckResult("selection-contract", True, f"{n_vectors} random vectors")

@@ -15,6 +15,13 @@ Per source/target batch pair the loop runs four phases in order:
 
 Variants switch phases or terms off; see losses.variant_losses.
 
+Every step checks its objective's value and its scope's gradients before
+it applies the update, and raises NonFiniteLossError with the parameters
+untouched.  The three target-batch forwards of a batch step share work
+exactly: B's target term reuses A-2's whole forward when A-2 applied no
+update, and C's first repeat reuses the generator activations of B's
+target forward (B moves only the heads) and runs only the heads again.
+
 Two stabilizers keep the mini-max game away from degenerate saturation
 when training small networks from scratch: the divergence-raising flows
 (A-2 hinge, B's target term) saturate one extra margin beyond the dead
@@ -35,7 +42,8 @@ from . import losses
 from .data import DomainDataset, minibatches
 from .errors import ConfigError, NonFiniteLossError, NumericError
 from .losses import MethodVariant, SeparationParams, VariantPlan
-from .nn import Scope, SgdConfig, TwoHeadModel, backward, forward, init_model, sgd_step
+from .nn import (ForwardCache, Scope, SgdConfig, TwoHeadModel, backward, forward,
+                 init_model, sgd_step)
 from .rng import derive_seed
 
 HIDDEN_WIDTH = 32
@@ -122,77 +130,104 @@ class TrainState:
                                  repr(r.clean_fraction_selected)])
 
 
-def _check_finite(value: float, step: str, epoch: int) -> float:
+def _check_finite(value: float, step: str, epoch: int) -> None:
     if not math.isfinite(value):
         raise NonFiniteLossError(step=step, epoch=epoch, value=value)
-    return value
+
+
+def _update(model: TwoHeadModel, sgd: SgdConfig, scope: Scope, value: float,
+            step: str, epoch: int) -> None:
+    """Apply ``scope``'s SGD step once the objective's value and the
+    scope's gradients are known to be finite; otherwise raise
+    NonFiniteLossError with the parameters untouched, naming the first
+    layer whose gradient is not finite."""
+    _check_finite(value, step, epoch)
+    if not np.isfinite(model.grads[model.scope_slice(scope)]).all():
+        layer = next(name for name, layer in model.named_layers()
+                     if not (np.isfinite(layer.grad_weight).all()
+                             and np.isfinite(layer.grad_bias).all()))
+        raise NonFiniteLossError(step=step, epoch=epoch, value=value, layer=layer)
+    sgd_step(model, sgd, scope)
 
 
 def step_a1(model: TwoHeadModel, x: np.ndarray, y_obs: np.ndarray,
-            plan: VariantPlan, sgd: SgdConfig) -> losses.SourceObjective:
+            plan: VariantPlan, sgd: SgdConfig, epoch: int = 0) -> losses.SourceObjective:
     """Small-loss selection plus one full-network update on the selected
     subset (``rows`` of the result)."""
-    p1, p2, cache = forward(model, x)
-    source = losses.source(p1, p2, y_obs, plan.lam, plan.alpha)
-    backward(model, cache, source.dp1, source.dp2)
-    sgd_step(model, sgd, Scope.ALL)
+    _, _, cache = forward(model, x)
+    source = losses.source(cache.p, y_obs, plan.lam, plan.alpha)
+    backward(model, cache, source.dp)
+    _update(model, sgd, Scope.ALL, source.value, "A-1", epoch)
     return source
 
 
 def step_a2(model: TwoHeadModel, x_t: np.ndarray, sep: SeparationParams,
-            plan: VariantPlan, sgd: SgdConfig,
-            reach: float | None = None, weight: float = 1.0) -> float:
+            plan: VariantPlan, sgd: SgdConfig, reach: float | None = None,
+            weight: float = 1.0, epoch: int = 0) -> tuple[float, ForwardCache | None]:
     """Full-network update on the target separation hinge, weighted by
     ``weight``.  A batch whose gradient vanishes (everything inside the
-    band) leaves the parameters untouched.  The returned value is the
-    unweighted hinge loss."""
-    p1, p2, cache = forward(model, x_t)
+    band) leaves the parameters untouched.  Returns the unweighted hinge
+    loss, and the forward cache of ``x_t`` when no update was applied
+    (it still matches the model), else None."""
+    _, _, cache = forward(model, x_t)
     hinge = losses.separation(
-        p1, p2, sep, use_crs=plan.sep_use_crs, use_ent=plan.sep_use_ent,
+        cache.p, sep, use_crs=plan.sep_use_crs, use_ent=plan.sep_use_ent,
         ent_sign=plan.sep_ent_sign, reach=reach)
-    if np.any(hinge.dp1) or np.any(hinge.dp2):
-        backward(model, cache, weight * hinge.dp1, weight * hinge.dp2)
-        sgd_step(model, sgd, Scope.ALL)
-    return hinge.value
+    if not hinge.dp.any():
+        _check_finite(hinge.value, "A-2", epoch)
+        return hinge.value, cache
+    backward(model, cache, weight * hinge.dp)
+    _update(model, sgd, Scope.ALL, hinge.value, "A-2", epoch)
+    return hinge.value, None
 
 
 def step_b(model: TwoHeadModel, x_sel: np.ndarray, y_sel: np.ndarray,
            x_t: np.ndarray, plan: VariantPlan, sgd: SgdConfig,
-           cap: float | None = None, weight: float = 1.0) -> float:
+           cap: float | None = None, weight: float = 1.0,
+           reuse: ForwardCache | None = None, epoch: int = 0
+           ) -> tuple[float, ForwardCache]:
     """Heads-only discriminator update: keep the selected source loss low
     while raising the mean target crs (``weight`` times).  The generator
     stays bit-identical, so both backward passes stop at the features.
     Target rows whose crs already exceeds ``cap`` stop contributing
-    gradient (their rejection is decided).  Returns the source loss minus
-    the mean capped target crs, the objective whose gradient was applied
-    (without the weight)."""
-    ps1, ps2, cache_s = forward(model, x_sel)
-    source = losses.source(ps1, ps2, y_sel, plan.lam)
-    backward(model, cache_s, source.dp1, source.dp2, Scope.HEADS_ONLY)
+    gradient (their rejection is decided).  ``reuse`` is an earlier
+    forward cache of ``x_t`` (A-2's, when A-2 applied no update).
 
-    pt1, pt2, cache_t = forward(model, x_t)
-    target = losses.crs(pt1, pt2, weight=-weight, cap=cap)
-    backward(model, cache_t, target.dp1, target.dp2, Scope.HEADS_ONLY)
+    Returns the source loss minus the mean capped target crs, the
+    objective whose gradient was applied (without the weight), and the
+    target forward cache, whose generator part stays valid for C."""
+    _, _, cache_s = forward(model, x_sel)
+    source = losses.source(cache_s.p, y_sel, plan.lam)
+    backward(model, cache_s, source.dp, Scope.HEADS_ONLY)
 
-    sgd_step(model, sgd, Scope.HEADS_ONLY)
-    return source.value - float(target.per_sample.mean())
+    _, _, cache_t = forward(model, x_t, reuse=reuse)
+    target = losses.crs(cache_t.p, weight=-weight, cap=cap)
+    backward(model, cache_t, target.dp, Scope.HEADS_ONLY)
+
+    value = source.value - float(target.per_sample.sum() / len(target.per_sample))
+    _update(model, sgd, Scope.HEADS_ONLY, value, "B", epoch)
+    return value, cache_t
 
 
 def step_c(model: TwoHeadModel, x_t: np.ndarray, sep: SeparationParams,
-           sgd: SgdConfig, n_inner: int) -> list[float]:
+           sgd: SgdConfig, n_inner: int, reuse: ForwardCache | None = None,
+           epoch: int = 0) -> list[float]:
     """Generator-only alignment: lower mean crs over the detected
     target-common subset (crs < delta - margin).  Repeated up to n_inner
     times, re-detecting the subset each time.  An empty subset ends the
     loop: no update was applied, so every later repeat would detect the
-    same empty subset.  Returns one value per applied update."""
+    same empty subset.  The first repeat reuses the generator activations
+    of ``reuse``, an earlier forward cache of ``x_t`` (B's), and runs only
+    the heads.  Returns one value per applied update."""
     out = []
     for _ in range(n_inner):
-        p1, p2, cache = forward(model, x_t)
-        common = losses.crs(p1, p2, below=sep.delta - sep.margin)
+        _, _, cache = forward(model, x_t, reuse=reuse)
+        reuse = None
+        common = losses.crs(cache.p, below=sep.delta - sep.margin)
         if not common.rows.size:
             break
-        backward(model, cache, common.dp1, common.dp2, Scope.GENERATOR_ONLY)
-        sgd_step(model, sgd, Scope.GENERATOR_ONLY)
+        backward(model, cache, common.dp, Scope.GENERATOR_ONLY)
+        _update(model, sgd, Scope.GENERATOR_ONLY, common.value, "C", epoch)
         out.append(common.value)
     return out
 
@@ -246,29 +281,30 @@ def train(source: DomainDataset, target: DomainDataset, config: TrainConfig,
             y_s = source.observed_labels[src_idx]
             x_t = target.features[tgt_idx]
 
-            a1 = step_a1(model, x_s, y_s, plan, sgd)
-            _check_finite(a1.value, "A-1", epoch)
+            a1 = step_a1(model, x_s, y_s, plan, sgd, epoch=epoch)
             fire("A-1", epoch)
 
+            # a forward cache of x_t that is still valid: A-2's when A-2
+            # left the model unchanged, then B's, whose generator C reuses
+            reuse = None
             loss_sep = 0.0
             if plan.sep_enabled:
-                loss_sep = step_a2(model, x_t, sep, plan, sgd, reach=push_reach,
-                                   weight=config.minimax_weight)
-                _check_finite(loss_sep, "A-2", epoch)
+                loss_sep, reuse = step_a2(model, x_t, sep, plan, sgd, reach=push_reach,
+                                          weight=config.minimax_weight, epoch=epoch)
                 fire("A-2", epoch)
 
             loss_b = 0.0
             loss_c = 0.0
             if plan.minimax:
-                loss_b = step_b(model, x_s[a1.rows], y_s[a1.rows],
-                                x_t, plan, sgd, cap=push_cap,
-                                weight=config.minimax_weight)
-                _check_finite(loss_b, "B", epoch)
+                loss_b, reuse = step_b(model, x_s[a1.rows], y_s[a1.rows],
+                                       x_t, plan, sgd, cap=push_cap,
+                                       weight=config.minimax_weight,
+                                       reuse=reuse, epoch=epoch)
                 fire("B", epoch)
 
-                c_values = step_c(model, x_t, sep, sgd, config.n_inner)
-                for v in c_values:
-                    _check_finite(v, "C", epoch)
+                c_values = step_c(model, x_t, sep, sgd, config.n_inner,
+                                  reuse=reuse, epoch=epoch)
+                for _ in c_values:
                     fire("C", epoch)
                 loss_c = float(np.mean(c_values)) if c_values else 0.0
 

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from twohead import init_model, losses
 from twohead.cli import main
+from twohead.nn import save_model_csv
 from twohead.experiment import ExperimentSpec, SweepSpec
 from twohead.errors import ConfigError
 
@@ -105,6 +107,21 @@ def test_dataset_smaller_than_a_batch_rejected(tmp_path, capsys):
     assert not (out / "model.csv").exists()
 
 
+def test_nonfinite_loss_exits_3(tmp_path, capsys, monkeypatch):
+    real = losses.source
+
+    def nan_source(*args, **kwargs):
+        return real(*args, **kwargs)._replace(value=math.nan)
+
+    monkeypatch.setattr(losses, "source", nan_source)
+    out = tmp_path / "out"
+    rc = main(["run", "--config", _write_cfg(tmp_path), "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "step A-1 at epoch 0" in err
+    assert not (out / "model.csv").exists()
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     rc = main(["run", "--config", _write_cfg(tmp_path, {"alhpa": 0.2}),
                "--out", str(tmp_path / "out")])
@@ -166,6 +183,35 @@ def test_grid_rerenders_saved_model(tmp_path):
     assert (gout / "boundary.svg").exists()
     lines = (gout / "boundary.csv").read_text().splitlines()
     assert len(lines) == 1 + 30 * 30
+
+
+def _saved_model(tmp_path):
+    path = tmp_path / "model.csv"
+    save_model_csv(init_model([2, 8, 8, 8], 3, seed=1), path)
+    return path
+
+
+@pytest.mark.parametrize("delta", ["nan", "0", "-1"])
+def test_grid_rejects_bad_delta(tmp_path, capsys, delta):
+    gout = tmp_path / "grid"
+    rc = main(["grid", "--model", str(_saved_model(tmp_path)), "--out", str(gout),
+               f"--delta={delta}", "--resolution", "10"])
+    assert rc == 2
+    assert "delta" in capsys.readouterr().err
+    assert not (gout / "boundary.csv").exists()
+
+
+@pytest.mark.parametrize("drop", ["gen.1,3,4,", "head2.2,1,-1,"])
+def test_grid_rejects_model_with_missing_cell(tmp_path, capsys, drop):
+    """A dropped weight or bias row would otherwise load as 0.0."""
+    path = _saved_model(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    kept = [ln for ln in lines if not ln.startswith(drop)]
+    assert len(kept) == len(lines) - 1
+    path.write_text("".join(kept))
+    rc = main(["grid", "--model", str(path), "--out", str(tmp_path / "grid")])
+    assert rc == 2
+    assert drop.split(",")[0] in capsys.readouterr().err
 
 
 def test_selftest_passes():

@@ -179,6 +179,16 @@ def test_predict_rejects_nonfinite_row():
         predict(m, x, delta=1.0)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -1.0])
+def test_predict_and_grid_reject_bad_delta(delta):
+    """NaN would reject no cell, and 0 or a negative threshold every one."""
+    m = init_model([2, 8, 8, 8], 3, seed=1)
+    with pytest.raises(ConfigError, match="delta"):
+        predict(m, np.zeros((4, 2)), delta=delta)
+    with pytest.raises(ConfigError, match="delta"):
+        boundary_grid(m, ((-1.0, 1.0), (-1.0, 1.0)), 10, delta)
+
+
 def test_boundary_grid_rejects_non_2d():
     m = init_model([3, 8, 8, 8], 3, seed=1)
     with pytest.raises(ConfigError):

@@ -1,8 +1,10 @@
-"""Pinned digests of a short seed-7 run.
+"""Pinned digests of short training runs on the seed-7 toy scenario.
 
 Training is deterministic, so a 40-epoch run at seed 7 must reproduce its
 loss trace and saved model byte for byte across commits, not only between
-two runs of the same code.  A change that moves the numerics on purpose
+two runs of the same code, and so must a 10-epoch run at seed 3 of every
+method variant, whose switches take different paths through the step
+functions.  A change that moves the numerics on purpose
 re-records the digest it moves and says why.  The digests were recorded
 with numpy 2.4 on OpenBLAS; another BLAS may round the matmuls differently.
 
@@ -14,12 +16,27 @@ column moved (554 of the 560 rows); the model digest did not change.
 
 import hashlib
 
-from twohead import TrainConfig
+import pytest
+
+from twohead import MethodVariant, TrainConfig
 from twohead.nn import save_model_csv
 from twohead.trainer import train
 
 TRACE_SHA256 = "24a035934bb124a62a19a9b922da9b64821ae6d4f420305664fcefe5813b0cc9"
 MODEL_SHA256 = "0b70fc6d5c58e5fdbfd8201bdbac8561c4b6e51c93a14d6bb5a112483373a21a"
+
+# model.csv after 10 epochs at seed 3, per variant
+VARIANT_MODEL_SHA256 = {
+    "full": "d218c0726f18678800fdf1667f7143244e59555932d5d528e55a6b1d43ddd6ff",
+    "source_only": "09a3d980737be021628f4e0a1e1173e752dc70b68d7bb1b7fe3e71c78dcb2154",
+    "no_select": "7baf9e8c06b7ff5fbe814d92e182260dce4242dccde973d1830a25d6f5d8ecef",
+    "no_div": "a168b6f3f0d471f8400e14ae124ef97b5651346a0d6e178a21a5c8dbc56b76f2",
+    "no_crs": "0ff80217412268daf262f67be225d31aaf128539ac10643e1ed50a331e040b31",
+    "no_ent": "b285b62eaec1a85e79a90fe1dc94fab49db2bb4a82b4344ff979d4de0105d801",
+    "no_sep": "11c7a3a8133cbca737dd3cea8fb6df17242db7603d9c34cffb76f065941782c5",
+    "no_minimax": "93654fd8b5fbfb83901227321060ab2f248c16e5f4c0e0670a2d61accbe8868a",
+    "with_kl": "f4cdc5d83ff66a70238be78c687cc9ac6d92746355527815fd19f79aaba6fdb3",
+}
 
 
 def _sha256(path):
@@ -33,3 +50,12 @@ def test_seed7_trace_and_model_digests(toy_data, tmp_path):
     save_model_csv(state.model, tmp_path / "model.csv")
     assert _sha256(tmp_path / "loss_trace.csv") == TRACE_SHA256
     assert _sha256(tmp_path / "model.csv") == MODEL_SHA256
+
+
+@pytest.mark.parametrize("variant", [v.value for v in MethodVariant])
+def test_variant_model_digests(toy_data, tmp_path, variant):
+    source, target = toy_data
+    state = train(source, target,
+                  TrainConfig(seed=3, epochs=10, variant=MethodVariant(variant)))
+    save_model_csv(state.model, tmp_path / "model.csv")
+    assert _sha256(tmp_path / "model.csv") == VARIANT_MODEL_SHA256[variant]

@@ -24,6 +24,11 @@ def _kl_reference(p, q):
                for pi, qi in zip(p, q))
 
 
+def _pair(p1, p2):
+    """The stacked (2, N, C) head pair the objectives take."""
+    return np.stack([p1, p2])
+
+
 def _pairs(seed, label, classes, n):
     rng = make_rng(seed, label)
     return rng.dirichlet(np.ones(classes), size=n), rng.dirichlet(np.ones(classes), size=n)
@@ -31,7 +36,7 @@ def _pairs(seed, label, classes, n):
 
 def test_kl_zero_for_identical():
     assert skld_rows(P[None, :], P[None, :])[0] == 0.0
-    assert losses.source(P[None, :], P[None, :], [0], lam=1.0).skld == 0.0
+    assert losses.source(_pair(P[None, :], P[None, :]), [0], lam=1.0).skld == 0.0
 
 
 def test_kl_frozen_value():
@@ -45,14 +50,17 @@ def test_kl_frozen_value():
 
 
 def test_kl_dimension_mismatch():
-    a, b = np.full((2, 2), 0.5), np.full((2, 3), 1.0 / 3.0)
+    """Every objective takes the stacked (2, N, C) head pair and nothing
+    else, such as one head's (N, C) rows or a stack of three heads."""
     params = SeparationParams(delta=1.0, margin=0.5)
-    with pytest.raises(DimensionError):
-        losses.source(a, b, [0, 1], lam=0.1)
-    with pytest.raises(DimensionError):
-        losses.separation(a, b, params)
-    with pytest.raises(DimensionError):
-        losses.crs(a, b)
+    for shape in [(2, 3), (3, 2, 3), (1, 2, 3), (2, 2, 3, 1), (3,)]:
+        bad = np.full(shape, 1.0 / 3.0)
+        with pytest.raises(DimensionError):
+            losses.source(bad, [0, 1], lam=0.1)
+        with pytest.raises(DimensionError):
+            losses.separation(bad, params)
+        with pytest.raises(DimensionError):
+            losses.crs(bad)
 
 
 def test_kl_nonnegative_random_pairs():
@@ -65,8 +73,8 @@ def test_skld_frozen_value():
     expected = _kl_reference(P, Q) + _kl_reference(Q, P)
     assert abs(skld_rows(P[None, :], Q[None, :])[0] - expected) < 1e-12
     assert abs(expected - 0.87897) < 1e-4
-    with_div = losses.source(P[None, :], Q[None, :], [0], lam=1.0)
-    without = losses.source(P[None, :], Q[None, :], [0], lam=0.0)
+    with_div = losses.source(_pair(P[None, :], Q[None, :]), [0], lam=1.0)
+    without = losses.source(_pair(P[None, :], Q[None, :]), [0], lam=0.0)
     assert abs(with_div.skld - expected) < 1e-12
     assert abs((with_div.value - without.value) - expected) < 1e-12
 
@@ -79,14 +87,14 @@ def test_skld_zero_and_symmetric():
 
 def test_skld_empty_batch():
     with pytest.raises(UsageError):
-        losses.source(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, dtype=int), lam=0.1)
+        losses.source(_pair(np.zeros((0, 3)), np.zeros((0, 3))), np.zeros(0, dtype=int), lam=0.1)
 
 
 def test_crs_ent_uniform():
     u = np.full((1, 3), 1.0 / 3.0)
     assert abs(crs_rows(u, u)[0] - 2.0 * math.log(3)) < 1e-12
     assert abs(ent_rows(u, u)[0] - 2.0 * math.log(3)) < 1e-12
-    assert abs(losses.crs(u, u).value - 2.0 * math.log(3)) < 1e-12
+    assert abs(losses.crs(_pair(u, u)).value - 2.0 * math.log(3)) < 1e-12
 
 
 def test_crs_ent_frozen_values():
@@ -98,8 +106,8 @@ def test_crs_ent_frozen_values():
     assert abs(e - (h_p + h_q)) < 1e-12
     assert abs(e - 1.01823) < 1e-4
     assert abs(c - 1.89720) < 1e-4
-    assert losses.crs(P[None, :], Q[None, :]).value == c
-    assert losses.crs(P[None, :], Q[None, :], weight=-0.5).value == -0.5 * c
+    assert losses.crs(_pair(P[None, :], Q[None, :])).value == c
+    assert losses.crs(_pair(P[None, :], Q[None, :]), weight=-0.5).value == -0.5 * c
 
 
 def test_decomposition_identity_random_pairs():
@@ -124,12 +132,12 @@ def test_joint_divergence_values():
 
 def test_supervised_loss_values():
     onehot = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert losses.source(onehot, onehot, [0, 1], lam=0.0).value <= 1e-9
+    assert losses.source(_pair(onehot, onehot), [0, 1], lam=0.0).value <= 1e-9
     u = np.full((2, 3), 1.0 / 3.0)
-    assert abs(losses.source(u, u, [0, 2], lam=0.0).value - 2.0 * math.log(3)) < 1e-12
+    assert abs(losses.source(_pair(u, u), [0, 2], lam=0.0).value - 2.0 * math.log(3)) < 1e-12
     p1 = np.array([[0.5, 0.5]])
     p2 = np.array([[0.25, 0.75]])
-    got = losses.source(p1, p2, [0], lam=0.0)
+    got = losses.source(_pair(p1, p2), [0], lam=0.0)
     assert abs(got.value - (math.log(2) + math.log(4))) < 1e-6
     assert got.sup == got.value
 
@@ -137,7 +145,7 @@ def test_supervised_loss_values():
 def test_supervised_loss_label_range():
     u = np.full((2, 3), 1.0 / 3.0)
     with pytest.raises(DataError):
-        losses.source(u, u, np.array([0, 3]), lam=0.1)
+        losses.source(_pair(u, u), np.array([0, 3]), lam=0.1)
 
 
 def test_source_loss_degenerate_lambda():
@@ -145,12 +153,12 @@ def test_source_loss_degenerate_lambda():
     p1 = rng.dirichlet(np.ones(3), size=8)
     p2 = rng.dirichlet(np.ones(3), size=8)
     y = rng.integers(0, 3, size=8)
-    plain = losses.source(p1, p2, y, 0.0)
+    plain = losses.source(_pair(p1, p2), y, 0.0)
     assert plain.value == plain.sup
     assert plain.per_sample.shape == (8,)
     assert list(plain.rows) == list(range(8))
     # agreeing heads contribute no divergence term
-    same = losses.source(p1, p1, y, 0.7)
+    same = losses.source(_pair(p1, p1), y, 0.7)
     assert same.skld == 0.0
     assert abs(same.value - same.sup) < 1e-12
 
@@ -158,7 +166,7 @@ def test_source_loss_degenerate_lambda():
 def test_source_loss_rejects_negative_lambda():
     u = np.full((1, 2), 0.5)
     with pytest.raises(ConfigError):
-        losses.source(u, u, np.array([0]), -0.1)
+        losses.source(_pair(u, u), np.array([0]), -0.1)
 
 
 def test_source_selects_on_its_own_per_sample_values():
@@ -166,15 +174,15 @@ def test_source_selects_on_its_own_per_sample_values():
     p1 = rng.dirichlet(np.ones(3), size=16)
     p2 = rng.dirichlet(np.ones(3), size=16)
     y = rng.integers(0, 3, size=16)
-    got = losses.source(p1, p2, y, lam=0.1, alpha=0.25)
+    got = losses.source(_pair(p1, p2), y, lam=0.1, alpha=0.25)
     assert np.array_equal(got.rows, small_loss_select(got.per_sample, 0.25))
     assert len(got.rows) == 12
     assert got.value == float(got.per_sample[got.rows].mean())
     dropped = np.setdiff1d(np.arange(16), got.rows)
-    assert (got.dp1[dropped] == 0.0).all() and (got.dp2[dropped] == 0.0).all()
+    assert (got.dp[0][dropped] == 0.0).all() and (got.dp[1][dropped] == 0.0).all()
     # the selected rows carry the same gradient as a source loss on them alone
-    alone = losses.source(p1[got.rows], p2[got.rows], y[got.rows], lam=0.1)
-    assert np.array_equal(got.dp1[got.rows], alone.dp1)
+    alone = losses.source(_pair(p1[got.rows], p2[got.rows]), y[got.rows], lam=0.1)
+    assert np.array_equal(got.dp[0][got.rows], alone.dp[0])
     assert got.value == alone.value
 
 
@@ -183,7 +191,7 @@ def test_source_trace_means_invariants():
     p1 = rng.dirichlet(np.ones(4), size=32)
     p2 = rng.dirichlet(np.ones(4), size=32)
     y = rng.integers(0, 4, size=32)
-    got = losses.source(p1, p2, y, lam=0.1, alpha=0.2)
+    got = losses.source(_pair(p1, p2), y, lam=0.1, alpha=0.2)
     rows = got.rows
     c, e = crs_rows(p1, p2)[rows].mean(), ent_rows(p1, p2)[rows].mean()
     assert c >= e >= 0.0
@@ -217,6 +225,25 @@ def test_small_loss_select_contract(losses_list, alpha):
         assert vec[sel].max() <= vec[rest].min()
 
 
+def test_selection_contract_fails_a_wrong_selector(monkeypatch):
+    """The selftest's contract check reports FAIL for a selector that keeps
+    the largest losses, or one row too few."""
+    from twohead.selfcheck import check_selection_contract
+
+    real = losses.small_loss_select
+    wrong = {
+        "largest": lambda vec, alpha: np.sort(np.argsort(-vec, kind="stable")[
+            :len(real(vec, alpha))]),
+        "one short": lambda vec, alpha: real(vec, alpha)[1:],
+    }
+    assert check_selection_contract(n_vectors=200).passed
+    for name, selector in wrong.items():
+        monkeypatch.setattr(losses, "small_loss_select", selector)
+        result = check_selection_contract(n_vectors=200)
+        assert not result.passed, name
+        assert result.line().startswith("[FAIL] selection-contract")
+
+
 def test_small_loss_select_validation():
     with pytest.raises(UsageError):
         small_loss_select(np.array([]), 0.2)
@@ -242,16 +269,16 @@ def test_separation_loss_dead_band_and_values():
     e = ent_rows(p1, p2)
     expect = [_hinge_reference(ci, params.delta, 1.0) + _hinge_reference(ei, params.delta, 1.0)
               for ci, ei in zip(c, e)]
-    got = losses.separation(p1, p2, params)
+    got = losses.separation(_pair(p1, p2), params)
     assert np.abs(got.per_sample - expect).max() < 1e-12
     assert abs(got.value - np.mean(expect)) < 1e-12
 
     # everything inside the band contributes nothing
     mid = SeparationParams(delta=float(np.median(np.concatenate([c, e]))),
                            margin=10.0)
-    inside = losses.separation(p1, p2, mid)
+    inside = losses.separation(_pair(p1, p2), mid)
     assert inside.value == 0.0
-    assert not inside.dp1.any() and not inside.dp2.any()
+    assert not inside.dp[0].any() and not inside.dp[1].any()
 
 
 def test_separation_grad_is_banded_subgradient():
@@ -262,8 +289,8 @@ def test_separation_grad_is_banded_subgradient():
     assert set(np.unique(g)).issubset({-1.0, 0.0, 1.0})
     inside = np.abs(c - params.delta) <= params.margin
     assert np.all(g[inside] == 0.0)
-    got = losses.separation(p1, p2, params, use_ent=False)
-    assert np.all(got.dp1[inside] == 0.0) and np.all(got.dp2[inside] == 0.0)
+    got = losses.separation(_pair(p1, p2), params, use_ent=False)
+    assert np.all(got.dp[0][inside] == 0.0) and np.all(got.dp[1][inside] == 0.0)
 
 
 def test_separation_saturation_reach():
@@ -272,40 +299,40 @@ def test_separation_saturation_reach():
     rng = make_rng(6, "reach")
     p1 = rng.dirichlet(np.ones(3) * 0.05, size=64)  # spiky: large crs spread
     p2 = rng.dirichlet(np.ones(3) * 0.05, size=64)
-    got = losses.separation(p1, p2, params, use_ent=False, reach=0.5)
+    got = losses.separation(_pair(p1, p2), params, use_ent=False, reach=0.5)
     c = crs_rows(p1, p2)
     beyond = np.abs(c - params.delta) >= 0.5
     assert beyond.any()
-    assert np.all(got.dp1[beyond] == 0.0)
+    assert np.all(got.dp[0][beyond] == 0.0)
     assert np.all(got.per_sample[beyond] == -0.5)
 
 
 def test_common_mask_matches_threshold():
     params = SeparationParams(delta=3.0, margin=1.0)
     p1, p2 = _pairs(7, "mask", 3, 64)
-    common = losses.crs(p1, p2, below=params.delta - params.margin)
+    common = losses.crs(_pair(p1, p2), below=params.delta - params.margin)
     c = crs_rows(p1, p2)
     assert np.array_equal(common.rows, np.flatnonzero(c < 2.0))
     assert common.value == float(c[common.rows].mean())
     outside = np.setdiff1d(np.arange(64), common.rows)
-    assert (common.dp1[outside] == 0.0).all() and (common.dp2[outside] == 0.0).all()
+    assert (common.dp[0][outside] == 0.0).all() and (common.dp[1][outside] == 0.0).all()
     # margin equal to delta leaves nothing below the gate
-    empty = losses.crs(p1, p2, below=0.0)
+    empty = losses.crs(_pair(p1, p2), below=0.0)
     assert empty.rows.size == 0 and empty.value == 0.0
-    assert not empty.dp1.any() and not empty.dp2.any()
+    assert not empty.dp[0].any() and not empty.dp[1].any()
 
 
 def test_crs_cap_stops_gradient_past_the_cap():
     p1, p2 = _pairs(12, "cap", 3, 64)
     c = crs_rows(p1, p2)
     cap = float(np.median(c))
-    got = losses.crs(p1, p2, weight=-0.2, cap=cap)
+    got = losses.crs(_pair(p1, p2), weight=-0.2, cap=cap)
     assert np.array_equal(got.per_sample, np.minimum(c, cap))
     assert got.value == -0.2 * float(np.minimum(c, cap).mean())
     past = c >= cap
     assert past.any() and (~past).any()
-    assert (got.dp1[past] == 0.0).all() and (got.dp2[past] == 0.0).all()
-    assert got.dp1[~past].any()
+    assert (got.dp[0][past] == 0.0).all() and (got.dp[1][past] == 0.0).all()
+    assert got.dp[0][~past].any()
 
 
 def _predict_one(delta):
@@ -369,15 +396,15 @@ def test_with_kl_matches_independent_form():
     e = ent_rows(p1, p2)
     banded = np.array([_hinge_reference(v, params.delta, 0.5) for v in c]).mean() \
         - np.array([_hinge_reference(v, params.delta, 0.5) for v in e]).mean()
-    got = losses.separation(p1, p2, params, ent_sign=-1.0)
+    got = losses.separation(_pair(p1, p2), params, ent_sign=-1.0)
     assert abs(got.value - banded) < 1e-12
 
 
 def test_skld_grad_matches_numeric():
     # the source loss's lam-term gradient against finite differences of skld
     p1, p2 = _pairs(9, "sg", 3, 1)
-    d1 = (losses.source(p1, p2, [0], lam=1.0).dp1
-          - losses.source(p1, p2, [0], lam=0.0).dp1)
+    d1 = (losses.source(_pair(p1, p2), [0], lam=1.0).dp[0]
+          - losses.source(_pair(p1, p2), [0], lam=0.0).dp[0])
     h = 1e-7
     for k in range(3):
         up = p1.copy(); up[0, k] += h
@@ -396,17 +423,17 @@ def _objective_cases(labels, sep):
     reach = 2.0 * sep.margin
     cap = sep.delta + reach
     return {
-        "source": (lambda p1, p2: losses.source(p1, p2, labels, 0.3), ()),
-        "source-selected": (lambda p1, p2: losses.source(p1, p2, labels, 0.3, alpha=0.4), ()),
-        "separation": (lambda p1, p2: losses.separation(p1, p2, sep, reach=reach),
+        "source": (lambda p: losses.source(p, labels, 0.3), ()),
+        "source-selected": (lambda p: losses.source(p, labels, 0.3, alpha=0.4), ()),
+        "separation": (lambda p: losses.separation(p, sep, reach=reach),
                        (sep.delta - reach, sep.delta - sep.margin,
                         sep.delta + sep.margin, sep.delta + reach)),
-        "separation-kl": (lambda p1, p2: losses.separation(p1, p2, sep, ent_sign=-1.0),
+        "separation-kl": (lambda p: losses.separation(p, sep, ent_sign=-1.0),
                           (sep.delta - sep.margin, sep.delta + sep.margin)),
-        "separation-crs-only": (lambda p1, p2: losses.separation(p1, p2, sep, use_ent=False),
+        "separation-crs-only": (lambda p: losses.separation(p, sep, use_ent=False),
                                 (sep.delta - sep.margin, sep.delta + sep.margin)),
-        "crs-capped": (lambda p1, p2: losses.crs(p1, p2, weight=-0.2, cap=cap), (cap,)),
-        "crs-below": (lambda p1, p2: losses.crs(p1, p2, below=sep.delta), (sep.delta,)),
+        "crs-capped": (lambda p: losses.crs(p, weight=-0.2, cap=cap), (cap,)),
+        "crs-below": (lambda p: losses.crs(p, below=sep.delta), (sep.delta,)),
     }
 
 
@@ -417,9 +444,9 @@ def _objective_cases(labels, sep):
        margin=st.floats(0.05, 1.0))
 def test_objective_gradients_match_central_differences(name, seed, classes, n, margin):
     rng = np.random.default_rng(seed)
-    # mixed with the uniform pair so no probability nears the clamp
-    p1 = 0.8 * rng.dirichlet(np.ones(classes), size=n) + 0.2 / classes
-    p2 = 0.8 * rng.dirichlet(np.ones(classes), size=n) + 0.2 / classes
+    # the stacked (2, n, classes) head pair, mixed with the uniform pair so
+    # no probability nears the clamp
+    p = 0.8 * rng.dirichlet(np.ones(classes), size=(2, n)) + 0.2 / classes
     labels = rng.integers(0, classes, size=n)
     sep = SeparationParams(delta=math.log(classes), margin=margin)
     fn, kinks = _objective_cases(labels, sep)[name]
@@ -427,22 +454,21 @@ def test_objective_gradients_match_central_differences(name, seed, classes, n, m
     # keep every row's crs and ent off the hinge kinks, the cap and the
     # detection gate, and the selection off ties, so +-FD_STEP moves no
     # row across a kink
-    values = np.concatenate([crs_rows(p1, p2), ent_rows(p1, p2)])
+    values = np.concatenate([crs_rows(p[0], p[1]), ent_rows(p[0], p[1])])
     for kink in kinks:
         assume(np.abs(values - kink).min() > KINK_GAP)
-    got = fn(p1, p2)
+    got = fn(p)
+    assert got.dp.shape == p.shape
     if name == "source-selected" and len(got.rows) < n:
         ranked = np.sort(got.per_sample)
         assume(ranked[len(got.rows)] - ranked[len(got.rows) - 1] > KINK_GAP)
 
-    for which, grad in ((0, got.dp1), (1, got.dp2)):
-        for i in range(n):
-            for k in range(classes):
-                pair = [p1.copy(), p2.copy()]
-                pair[which][i, k] += FD_STEP
-                up = fn(*pair).value
-                pair[which][i, k] -= 2 * FD_STEP
-                down = fn(*pair).value
-                numeric = (up - down) / (2 * FD_STEP)
-                assert abs(numeric - grad[i, k]) <= 1e-6 + 1e-5 * abs(grad[i, k]), \
-                    (which, i, k, numeric, grad[i, k])
+    for cell in np.ndindex(p.shape):
+        moved = p.copy()
+        moved[cell] += FD_STEP
+        up = fn(moved).value
+        moved[cell] -= 2 * FD_STEP
+        down = fn(moved).value
+        numeric = (up - down) / (2 * FD_STEP)
+        assert abs(numeric - got.dp[cell]) <= 1e-6 + 1e-5 * abs(got.dp[cell]), \
+            (cell, numeric, got.dp[cell])

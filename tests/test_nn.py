@@ -107,8 +107,8 @@ def test_forward_shape_mismatch():
 def test_backward_zero_upstream_gives_zero_grads():
     m = init_model([2, 8, 8, 8], 3, seed=3)
     x = np.array([[0.1, 0.2], [3.0, -1.0]])
-    p1, p2, cache = forward(m, x)
-    backward(m, cache, np.zeros_like(p1), np.zeros_like(p2))
+    _, _, cache = forward(m, x)
+    backward(m, cache, np.zeros_like(cache.p))
     for _, layer in m.named_layers():
         assert np.all(layer.grad_weight == 0.0)
         assert np.all(layer.grad_bias == 0.0)
@@ -118,21 +118,19 @@ def test_backward_is_linear_over_batch():
     m = init_model([2, 8, 8, 8], 3, seed=5)
     rng = make_rng(1, "lin")
     x = rng.normal(size=(4, 2))
-    dp1 = rng.normal(size=(4, 3))
-    dp2 = rng.normal(size=(4, 3))
+    dp = np.stack([rng.normal(size=(4, 3)), rng.normal(size=(4, 3))])
 
     _, _, cache = forward(m, x)
-    backward(m, cache, dp1, dp2)
+    backward(m, cache, dp)
     full = [layer.grad_weight.copy() for _, layer in m.named_layers()]
     m.zero_grads()
 
     # same upstream applied sample by sample, accumulated
     _, _, cache = forward(m, x)
     for i in range(4):
-        d1 = np.zeros_like(dp1)
-        d2 = np.zeros_like(dp2)
-        d1[i], d2[i] = dp1[i], dp2[i]
-        backward(m, cache, d1, d2)
+        d = np.zeros_like(dp)
+        d[:, i] = dp[:, i]
+        backward(m, cache, d)
     parts = [layer.grad_weight.copy() for _, layer in m.named_layers()]
     for f, p in zip(full, parts):
         assert np.allclose(f, p, atol=1e-12)
@@ -142,11 +140,11 @@ def test_backward_is_linear_over_batch():
 def test_backward_rejects_stale_cache():
     m = init_model([2, 8, 8, 8], 3, seed=3)
     x = np.array([[0.1, 0.2]])
-    p1, p2, cache = forward(m, x)
-    backward(m, cache, np.zeros_like(p1), np.zeros_like(p2))
+    _, _, cache = forward(m, x)
+    backward(m, cache, np.zeros_like(cache.p))
     sgd_step(m, SgdConfig(learning_rate=0.1))
     with pytest.raises(UsageError):
-        backward(m, cache, np.zeros_like(p1), np.zeros_like(p2))
+        backward(m, cache, np.zeros_like(cache.p))
 
 
 def _blob(layers):
@@ -162,7 +160,7 @@ def test_sgd_scope_freezes_complement(scope, frozen):
     x = np.array([[0.4, -0.2], [1.0, 2.0]])
     p1, p2, cache = forward(m, x)
     rng = make_rng(2, "up")
-    backward(m, cache, rng.normal(size=p1.shape), rng.normal(size=p2.shape))
+    backward(m, cache, np.stack([rng.normal(size=p1.shape), rng.normal(size=p2.shape)]))
 
     before_heads = _blob(m.head1 + m.head2)
     before_gen = _blob(m.generator)
@@ -178,8 +176,8 @@ def test_sgd_scope_freezes_complement(scope, frozen):
 def test_sgd_zeroes_gradients():
     m = init_model([2, 8, 8, 8], 3, seed=9)
     x = np.array([[0.4, -0.2]])
-    p1, p2, cache = forward(m, x)
-    backward(m, cache, np.ones_like(p1), np.ones_like(p2))
+    _, _, cache = forward(m, x)
+    backward(m, cache, np.ones_like(cache.p))
     sgd_step(m, SgdConfig(learning_rate=0.01))
     for _, layer in m.named_layers():
         assert np.all(layer.grad_weight == 0.0)
@@ -201,8 +199,8 @@ def test_grad_check_constant_loss_is_zero():
     m = init_model([2, 8, 8, 8], 3, seed=4)
     x = np.array([[0.3, 0.4], [1.0, -1.0]])
 
-    def const(p1, p2):
-        return 1.0, np.zeros_like(p1), np.zeros_like(p2)
+    def const(p):
+        return 1.0, np.zeros_like(p)
 
     report = grad_check(m, const, x)
     assert report.max_rel_error == 0.0
@@ -213,10 +211,10 @@ def test_grad_check_detects_corruption():
     m = init_model([2, 8, 8, 8], 3, seed=4)
     x = np.array([[0.3, 0.4], [1.0, -1.0]])
 
-    def corrupted(p1, p2):
-        d1 = np.zeros_like(p1)
-        d1[0, 0] = 1.0  # claims a gradient where the loss is constant
-        return 1.0, d1, np.zeros_like(p2)
+    def corrupted(p):
+        d = np.zeros_like(p)
+        d[0, 0, 0] = 1.0  # claims a gradient where the loss is constant
+        return 1.0, d
 
     report = grad_check(m, corrupted, x, tol=1e-4)
     assert report.max_rel_error > 1e-4
@@ -226,7 +224,7 @@ def test_grad_check_detects_corruption():
 def test_grad_check_validates_h():
     m = init_model([2, 8, 8, 8], 3, seed=4)
     with pytest.raises(ConfigError):
-        grad_check(m, lambda p1, p2: (0.0, np.zeros_like(p1), np.zeros_like(p2)),
+        grad_check(m, lambda p: (0.0, np.zeros_like(p)),
                    np.zeros((1, 2)), h=0.1)
 
 
@@ -256,6 +254,21 @@ def test_model_csv_rejects_shapes_that_do_not_fit(tmp_path, drop):
     kept = [ln for ln in lines if not (ln.startswith(drop + ",") and ln.split(",")[2] == "7")]
     path.write_text("\n".join(kept) + "\n")
     with pytest.raises(ConfigError):
+        load_model_csv(path)
+
+
+@pytest.mark.parametrize("drop", ["gen.1,3,4,", "gen.1,3,-1,", "head1.2,0,-1,", "head2.0,7,7,"])
+def test_model_csv_rejects_missing_cells(tmp_path, drop):
+    """Every layer lists out*in weights and out biases; a dropped row,
+    which would otherwise load as 0.0, is rejected."""
+    m = init_model([2, 8, 8, 8], 3, seed=11)
+    path = tmp_path / "model.csv"
+    save_model_csv(m, path)
+    lines = path.read_text().splitlines(keepends=True)
+    kept = [ln for ln in lines if not ln.startswith(drop)]
+    assert len(kept) == len(lines) - 1
+    path.write_text("".join(kept))
+    with pytest.raises(ConfigError, match=drop.split(",")[0]):
         load_model_csv(path)
 
 
@@ -299,13 +312,13 @@ def test_scoped_backward_fills_only_its_slice(args, rows, scope):
     m = _model(args)
     rng = make_rng(args[2], "scoped-backward")
     x = rng.normal(size=(rows, 2))
-    dp1 = rng.normal(size=(rows, m.num_classes))
-    dp2 = rng.normal(size=(rows, m.num_classes))
+    dp = np.stack([rng.normal(size=(rows, m.num_classes)),
+                   rng.normal(size=(rows, m.num_classes))])
     _, _, cache = forward(m, x)
-    backward(m, cache, dp1, dp2)
+    backward(m, cache, dp)
     full = m.grads.copy()
     m.zero_grads()
-    backward(m, cache, dp1, dp2, scope)
+    backward(m, cache, dp, scope)
     inside = np.zeros(m.grads.size, dtype=bool)
     inside[m.scope_slice(scope)] = True
     assert m.grads[inside].tobytes() == full[inside].tobytes()
@@ -402,3 +415,63 @@ def test_stacked_heads_match_separate_heads(args, rows):
     feats = cache.head_io[0][0]
     assert p1.tobytes() == _reference_head(m.head1, feats).tobytes()
     assert p2.tobytes() == _reference_head(m.head2, feats).tobytes()
+
+
+# --- forward reuse -----------------------------------------------------------
+
+def _stepped(m, x, scope):
+    """One SGD step on ``scope`` from a random upstream gradient."""
+    _, _, cache = forward(m, x)
+    backward(m, cache, make_rng(len(x), "reuse-step").normal(size=cache.p.shape), scope)
+    sgd_step(m, SgdConfig(learning_rate=0.05, momentum=0.9), scope)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_model_args, st.integers(1, 9), st.booleans())
+def test_forward_reuse_after_heads_step_matches_fresh(args, rows, copy_input):
+    """A cache reused after a heads-only step (as C reuses B's) runs only
+    the heads and equals a fresh forward bit for bit; with no step between
+    (as B reuses A-2's), the cache itself comes back."""
+    m = _model(args)
+    x = make_rng(args[2], "reuse").normal(size=(rows, 2))
+    _, _, cache = forward(m, x)
+    again = x.copy() if copy_input else x
+    assert forward(m, again, reuse=cache)[2] is cache
+
+    _stepped(m, x, Scope.HEADS_ONLY)
+    r1, r2, reused = forward(m, again, reuse=cache)
+    f1, f2, fresh = forward(m, x)
+    assert reused is not cache
+    assert reused.version == fresh.version and reused.gen_version == fresh.gen_version
+    assert r1.tobytes() == f1.tobytes() and r2.tobytes() == f2.tobytes()
+    for (a_in, a_z), (b_in, b_z) in zip(reused.head_io, fresh.head_io):
+        assert a_in.tobytes() == b_in.tobytes() and a_z.tobytes() == b_z.tobytes()
+    # backward through the reused cache fills the same gradients
+    dp = make_rng(args[2], "reuse-dp").normal(size=fresh.p.shape)
+    backward(m, reused, dp)
+    via_reuse = m.grads.copy()
+    m.zero_grads()
+    backward(m, fresh, dp)
+    assert via_reuse.tobytes() == m.grads.tobytes()
+
+
+@pytest.mark.parametrize("scope", [Scope.ALL, Scope.GENERATOR_ONLY])
+def test_forward_reuse_rejects_stale_generator(scope):
+    m = init_model([2, 8, 8, 8], 3, seed=3)
+    x = make_rng(3, "stale").normal(size=(5, 2))
+    _, _, cache = forward(m, x)
+    _stepped(m, x, scope)
+    with pytest.raises(UsageError, match="generator"):
+        forward(m, x, reuse=cache)
+
+
+def test_forward_reuse_rejects_another_batch():
+    m = init_model([2, 8, 8, 8], 3, seed=3)
+    x = make_rng(3, "batch").normal(size=(5, 2))
+    _, _, cache = forward(m, x)
+    _stepped(m, x, Scope.HEADS_ONLY)
+    other = x.copy()
+    other[4, 1] += 1e-9
+    for batch in (other, x[:4], np.zeros((0, 2))):
+        with pytest.raises(UsageError, match="another batch"):
+            forward(m, batch, reuse=cache)

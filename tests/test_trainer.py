@@ -134,9 +134,12 @@ def test_step_a2_noop_inside_band(toy_data):
                            margin=float(np.ptp(vals)) + 1.0)
     plan = variant_losses(MethodVariant.FULL, 0.2, 0.1)
     before = model.parameters_blob()
-    value = step_a2(model, x, sep, plan, SgdConfig(0.05, 0.9))
+    value, cache = step_a2(model, x, sep, plan, SgdConfig(0.05, 0.9))
     assert value == 0.0
     assert model.parameters_blob() == before
+    # no update was applied, so A-2 hands on its cache, which still
+    # matches the model
+    assert cache is not None and cache.version == model.version
 
 
 def test_step_a2_disabled_for_no_sep(toy_data, monkeypatch):
@@ -184,9 +187,9 @@ def test_step_c_generator_only_and_empty_mask(monkeypatch):
     heads = _blob(model.head1 + model.head2)
     forwards = []
 
-    def counting_forward(m, xs):
+    def counting_forward(m, xs, reuse=None):
         forwards.append(len(xs))
-        return forward(m, xs)
+        return forward(m, xs, reuse=reuse)
 
     monkeypatch.setattr(trainer, "forward", counting_forward)
     # impossible gate: mask empty, generator untouched, and the first empty
@@ -243,6 +246,54 @@ def test_check_finite_raises_with_context():
         _check_finite(float("nan"), "B", 12)
     assert err.value.step == "B"
     assert err.value.epoch == 12
+
+
+# which call of which objective each step makes, told apart by its arguments
+_STEP_OBJECTIVES = {
+    "A-1": ("source", lambda args, kwargs: len(args) == 4),
+    "A-2": ("separation", lambda args, kwargs: True),
+    "B": ("crs", lambda args, kwargs: "cap" in kwargs),
+    "C": ("crs", lambda args, kwargs: "below" in kwargs),
+}
+_FIRST_BAD_LAYER = {"A-1": "gen.0", "A-2": "gen.0", "B": "head1.0", "C": "gen.0"}
+
+
+@pytest.mark.parametrize("bad", ["value", "gradient"])
+@pytest.mark.parametrize("step", ["A-1", "A-2", "B", "C"])
+def test_nonfinite_objective_raises_before_the_update(toy_data, monkeypatch, step, bad):
+    """A NaN objective value or gradient raises NonFiniteLossError before
+    its step's update: the parameters are those the last completed step
+    left.  A bad gradient names the first layer that holds one."""
+    source, target = toy_data
+    name, hit = _STEP_OBJECTIVES[step]
+    real = getattr(losses, name)
+
+    def poisoned(*args, **kwargs):
+        got = real(*args, **kwargs)
+        if not hit(args, kwargs):
+            return got
+        if bad == "value":
+            return got._replace(value=math.nan,
+                                per_sample=np.full_like(got.per_sample, np.nan))
+        return got._replace(dp=np.full_like(got.dp, np.nan))
+
+    monkeypatch.setattr(losses, name, poisoned)
+    models, blobs = [], []
+    real_init = trainer.init_model
+
+    def capture(*args, **kwargs):
+        models.append(real_init(*args, **kwargs))
+        blobs.append(models[0].parameters_blob())
+        return models[0]
+
+    monkeypatch.setattr(trainer, "init_model", capture)
+    with pytest.raises(NonFiniteLossError) as err:
+        train(source, target, TrainConfig(**SHORT),
+              step_hook=lambda s, e, model: blobs.append(model.parameters_blob()))
+    assert (err.value.step, err.value.epoch) == (step, 0)
+    assert err.value.layer == (None if bad == "value" else _FIRST_BAD_LAYER[step])
+    assert models[0].parameters_blob() == blobs[-1]
+    assert np.isfinite(models[0].params).all()
 
 
 def test_source_only_uses_whole_batch():
@@ -310,7 +361,7 @@ def test_step_b_reports_the_capped_objective():
     pt1, pt2, _ = forward(model, x_t)
     c = crs_rows(pt1, pt2)
     cap = float(np.median(c))
-    expect = (losses.source(ps1, ps2, y_s, 0.1).value
+    expect = (losses.source(np.stack([ps1, ps2]), y_s, 0.1).value
               - float(np.minimum(c, cap).mean()))
-    got = step_b(model, x_s, y_s, x_t, plan, SgdConfig(0.01), cap=cap, weight=0.2)
+    got, _ = step_b(model, x_s, y_s, x_t, plan, SgdConfig(0.01), cap=cap, weight=0.2)
     assert got == expect
