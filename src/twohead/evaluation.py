@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ClassRole, DomainDataset
-from .errors import ConfigError, NumericError, UsageError
+from .errors import ConfigError, DataError, NumericError, UsageError
 from .losses import crs_rows
 from .nn import TwoHeadModel, forward
 
@@ -84,7 +84,9 @@ class EvalReport:
 
 def evaluate(model: TwoHeadModel, target: DomainDataset, delta: float) -> EvalReport:
     """Per-class recall over the common classes plus one unified unknown
-    class, averaged with equal weight across those |C|+1 entries."""
+    class, averaged with equal weight across those |C|+1 entries.  A
+    target with no common-class sample has no common accuracy and raises
+    DataError."""
     preds, l_crs = predict(model, target.features, delta)
     roles = target.class_roles
     true = target.true_labels
@@ -94,6 +96,9 @@ def evaluate(model: TwoHeadModel, target: DomainDataset, delta: float) -> EvalRe
         mask = true == cls
         if mask.any():
             per_class[cls] = float((preds[mask] == cls).mean())
+    if not per_class:
+        raise DataError("target has no sample of a common class: common accuracy "
+                        "is undefined")
 
     private_mask = np.array([roles[t] is ClassRole.TARGET_PRIVATE for t in true])
     if private_mask.any():
@@ -115,16 +120,22 @@ def evaluate(model: TwoHeadModel, target: DomainDataset, delta: float) -> EvalRe
 
 
 def _attach_density_curves(report: EvalReport, points: int = 256) -> None:
+    """KDE curves of the common and private divergences on one grid: the
+    sorted union of a ``points``-point grid per group spanning that group
+    +- 5 of its own bandwidths, so each curve is resolved on its own scale
+    however narrow it is next to the other."""
     groups = {"common": report.common_divergences,
               "private": report.private_divergences}
     usable = {k: v for k, v in groups.items()
               if v.size >= 2 and float(np.std(v, ddof=1)) > 0.0}
     if not usable:
         return
-    h = max(scott_bandwidth(v) for v in usable.values())
-    lo = min(float(v.min()) for v in usable.values()) - 5.0 * h
-    hi = max(float(v.max()) for v in usable.values()) + 5.0 * h
-    grid = np.linspace(lo, hi, points)
+
+    def own_grid(v: np.ndarray) -> np.ndarray:
+        h = scott_bandwidth(v)
+        return np.linspace(float(v.min()) - 5.0 * h, float(v.max()) + 5.0 * h, points)
+
+    grid = np.unique(np.concatenate([own_grid(v) for v in usable.values()]))
     for name, v in usable.items():
         report.density_curves[name] = (grid, divergence_density(v, grid))
 

@@ -83,6 +83,19 @@ class SeparationParams:
         if self.margin < 0:
             raise ConfigError(f"margin must be >= 0, got {self.margin}")
 
+    # The divergence-raising flows (A-2's hinge, B's target term) saturate
+    # once a sample is rejected with a full extra margin; keeps the
+    # mini-max game off the probability clamp.
+    @property
+    def reach(self) -> float:
+        """Distance from delta at which the A-2 hinge saturates."""
+        return 2.0 * self.margin
+
+    @property
+    def cap(self) -> float:
+        """Per-sample crs past which B's target term stops pushing."""
+        return self.delta + self.reach
+
 
 class MethodVariant(Enum):
     FULL = "full"

@@ -450,15 +450,24 @@ def save_model_csv(model: TwoHeadModel, path) -> None:
 def load_model_csv(path) -> TwoHeadModel:
     """Rebuild a model from ``save_model_csv`` output.  Layer roles and
     activations are implied by the layer names and positions.  Each layer
-    must list every weight and bias cell of its shape exactly once, each
-    layer's input width must match the previous layer's output width, and
-    the two heads must have the same shapes, since they share one stacked
-    buffer.  A file that breaks any of these raises ConfigError."""
+    must list every weight and bias cell of its shape exactly once with an
+    integral row and column and a finite value, each layer's input width
+    must match the previous layer's output width, and the two heads must
+    have the same shapes, since they share one stacked buffer.  A file
+    that breaks any of these raises ConfigError."""
     entries: dict[str, dict[tuple[int, int], float]] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            entries.setdefault(row["layer"], {})[(int(row["row"]), int(row["col"]))] = float(row["value"])
+        for row in csv.DictReader(fh):
+            try:
+                key, value = (int(row["row"]), int(row["col"])), float(row["value"])
+                if not math.isfinite(value):
+                    raise ValueError
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"model file layer '{row['layer']}' cell ({row['row']}, {row['col']}) "
+                    f"= {row['value']!r}: expected an integral row and column and a "
+                    f"finite value") from None
+            entries.setdefault(row["layer"], {})[key] = value
 
     def shape_table(prefix: str) -> tuple[list[str], list[int]]:
         names = sorted((n for n in entries if n.startswith(prefix + ".")),

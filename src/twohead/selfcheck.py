@@ -83,7 +83,7 @@ def _grad_objectives(num_classes: int, n_samples: int, seed: int):
         return src.value + tgt.value, np.concatenate([src.dp, tgt.dp], axis=1)
 
     def discriminator_capped(p):
-        return discriminator(p, cap=sep.delta + 2.0 * sep.margin)
+        return discriminator(p, cap=sep.cap)
 
     def alignment(p):
         rows = np.arange(0, p.shape[1], 2)  # fixed detected-common subset
@@ -98,7 +98,7 @@ def _grad_objectives(num_classes: int, n_samples: int, seed: int):
               ("separation-kl", separation(ent_sign=-1.0)),
               ("separation-crs-only", separation(use_ent=False)),
               ("separation-ent-only", separation(use_crs=False)),
-              ("separation-saturated", separation(reach=2.0 * sep.margin)),
+              ("separation-saturated", separation(reach=sep.reach)),
               ("separation-off", separation_off)]
     mixed = [("discriminator", discriminator),
              ("discriminator-capped", discriminator_capped),
@@ -113,7 +113,7 @@ def _hinge_gap(p1, p2, sep: SeparationParams) -> float:
     vals = np.concatenate([losses.crs_rows(p1, p2), losses.ent_rows(p1, p2)])
     dist = np.abs(vals - sep.delta)
     gap_band = np.abs(dist - sep.margin).min()
-    gap_reach = np.abs(dist - 2.0 * sep.margin).min()
+    gap_reach = np.abs(dist - sep.reach).min()
     return float(min(gap_band, gap_reach))
 
 

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+import operator
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -48,8 +48,6 @@ from .rng import derive_seed
 
 HIDDEN_WIDTH = 32
 N_HIDDEN_LAYERS = 3
-
-StepHook = Callable[[str, int, TwoHeadModel], None]
 
 
 @dataclass
@@ -100,6 +98,9 @@ class TrainConfig:
 
 @dataclass
 class TraceRow:
+    """One batch step of training; its fields are the columns of
+    ``loss_trace.csv``, in order."""
+
     epoch: int
     step: int
     loss_sup: float
@@ -113,21 +114,22 @@ class TraceRow:
 @dataclass
 class TrainState:
     model: TwoHeadModel
-    config: TrainConfig
     delta: float
-    step_counter: int = 0
     trace: list[TraceRow] = field(default_factory=list)
-    step_log: list[str] = field(default_factory=list)
+
+    @property
+    def step_counter(self) -> int:
+        """Batch steps completed: one trace row each."""
+        return len(self.trace)
 
     def trace_to_csv(self, path) -> None:
+        # csv writes ints with str and floats with repr; attrgetter, unlike
+        # dataclasses.astuple, does not deep-copy every field
+        columns = [f.name for f in fields(TraceRow)]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["epoch", "step", "loss_sup", "loss_skld", "loss_sep",
-                             "loss_b", "loss_c", "clean_fraction_selected"])
-            for r in self.trace:
-                writer.writerow([r.epoch, r.step, repr(r.loss_sup), repr(r.loss_skld),
-                                 repr(r.loss_sep), repr(r.loss_b), repr(r.loss_c),
-                                 repr(r.clean_fraction_selected)])
+            writer.writerow(columns)
+            writer.writerows(map(operator.attrgetter(*columns), self.trace))
 
 
 def _check_finite(value: float, step: str, epoch: int) -> None:
@@ -232,8 +234,7 @@ def step_c(model: TwoHeadModel, x_t: np.ndarray, sep: SeparationParams,
     return out
 
 
-def train(source: DomainDataset, target: DomainDataset, config: TrainConfig,
-          step_hook: StepHook | None = None) -> TrainState:
+def train(source: DomainDataset, target: DomainDataset, config: TrainConfig) -> TrainState:
     """Run the full procedure; deterministic given (datasets, config)."""
     if source.features.shape[1] != target.features.shape[1]:
         raise ConfigError("source and target feature dimensions differ")
@@ -246,32 +247,28 @@ def train(source: DomainDataset, target: DomainDataset, config: TrainConfig,
             raise ConfigError(
                 f"{name} has {len(dataset)} rows, fewer than batch_size "
                 f"{config.batch_size}: no training step would run")
+    n_src, n_tgt = len(source) // config.batch_size, len(target) // config.batch_size
+    if n_src != n_tgt:
+        raise ConfigError(
+            f"source gives {n_src} batches per epoch and target {n_tgt}: "
+            f"each batch step pairs one of each, so the surplus would never train")
 
     n_classes = source.num_model_classes
     if n_classes < 2:
         raise ConfigError(f"need >= 2 source classes, got {n_classes}")
     delta = config.resolved_delta(n_classes)
     sep = SeparationParams(delta=delta, margin=config.margin)
-    # divergence-raising flows saturate once a sample is rejected with a
-    # full extra margin; keeps the mini-max game off the probability clamp
-    push_reach = 2.0 * config.margin
-    push_cap = delta + 2.0 * config.margin
     plan = losses.variant_losses(config.variant, config.alpha, config.lam)
     sgd = SgdConfig(learning_rate=config.learning_rate, momentum=config.momentum,
                     weight_decay=config.weight_decay)
 
     widths = [source.features.shape[1]] + [HIDDEN_WIDTH] * N_HIDDEN_LAYERS
     model = init_model(widths, n_classes, derive_seed(config.seed, "model"))
-    state = TrainState(model=model, config=config, delta=delta)
+    state = TrainState(model=model, delta=delta)
 
     seed_src = derive_seed(config.seed, "batch-source")
     seed_tgt = derive_seed(config.seed, "batch-target")
     clean = source.observed_labels == source.true_labels
-
-    def fire(step_name: str, epoch: int):
-        state.step_log.append(step_name)
-        if step_hook is not None:
-            step_hook(step_name, epoch, model)
 
     for epoch in range(config.epochs):
         src_batches = minibatches(source, config.batch_size, seed_src, epoch)
@@ -282,30 +279,24 @@ def train(source: DomainDataset, target: DomainDataset, config: TrainConfig,
             x_t = target.features[tgt_idx]
 
             a1 = step_a1(model, x_s, y_s, plan, sgd, epoch=epoch)
-            fire("A-1", epoch)
 
             # a forward cache of x_t that is still valid: A-2's when A-2
             # left the model unchanged, then B's, whose generator C reuses
             reuse = None
             loss_sep = 0.0
             if plan.sep_enabled:
-                loss_sep, reuse = step_a2(model, x_t, sep, plan, sgd, reach=push_reach,
+                loss_sep, reuse = step_a2(model, x_t, sep, plan, sgd, reach=sep.reach,
                                           weight=config.minimax_weight, epoch=epoch)
-                fire("A-2", epoch)
 
             loss_b = 0.0
             loss_c = 0.0
             if plan.minimax:
                 loss_b, reuse = step_b(model, x_s[a1.rows], y_s[a1.rows],
-                                       x_t, plan, sgd, cap=push_cap,
+                                       x_t, plan, sgd, cap=sep.cap,
                                        weight=config.minimax_weight,
                                        reuse=reuse, epoch=epoch)
-                fire("B", epoch)
-
                 c_values = step_c(model, x_t, sep, sgd, config.n_inner,
                                   reuse=reuse, epoch=epoch)
-                for _ in c_values:
-                    fire("C", epoch)
                 loss_c = float(np.mean(c_values)) if c_values else 0.0
 
             clean_frac = float(clean[src_idx][a1.rows].mean())
@@ -314,5 +305,4 @@ def train(source: DomainDataset, target: DomainDataset, config: TrainConfig,
                 loss_sup=a1.sup, loss_skld=a1.skld, loss_sep=loss_sep,
                 loss_b=loss_b, loss_c=loss_c,
                 clean_fraction_selected=clean_frac))
-            state.step_counter += 1
     return state

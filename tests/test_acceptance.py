@@ -118,7 +118,7 @@ def test_c7_divergence_separation(reference_run):
           f"{mean_private:.3f} (mode {mode_private:.3f})")
 
 
-def test_c8_freezing_and_determinism(toy_data, reference_run, tmp_path):
+def test_c8_freezing_and_determinism(toy_data, reference_run, observe_steps, tmp_path):
     source, target = toy_data
     t0 = time.perf_counter()
 
@@ -130,7 +130,7 @@ def test_c8_freezing_and_determinism(toy_data, reference_run, tmp_path):
     counts = {"B": 0, "C": 0, "gen_drift": 0, "head_drift": 0}
     prev = {}
 
-    def hook(step, epoch, model):
+    def record(step, epoch, model):
         gen = _blob(model.generator)
         heads = _blob(model.head1 + model.head2)
         if prev:
@@ -144,7 +144,8 @@ def test_c8_freezing_and_determinism(toy_data, reference_run, tmp_path):
                     counts["head_drift"] += 1
         prev["gen"], prev["heads"] = gen, heads
 
-    instrumented = train(source, target, TrainConfig(seed=7), step_hook=hook)
+    observe_steps(record)
+    instrumented = train(source, target, TrainConfig(seed=7))
     assert counts["B"] > 0 and counts["C"] > 0
     assert counts["gen_drift"] == 0, f"generator drifted in {counts['gen_drift']} B-updates"
     assert counts["head_drift"] == 0, f"heads drifted in {counts['head_drift']} C-updates"

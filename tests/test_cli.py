@@ -214,6 +214,24 @@ def test_grid_rejects_model_with_missing_cell(tmp_path, capsys, drop):
     assert drop.split(",")[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+@pytest.mark.parametrize("cell", ["gen.1,3,4,", "head2.2,1,-1,"])
+def test_grid_rejects_model_with_bad_cell(tmp_path, capsys, cell, value):
+    """A non-numeric weight or bias would raise a bare ValueError, and a
+    NaN or Inf one would load and render a grid of NaN crs."""
+    path = _saved_model(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    edited = [cell + value + "\n" if ln.startswith(cell) else ln for ln in lines]
+    assert edited != lines
+    path.write_text("".join(edited))
+    gout = tmp_path / "grid"
+    rc = main(["grid", "--model", str(path), "--out", str(gout), "--resolution", "5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert cell.split(",")[0] in err and value in err
+    assert not (gout / "boundary.csv").exists()
+
+
 def test_selftest_passes():
     assert main(["selftest"]) == 0
 

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from twohead import (ConfigError, NumericError, UNKNOWN, UsageError, boundary_grid,
+from twohead import (ConfigError, DataError, NumericError, UNKNOWN, UsageError, boundary_grid,
                      divergence_density, evaluate, evaluation, forward, init_model,
                      predict, scott_bandwidth)
-from twohead.evaluation import density_to_csv, write_boundary_svg
+from twohead.evaluation import EvalReport, density_to_csv, write_boundary_svg
 from twohead.losses import crs_rows
 from twohead.rng import make_rng
 
@@ -90,6 +90,18 @@ def test_evaluate_without_private_warns(toy_data):
     with pytest.warns(UserWarning):
         report = evaluate(m, common_only, delta=math.log(3))
     assert set(report.per_class_accuracy) == {0, 1}
+
+
+def test_evaluate_without_common_samples_raises(toy_data):
+    """Without a common-class sample the common accuracy would be the
+    NaN mean of no recalls."""
+    _, target = toy_data
+    keep = target.true_labels == 3
+    private_only = dataclasses.replace(
+        target, features=target.features[keep], true_labels=target.true_labels[keep])
+    m = _agreeing(init_model([2, 8, 8, 8], 3, seed=1))
+    with pytest.raises(DataError, match="common"):
+        evaluate(m, private_only, delta=math.log(3))
 
 
 def test_scott_bandwidth_frozen_value():
@@ -256,6 +268,28 @@ def test_boundary_writers_match_per_cell_reference(tmp_path):
                          f'height="{cell:.2f}" fill="{color}"/>')
     lines = svg_path.read_text().split("\n")
     assert lines[1:-1] == rects
+
+
+def test_density_csv_resolves_a_narrow_curve_next_to_a_wide_one(tmp_path):
+    """A group whose bandwidth is far below the spacing a grid spanning
+    both groups would have still integrates to 1 by the trapezoid rule."""
+    rng = make_rng(0, "narrow-wide")
+    common = rng.normal(size=600) * 0.02 + 0.3    # bandwidth ~0.006
+    private = rng.normal(size=300) * 2.5 + 6.0    # bandwidth ~0.78
+    report = EvalReport(per_class_accuracy={}, average_accuracy=0.0,
+                        common_divergences=common, private_divergences=private)
+    evaluation._attach_density_curves(report)
+    path = tmp_path / "density.csv"
+    density_to_csv(report, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["x", "pdf_common", "pdf_private"]
+    assert len(rows) <= 512
+    x = np.array([float(r["x"]) for r in rows])
+    assert (np.diff(x) > 0).all()
+    for col in ("pdf_common", "pdf_private"):
+        pdf = np.array([float(r[col]) for r in rows])
+        assert abs(np.trapezoid(pdf, x) - 1.0) <= 1e-3, col
 
 
 def test_density_csv(tmp_path, reference_run):

@@ -413,6 +413,40 @@ def test_skld_grad_matches_numeric():
         assert abs(num - d1[0, k]) < 1e-5
 
 
+def test_saturation_reach_and_cap():
+    """The divergence-raising flows saturate one extra margin past the
+    band: the A-2 hinge at 2 margins from delta, B's target crs at
+    delta + 2 margins."""
+    sep = SeparationParams(delta=math.log(3), margin=0.7)
+    assert sep.reach == 2.0 * 0.7
+    assert sep.cap == math.log(3) + 2.0 * 0.7
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), classes=st.integers(2, 6), n=st.integers(1, 16),
+       alpha=st.floats(0.0, 0.9), lam=st.floats(0.0, 2.0))
+def test_objectives_match_the_row_functions(seed, classes, n, alpha, lam):
+    """The objectives compute their per-sample values inline; prediction
+    and the loss-identity check use ``crs_rows``/``skld_rows``.  Both must
+    give the same numbers bit for bit, one-hot rows (clamped logs)
+    included."""
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(classes), size=(2, n))
+    onehot = rng.random((2, n)) < 0.3
+    p[onehot] = np.eye(classes)[rng.integers(0, classes, size=int(onehot.sum()))]
+    labels = rng.integers(0, classes, size=n)
+
+    c = crs_rows(p[0], p[1])
+    assert losses.crs(p).per_sample.tobytes() == c.tobytes()
+    # a threshold at one row's own crs: strictly below excludes that row
+    t = c[rng.integers(n)]
+    assert losses.crs(p, below=t).rows.tolist() == np.flatnonzero(c < t).tolist()
+
+    src = losses.source(p, labels, lam, alpha)
+    k = len(src.rows)
+    assert src.skld == float(skld_rows(p[0], p[1])[src.rows].sum() / k)
+
+
 # --- every objective's gradient against central differences of its value ---
 
 KINK_GAP = 1e-3
@@ -420,8 +454,7 @@ FD_STEP = 1e-6
 
 
 def _objective_cases(labels, sep):
-    reach = 2.0 * sep.margin
-    cap = sep.delta + reach
+    reach, cap = sep.reach, sep.cap
     return {
         "source": (lambda p: losses.source(p, labels, 0.3), ()),
         "source-selected": (lambda p: losses.source(p, labels, 0.3, alpha=0.4), ()),

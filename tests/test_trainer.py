@@ -44,13 +44,12 @@ def test_train_config_validation():
         TrainConfig(batch_size=1)
 
 
-def _hooked_iterations(source, target, config):
-    """Train with a hook recording (step, model.version) and split the
-    records into batch iterations, each starting at A-1."""
+def _observed_iterations(observe_steps, source, target, config):
+    """Train recording (step, model.version) after every step and split
+    the records into batch iterations, each starting at A-1."""
     events = []
-    state = train(source, target, config,
-                  step_hook=lambda step, epoch, model: events.append((step, model.version)))
-    assert state.step_log == [step for step, _ in events]
+    observe_steps(lambda step, epoch, model: events.append((step, model.version)))
+    state = train(source, target, config)
     iterations = []
     for event in events:
         if event[0] == "A-1":
@@ -63,9 +62,9 @@ def _hooked_iterations(source, target, config):
 def _check_c_counts(iterations, prefix):
     """Each iteration is ``prefix`` then one C entry per generator update
     that C applied.  Every SGD step bumps the model version and the C
-    hooks fire after the last C update, so the C updates of an iteration
-    are the version change from the hook of its last prefix step to its
-    last hook.  Returns the C count per iteration."""
+    records are made after the last C update, so the C updates of an
+    iteration are the version change from the record of its last prefix
+    step to its last record.  Returns the C count per iteration."""
     counts = []
     for it in iterations:
         steps = [step for step, _ in it]
@@ -77,9 +76,9 @@ def _check_c_counts(iterations, prefix):
     return counts
 
 
-def test_step_ordering_full(toy_data):
+def test_step_ordering_full(toy_data, observe_steps):
     source, target = toy_data
-    iterations = _hooked_iterations(source, target, TrainConfig(**SHORT))
+    iterations = _observed_iterations(observe_steps, source, target, TrainConfig(**SHORT))
     assert len(iterations) == 2 * (900 // 64)
     counts = _check_c_counts(iterations, ["A-1", "A-2", "B"])
     assert sum(counts) > 0
@@ -90,26 +89,28 @@ def test_step_ordering_full(toy_data):
     (MethodVariant.NO_MINIMAX, ["A-1", "A-2"]),
     (MethodVariant.NO_SEP, ["A-1", "B"]),
 ])
-def test_step_ordering_variants(toy_data, variant, expected):
+def test_step_ordering_variants(toy_data, observe_steps, variant, expected):
     source, target = toy_data
-    iterations = _hooked_iterations(source, target, TrainConfig(variant=variant, **SHORT))
+    iterations = _observed_iterations(observe_steps, source, target,
+                                      TrainConfig(variant=variant, **SHORT))
     counts = _check_c_counts(iterations, expected)
     assert (sum(counts) > 0) == (variant is MethodVariant.NO_SEP)
 
 
-def test_scope_enforcement_instrumented(toy_data):
-    """The hook fires after every step, so comparing each post-B snapshot
-    with the preceding one proves B never moves the generator (and C never
-    moves the heads)."""
+def test_scope_enforcement_instrumented(toy_data, observe_steps):
+    """A snapshot is taken after every step, so comparing each post-B
+    snapshot with the preceding one proves B never moves the generator
+    (and C never moves the heads)."""
     source, target = toy_data
     log, gen_snaps, head_snaps = [], [], []
 
-    def hook(step, epoch, model):
+    def record(step, epoch, model):
         log.append(step)
         gen_snaps.append(_blob(model.generator))
         head_snaps.append(_blob(model.head1 + model.head2))
 
-    train(source, target, TrainConfig(**SHORT), step_hook=hook)
+    observe_steps(record)
+    train(source, target, TrainConfig(**SHORT))
     b_steps = c_steps = 0
     for i, step in enumerate(log):
         if i == 0:
@@ -260,7 +261,8 @@ _FIRST_BAD_LAYER = {"A-1": "gen.0", "A-2": "gen.0", "B": "head1.0", "C": "gen.0"
 
 @pytest.mark.parametrize("bad", ["value", "gradient"])
 @pytest.mark.parametrize("step", ["A-1", "A-2", "B", "C"])
-def test_nonfinite_objective_raises_before_the_update(toy_data, monkeypatch, step, bad):
+def test_nonfinite_objective_raises_before_the_update(toy_data, monkeypatch, observe_steps,
+                                                     step, bad):
     """A NaN objective value or gradient raises NonFiniteLossError before
     its step's update: the parameters are those the last completed step
     left.  A bad gradient names the first layer that holds one."""
@@ -287,9 +289,9 @@ def test_nonfinite_objective_raises_before_the_update(toy_data, monkeypatch, ste
         return models[0]
 
     monkeypatch.setattr(trainer, "init_model", capture)
+    observe_steps(lambda s, e, model: blobs.append(model.parameters_blob()))
     with pytest.raises(NonFiniteLossError) as err:
-        train(source, target, TrainConfig(**SHORT),
-              step_hook=lambda s, e, model: blobs.append(model.parameters_blob()))
+        train(source, target, TrainConfig(**SHORT))
     assert (err.value.step, err.value.epoch) == (step, 0)
     assert err.value.layer == (None if bad == "value" else _FIRST_BAD_LAYER[step])
     assert models[0].parameters_blob() == blobs[-1]
@@ -317,16 +319,16 @@ def test_full_variant_selects_subset():
 
 
 @pytest.mark.parametrize("side", ["source", "target"])
-def test_train_rejects_nonfinite_features_before_any_step(toy_data, side):
+def test_train_rejects_nonfinite_features_before_any_step(toy_data, observe_steps, side):
     source, target = toy_data
     data = {"source": source, "target": target}
     features = data[side].features.copy()
     features[5, 1] = np.nan
     data[side] = dataclasses.replace(data[side], features=features)
     steps = []
+    observe_steps(lambda step, epoch, model: steps.append(step))
     with pytest.raises(NumericError, match=side):
-        train(data["source"], data["target"], TrainConfig(**SHORT),
-              step_hook=lambda step, epoch, model: steps.append(step))
+        train(data["source"], data["target"], TrainConfig(**SHORT))
     assert steps == []
 
 
@@ -337,16 +339,32 @@ def test_train_rejects_mismatched_dims(toy_data):
         train(source, bad, TrainConfig(**SHORT))
 
 
+def _first_rows(dataset, n):
+    obs = dataset.observed_labels
+    return dataclasses.replace(
+        dataset, features=dataset.features[:n], true_labels=dataset.true_labels[:n],
+        observed_labels=None if obs is None else obs[:n])
+
+
 @pytest.mark.parametrize("side", ["source", "target"])
 def test_train_rejects_domain_smaller_than_a_batch(toy_data, side):
     source, target = toy_data
     data = {"source": source, "target": target}
-    d = data[side]
-    data[side] = dataclasses.replace(
-        d, features=d.features[:63], true_labels=d.true_labels[:63],
-        observed_labels=None if d.observed_labels is None else d.observed_labels[:63])
+    data[side] = _first_rows(data[side], 63)
     with pytest.raises(ConfigError, match=side):
         train(data["source"], data["target"], TrainConfig(**SHORT))
+
+
+def test_train_rejects_domains_with_different_batch_counts(toy_data):
+    """640 source rows give 10 batches per epoch and the 900 target rows
+    14: pairing them would never train on 4 of the target batches."""
+    source, target = toy_data
+    with pytest.raises(ConfigError, match=r"source gives 10 .* target 14"):
+        train(_first_rows(source, 640), target, TrainConfig(**SHORT))
+    # each epoch drops the rows past the last whole batch anyway, so
+    # domains of different sizes with equal batch counts still train
+    state = train(_first_rows(source, 14 * 64), target, TrainConfig(epochs=1, seed=7))
+    assert state.step_counter == 900 // 64
 
 
 def test_step_b_reports_the_capped_objective():
