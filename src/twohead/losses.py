@@ -18,8 +18,17 @@ Each training objective is one function that takes the model's stacked
 safe inverses of both heads at once, and returns an ``Objective``: the
 batch value, the per-sample values and one (2, N, C) gradient ``dp`` that
 ``nn.backward`` takes as it is, from the same pass.  Cross terms pair each
-head with the other through ``x[::-1]``.  Batch means are ``x.sum() / n``,
-bit-identical to ``x.mean()`` without numpy's Python-level wrapper.
+head with the other through ``_other``.  Batch means are ``x.sum() / n``
+over the row axis, bit-identical to ``x.mean()`` without numpy's
+Python-level wrapper.
+
+The objectives also take (..., 2, N, C) stacks, such as the (M, 2, N, C)
+probabilities of a model with M members, and then return one value per
+member (an array of shape (...)) and per-sample values and ``dp`` with the
+same leading axes, each bit for bit what the member alone gives.  All
+members share one row set, so an objective that picks rows per member
+(small-loss selection with alpha > 0, crs with a finite ``below``) raises
+UsageError on a stack.
 
 * ``source``: supervised loss plus lam * skld on the small-loss subset
   (A-1; B's source term).
@@ -56,9 +65,29 @@ def _safe_inv(p: np.ndarray) -> np.ndarray:
 
 def _check_stack(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 3 or p.shape[0] != 2:
-        raise DimensionError(f"probabilities must be a (2, N, C) head pair, got {p.shape}")
+    if p.ndim < 3 or p.shape[-3] != 2 or p.shape[-1] < 2:
+        raise DimensionError(f"probabilities must be (..., 2, N, C) head pairs over "
+                             f"C >= 2 classes, got {p.shape}")
     return p
+
+
+def _other(x: np.ndarray) -> np.ndarray:
+    """The other head's entry of a (..., 2, N, C) pair: head 2's, head 1's."""
+    return x[..., ::-1, :, :]
+
+
+def _mean(per: np.ndarray, rows, k: int) -> float | np.ndarray:
+    """Mean of ``per`` over ``rows`` of its last axis: a float for one
+    pair, one value per member for a stack."""
+    if per.ndim == 1:
+        return float(per[rows].sum() / k)
+    return per[..., rows].sum(axis=-1) / k
+
+
+def _one_row_set(p: np.ndarray, what: str) -> None:
+    if p.ndim > 3:
+        raise UsageError(f"{what} picks rows per member; a (..., 2, N, C) stack "
+                         f"needs one row set for all members")
 
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -113,9 +142,9 @@ class Objective(NamedTuple):
     """One objective on a batch: ``value`` is the mean of ``per_sample``
     over ``rows`` (times the objective's weight, if it has one), and
     ``dp`` is d(value)/dp for the stacked (2, N, C) head pair, zero
-    outside ``rows``."""
+    outside ``rows``.  On a stack, ``value`` has one entry per member."""
 
-    value: float
+    value: float | np.ndarray
     per_sample: np.ndarray
     dp: np.ndarray
     rows: np.ndarray
@@ -126,12 +155,12 @@ class SourceObjective(NamedTuple):
     small-loss subset, plus the means over those rows of its supervised
     term (``sup``) and of the agreement divergence (``skld``)."""
 
-    value: float
+    value: float | np.ndarray
     per_sample: np.ndarray
     dp: np.ndarray
     rows: np.ndarray
-    sup: float
-    skld: float
+    sup: float | np.ndarray
+    skld: float | np.ndarray
 
 
 # --- per-sample divergences ---------------------------------------------------
@@ -181,35 +210,43 @@ def source(p: np.ndarray, labels: np.ndarray, lam: float,
     """Joint source loss on the (2, N, C) head pair: cross-entropy of both
     heads against the observed labels plus ``lam`` times the agreement
     divergence, averaged over the small-loss subset of its own per-sample
-    values that drops the ``alpha`` fraction (alpha = 0 keeps every row)."""
+    values that drops the ``alpha`` fraction (alpha = 0 keeps every row).
+    A (..., 2, N, C) stack takes alpha = 0 only."""
     if lam < 0:
         raise ConfigError(f"lambda must be >= 0, got {lam}")
     p = _check_stack(p)
-    n = p.shape[1]
-    labels = _check_labels(labels, p.shape[2])
+    n = p.shape[-2]
+    labels = _check_labels(labels, p.shape[-1])
     logs, inv = _clamped_log(p), _safe_inv(p)
     idx = np.arange(n)
-    picked = logs[:, idx, labels]
-    sup = -(picked[0] + picked[1])
-    kl = (p * (logs - logs[::-1])).sum(axis=2)   # KL(p1||p2), KL(p2||p1)
-    agreement = kl[0] + kl[1]
+    # the gather puts its row axis outermost in memory; made row-major, a
+    # stack's sums over rows add in the order one pair's do
+    picked = np.ascontiguousarray(logs[..., idx, labels])
+    sup = -(picked[..., 0, :] + picked[..., 1, :])
+    log_ratio = logs - _other(logs)
+    kl = (p * log_ratio).sum(axis=-1)   # KL(p1||p2), KL(p2||p1)
+    agreement = kl[..., 0, :] + kl[..., 1, :]
     per = sup + lam * agreement
-    rows = small_loss_select(per, alpha)
+    # selection checks alpha and n; with alpha = 0 it keeps every row, for
+    # every member of a stack alike
+    rows = small_loss_select(per[(0,) * (per.ndim - 1)], alpha)
+    if alpha:
+        _one_row_set(p, "small-loss selection with alpha > 0")
     k = len(rows)
 
     d = np.zeros_like(p)
-    d[:, idx, labels] = -inv[:, idx, labels]
+    d[..., idx, labels] = -inv[..., idx, labels]
     if lam != 0.0:
-        d += lam * (logs - logs[::-1] + (p - p[::-1]) * inv)
+        d += lam * (log_ratio + (p - _other(p)) * inv)
     if k == n:
         kept = slice(None)
         d /= n
     else:
         kept = rows
         d_all, d = d, np.zeros_like(p)
-        d[:, rows] = d_all[:, rows] / k
-    return SourceObjective(float(per[kept].sum() / k), per, d, rows,
-                           float(sup[kept].sum() / k), float(agreement[kept].sum() / k))
+        d[..., rows, :] = d_all[..., rows, :] / k
+    return SourceObjective(_mean(per, kept, k), per, d, rows,
+                           _mean(sup, kept, k), _mean(agreement, kept, k))
 
 
 def _hinge(values: np.ndarray, params: SeparationParams,
@@ -239,21 +276,24 @@ def separation(p: np.ndarray, params: SeparationParams,
     from the probability clamp).
     """
     p = _check_stack(p)
-    n = p.shape[1]
+    n = p.shape[-2]
     logs, inv = _clamped_log(p), _safe_inv(p)
-    per = np.zeros(n)
+    per = np.zeros(p.shape[:-3] + (n,))
     dp = np.zeros_like(p)
     if use_crs:
-        cross = p * logs[::-1]                   # p1 log p2, p2 log p1
-        value, slope = _hinge(-(cross[0] + cross[1]).sum(axis=1), params, reach)
+        other_logs = _other(logs)
+        cross = p * other_logs                   # p1 log p2, p2 log p1
+        value, slope = _hinge(-(cross[..., 0, :, :] + cross[..., 1, :, :]).sum(axis=-1),
+                              params, reach)
         per += value
-        dp += slope[:, None] / n * (-logs[::-1] - p[::-1] * inv)
+        dp += slope[..., None, :, None] / n * (-other_logs - _other(p) * inv)
     if use_ent:
         own = p * logs
-        value, slope = _hinge(-(own[0] + own[1]).sum(axis=1), params, reach)
+        value, slope = _hinge(-(own[..., 0, :, :] + own[..., 1, :, :]).sum(axis=-1),
+                              params, reach)
         per += ent_sign * value
-        dp += ent_sign * slope[:, None] / n * (-logs - p * inv)
-    return Objective(float(per.sum() / n), per, dp, np.arange(n))
+        dp += ent_sign * slope[..., None, :, None] / n * (-logs - p * inv)
+    return Objective(_mean(per, slice(None), n), per, dp, np.arange(n))
 
 
 def crs(p: np.ndarray, weight: float = 1.0,
@@ -263,29 +303,32 @@ def crs(p: np.ndarray, weight: float = 1.0,
 
     ``rows`` are the samples whose crs is strictly below ``below``: every
     sample by default, or the detected target-common subset with a finite
-    threshold.  An empty subset gives value 0 and zero gradients.  With a
-    finite ``cap`` the per-sample values are min(crs, cap), so rows past the
-    cap carry no gradient (their rejection is decided; pushing further only
-    saturates the heads).
+    threshold, which a (..., 2, N, C) stack does not take.  An empty
+    subset gives value 0 and zero gradients.  With a finite ``cap`` the
+    per-sample values are min(crs, cap), so rows past the cap carry no
+    gradient (their rejection is decided; pushing further only saturates
+    the heads).
     """
     p = _check_stack(p)
-    n = p.shape[1]
-    logs = _clamped_log(p)
-    cross = p * logs[::-1]
-    per = -(cross[0] + cross[1]).sum(axis=1)
+    n = p.shape[-2]
+    if below != math.inf:
+        _one_row_set(p, "crs with a finite 'below'")
+    other_logs = _other(_clamped_log(p))
+    cross = p * other_logs
+    per = -(cross[..., 0, :, :] + cross[..., 1, :, :]).sum(axis=-1)
     live = per < below
-    rows = np.flatnonzero(live)
+    rows = np.flatnonzero(live) if p.ndim == 3 else np.arange(n)
     k = len(rows)
     if not k:
         return Objective(0.0, per, np.zeros_like(p), rows)
-    d = -logs[::-1] - p[::-1] * _safe_inv(p)
+    d = -other_logs - _other(p) * _safe_inv(p)
     if cap is not None:
-        d = d * (per < cap)[:, None]
+        d = d * (per < cap)[..., None, :, None]
         per = np.minimum(per, cap)
     if k == n:
-        return Objective(weight * float(per.sum() / n), per, weight * d / n, rows)
+        return Objective(weight * _mean(per, slice(None), n), per, weight * d / n, rows)
     dp = np.where(live[:, None], weight * d / k, 0.0)
-    return Objective(weight * float(per[rows].sum() / k), per, dp, rows)
+    return Objective(weight * _mean(per, rows, k), per, dp, rows)
 
 
 # --- variant plumbing ----------------------------------------------------------

@@ -15,6 +15,11 @@ generator activations when only the heads have.  ``sgd_step`` bumps
 ``model.version`` on every update and ``model.gen_version`` when the
 generator moves, and a cache with a stale generator or of another batch is
 refused with UsageError.
+
+A model built with ``members=(M,)`` holds M copies of its parameters, and
+``forward``, ``backward`` and ``sgd_step`` run all of them at once, each
+member bit for bit as a model of its own; ``grad_check`` evaluates its
+perturbed models that way.
 """
 
 from __future__ import annotations
@@ -63,9 +68,10 @@ class SgdConfig:
 class DenseLayer:
     """Fully connected layer with weight (out, in), bias (out,) and an
     activation, or a stack of such layers sharing one activation, with
-    weight (k, out, in) and bias (k, out).  The weight, bias, gradient and
-    momentum arrays are views into the owning model's flat buffers, so an
-    in-place edit of any of them edits the model."""
+    weight (k, out, in) and bias (k, out), each behind the model's member
+    axes if it has any.  The weight, bias, gradient and momentum arrays are
+    views into the owning model's flat buffers, so an in-place edit of any
+    of them edits the model."""
 
     def __init__(self, params: tuple[np.ndarray, np.ndarray],
                  grads: tuple[np.ndarray, np.ndarray],
@@ -84,10 +90,13 @@ class DenseLayer:
         return self.weight.shape[-1]
 
     def member(self, k: int) -> DenseLayer:
-        """Layer ``k`` of a stacked layer, as views into the same buffers."""
-        return DenseLayer((self.weight[k], self.bias[k]),
-                          (self.grad_weight[k], self.grad_bias[k]),
-                          (self.vel_weight[k], self.vel_bias[k]), self.activation)
+        """Layer ``k`` of a stacked layer, as views into the same buffers.
+        The stack axis is the one before (out, in), behind any leading
+        member axes."""
+        return DenseLayer((self.weight[..., k, :, :], self.bias[..., k, :]),
+                          (self.grad_weight[..., k, :, :], self.grad_bias[..., k, :]),
+                          (self.vel_weight[..., k, :, :], self.vel_bias[..., k, :]),
+                          self.activation)
 
     def backward(self, x: np.ndarray, z: np.ndarray, dout: np.ndarray,
                  param_grads: bool = True, input_grad: bool = True) -> np.ndarray | None:
@@ -120,10 +129,16 @@ class TwoHeadModel:
     (2, out, in) weight and a (2, out) bias.  ``heads[d]`` is that stacked
     layer; ``head1[d]`` and ``head2[d]`` are its two members.  So the
     generator is ``[0, gen_end)`` of each buffer and the heads are the rest.
+
+    ``members`` is a leading shape for the buffers, ``(M,)`` for M copies
+    of the model's parameters: each buffer is then ``(M, size)``, and the
+    layers' arrays gain the same leading axes, ``(M, out, in)`` for a
+    generator weight and ``(M, 2, out, in)`` for a stacked head weight.
+    ``forward`` runs every member on the same batch at once.
     """
 
     def __init__(self, gen_widths: Sequence[int], head_widths: Sequence[int],
-                 feature_scale: float = FEATURE_SCALE):
+                 feature_scale: float = FEATURE_SCALE, members: tuple[int, ...] = ()):
         if gen_widths[-1] != head_widths[0]:
             raise DimensionError(f"generator output width {gen_widths[-1]} does not "
                                  f"match head input width {head_widths[0]}")
@@ -131,9 +146,9 @@ class TwoHeadModel:
         head_shapes = [(2, head_widths[i + 1], head_widths[i])
                        for i in range(len(head_widths) - 1)]
         size = sum(math.prod(s) + math.prod(s[:-1]) for s in gen_shapes + head_shapes)
-        self.params = np.zeros(size)
-        self.grads = np.zeros(size)
-        self.velocity = np.zeros(size)
+        self.params = np.zeros(members + (size,))
+        self.grads = np.zeros(members + (size,))
+        self.velocity = np.zeros(members + (size,))
         offset = 0
 
         def carve(shape: tuple[int, ...], activation: Activation) -> DenseLayer:
@@ -141,8 +156,9 @@ class TwoHeadModel:
             n_w, n_b = math.prod(shape), math.prod(shape[:-1])
 
             def views(flat):
-                return (flat[offset:offset + n_w].reshape(shape),
-                        flat[offset + n_w:offset + n_w + n_b].reshape(shape[:-1]))
+                return (flat[..., offset:offset + n_w].reshape(members + shape),
+                        flat[..., offset + n_w:offset + n_w + n_b].reshape(
+                            members + shape[:-1]))
 
             layer = DenseLayer(views(self.params), views(self.grads),
                                views(self.velocity), activation)
@@ -156,6 +172,8 @@ class TwoHeadModel:
                       for i, s in enumerate(head_shapes)]
         self.head1 = [layer.member(0) for layer in self.heads]
         self.head2 = [layer.member(1) for layer in self.heads]
+        self.widths = (tuple(gen_widths), tuple(head_widths))
+        self.members = members
         self.num_classes = head_widths[-1]
         self.feature_scale = feature_scale
         # bumped on every parameter update, and gen_version on every update
@@ -199,7 +217,7 @@ class ForwardCache:
     raw_features: np.ndarray
     feat_norms: np.ndarray
     head_io: list[tuple[np.ndarray, np.ndarray]]  # per depth, both heads stacked
-    p: np.ndarray                                 # (2, N, C): p1 and p2
+    p: np.ndarray                                 # (2, N, C): p1 and p2, or (M, 2, N, C)
 
 
 def _glorot(rng, weight: np.ndarray) -> None:
@@ -250,8 +268,9 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 def _run_stack(layers: list[DenseLayer], x: np.ndarray):
     """Run ``layers`` on ``x``; returns the output and (input,
-    pre-activation) per layer.  A stacked layer maps (N, in) or
-    (k, N, in) to (k, N, out)."""
+    pre-activation) per layer.  A layer with leading axes (members, a
+    stack or both) maps (N, in), or an input with matching leading axes,
+    to (..., N, out)."""
     io = []
     for layer in layers:
         z = x @ layer.weight.swapaxes(-1, -2)
@@ -269,6 +288,10 @@ def forward(model: TwoHeadModel, x: np.ndarray, reuse: ForwardCache | None = Non
     that take data from outside (training, prediction, grids) check it
     once at their boundary.
 
+    A model with members (see ``TwoHeadModel``) runs each member on the
+    same (N, in) batch, and ``p`` is (M, 2, N, C); member i is bit for bit
+    the forward of a model holding member i's parameters alone.
+
     ``reuse`` is an earlier cache of the same batch.  Its generator
     activations are taken as they are, and only the heads run again; if
     no parameter has changed since, the cache itself is returned.  The
@@ -285,7 +308,7 @@ def forward(model: TwoHeadModel, x: np.ndarray, reuse: ForwardCache | None = Non
         if x is not seen and not np.array_equal(x, seen):
             raise UsageError("forward cache is for another batch")
         if reuse.version == model.version:
-            return reuse.p[0], reuse.p[1], reuse
+            return reuse.p[..., 0, :, :], reuse.p[..., 1, :, :], reuse
         gen_io, raw, norms = reuse.gen_io, reuse.raw_features, reuse.feat_norms
         feats = reuse.head_io[0][0]
     else:
@@ -294,12 +317,14 @@ def forward(model: TwoHeadModel, x: np.ndarray, reuse: ForwardCache | None = Non
                 f"input must be (N, {model.input_dim}), got {x.shape}"
             )
         raw, gen_io = _run_stack(model.generator, x)
-        norms = np.maximum(np.sqrt((raw * raw).sum(axis=1, keepdims=True)), 1e-12)
+        norms = np.maximum(np.sqrt((raw * raw).sum(axis=-1, keepdims=True)), 1e-12)
         feats = model.feature_scale * raw / norms
+        if model.members:
+            feats = feats[..., None, :, :]   # (M, 1, N, F): both heads read it
     logits, head_io = _run_stack(model.heads, feats)
     p = softmax_rows(logits)
     cache = ForwardCache(model.version, model.gen_version, gen_io, raw, norms, head_io, p)
-    return p[0], p[1], cache
+    return p[..., 0, :, :], p[..., 1, :, :], cache
 
 
 def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
@@ -339,10 +364,10 @@ def backward(model: TwoHeadModel, cache: ForwardCache, dp: np.ndarray,
     dfeat = _stack_backward(model.heads, cache.head_io, dz, to_heads, to_gen)
     if not to_gen:
         return
-    dfeat = dfeat[0] + dfeat[1]
+    dfeat = dfeat[..., 0, :, :] + dfeat[..., 1, :, :]
     # through h -> scale * h / ||h||: project out the radial component
     unit = cache.raw_features / cache.feat_norms
-    radial = (dfeat * unit).sum(axis=1, keepdims=True)
+    radial = (dfeat * unit).sum(axis=-1, keepdims=True)
     draw = model.feature_scale * (dfeat - unit * radial) / cache.feat_norms
     _stack_backward(model.generator, cache.gen_io, draw, True, False)
 
@@ -354,9 +379,9 @@ def sgd_step(model: TwoHeadModel, cfg: SgdConfig, scope: Scope = Scope.ALL) -> N
     afterward.  Bumps ``model.version``, and ``model.gen_version`` when the
     scope includes the generator."""
     s = model.scope_slice(scope)
-    params, vel = model.params[s], model.velocity[s]
+    params, vel = model.params[..., s], model.velocity[..., s]
     vel *= cfg.momentum
-    vel += model.grads[s]
+    vel += model.grads[..., s]
     if cfg.weight_decay:
         vel += cfg.weight_decay * params
     params -= cfg.learning_rate * vel
@@ -368,10 +393,16 @@ def sgd_step(model: TwoHeadModel, cfg: SgdConfig, scope: Scope = Scope.ALL) -> N
 
 # --- gradient verification -------------------------------------------------
 
-LossFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
-# maps the stacked (2, N, C) probabilities p -> (loss value, d loss/d p)
+LossFn = Callable[[np.ndarray], tuple[float | np.ndarray, np.ndarray]]
+# maps stacked probabilities p -> (loss value, d loss/d p).  p is the
+# (2, N, C) pair, or (M, 2, N, C) for a model with M members; the value is
+# then one per member, or a scalar that holds for every member.
 
 _ZERO_GRAD_FLOOR = 1e-6  # below this magnitude, compare absolutely
+# parameter cells per batched forward, two members each; more cells take
+# fewer forwards, but each member holds ~40 KB of activations and loss
+# temporaries on an 8-row batch of the selftest model
+_FD_CELLS = 8
 
 
 @dataclass
@@ -385,50 +416,59 @@ class GradCheckReport:
         self.passed = self.max_rel_error < self.tol
 
 
-def _loss_value(model: TwoHeadModel, loss_fn: LossFn, x: np.ndarray) -> float:
-    _, _, cache = forward(model, x)
-    return loss_fn(cache.p)[0]
-
-
 def grad_check(model: TwoHeadModel, loss_fn: LossFn, x: np.ndarray,
                h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     """Compare analytic gradients against central finite differences for
     every parameter.
 
+    The perturbed models run as the members of one model: each forward
+    holds +h and -h copies for up to ``_FD_CELLS`` cells of one layer's
+    weight or bias, so ``loss_fn`` also sees (M, 2, N, C) probabilities.
+    Each loss value is the one a forward of that single perturbed model
+    gives, bit for bit.
+
     Entries where both gradients are below 1e-6 in magnitude are compared
     absolutely (the relative measure is meaningless at zero); everything
-    else uses |a - n| / max(|a|, |n|).
+    else uses |a - n| / max(|a|, |n|).  The worst entry is the first
+    largest error in ``named_layers`` order; a NaN error (a loss that is
+    not finite) counts as the worst.
     """
     if not 0.0 < h <= 1e-3:
         raise ConfigError(f"h must be in (0, 1e-3], got {h}")
+    if model.members:
+        raise UsageError("grad_check takes a model without members")
 
     model.zero_grads()
     _, _, cache = forward(model, x)
     backward(model, cache, loss_fn(cache.p)[1])
 
+    copies = TwoHeadModel(*model.widths, model.feature_scale, members=(2 * _FD_CELLS,))
     worst = 0.0
     worst_param = ""
-    for name, layer in model.named_layers():
-        for kind, param, grad in (("w", layer.weight, layer.grad_weight),
-                                  ("b", layer.bias, layer.grad_bias)):
-            flat_p = param.reshape(-1)
-            flat_g = grad.reshape(-1)
-            for idx in range(flat_p.size):
-                orig = flat_p[idx]
-                flat_p[idx] = orig + h
-                up = _loss_value(model, loss_fn, x)
-                flat_p[idx] = orig - h
-                down = _loss_value(model, loss_fn, x)
-                flat_p[idx] = orig
-                numeric = (up - down) / (2.0 * h)
-                analytic = flat_g[idx]
-                denom = max(abs(analytic), abs(numeric))
-                err = abs(analytic - numeric)
-                if denom >= _ZERO_GRAD_FLOOR:
-                    err /= denom
-                if err > worst:
-                    worst = err
-                    worst_param = f"{name}.{kind}[{idx}]"
+    for (name, layer), (_, stacked) in zip(model.named_layers(), copies.named_layers()):
+        for kind, param, grad, cells in (("w", layer.weight, layer.grad_weight, stacked.weight),
+                                         ("b", layer.bias, layer.grad_bias, stacked.bias)):
+            orig = param.reshape(-1)
+            numeric = np.empty(orig.size)
+            for start in range(0, orig.size, _FD_CELLS):
+                idx = np.arange(start, min(start + _FD_CELLS, orig.size))
+                k = np.arange(idx.size)
+                cell = np.unravel_index(idx, param.shape)
+                # members k hold orig + h in cell k, members _FD_CELLS + k orig - h
+                copies.params[:] = model.params
+                cells[(k, *cell)] = orig[idx] + h
+                cells[(_FD_CELLS + k, *cell)] = orig[idx] - h
+                value = np.broadcast_to(loss_fn(forward(copies, x)[2].p)[0],
+                                        (2 * _FD_CELLS,))
+                numeric[idx] = (value[k] - value[_FD_CELLS + k]) / (2.0 * h)
+            analytic = grad.reshape(-1)
+            err = np.abs(analytic - numeric)
+            denom = np.maximum(np.abs(analytic), np.abs(numeric))
+            np.divide(err, denom, out=err, where=denom >= _ZERO_GRAD_FLOOR)
+            i = int(np.argmax(err))   # the first largest error, or the first NaN
+            if err[i] > worst or (math.isnan(err[i]) and not math.isnan(worst)):
+                worst = float(err[i])
+                worst_param = f"{name}.{kind}[{i}]"
     model.zero_grads()
     return GradCheckReport(max_rel_error=worst, worst_param=worst_param, tol=tol)
 
@@ -467,7 +507,11 @@ def load_model_csv(path) -> TwoHeadModel:
                     f"model file layer '{row['layer']}' cell ({row['row']}, {row['col']}) "
                     f"= {row['value']!r}: expected an integral row and column and a "
                     f"finite value") from None
-            entries.setdefault(row["layer"], {})[key] = value
+            cells = entries.setdefault(row["layer"], {})
+            if key in cells:
+                raise ConfigError(f"model file layer '{row['layer']}' lists cell "
+                                  f"({row['row']}, {row['col']}) twice")
+            cells[key] = value
 
     def shape_table(prefix: str) -> tuple[list[str], list[int]]:
         names = sorted((n for n in entries if n.startswith(prefix + ".")),

@@ -57,7 +57,8 @@ def _value_and_grad(objective) -> tuple[float, np.ndarray]:
 def _grad_objectives(num_classes: int, n_samples: int, seed: int):
     """Named (loss_fn, batch-layout) closures over the objectives in
     ``losses`` that training applies.  Mixed-batch objectives mark the
-    first ``n_samples`` rows as source and the rest as target."""
+    first ``n_samples`` rows as source and the rest as target.  Each takes
+    the (..., 2, N, C) probabilities ``nn.grad_check`` passes it."""
     rng = make_rng(seed, "gradcheck-labels")
     labels = rng.integers(0, num_classes, size=n_samples)
     sep = SeparationParams(delta=math.log(num_classes), margin=0.35)
@@ -78,18 +79,18 @@ def _grad_objectives(num_classes: int, n_samples: int, seed: int):
     def discriminator(p, cap=None):
         # source rows with the joint loss, target rows entering negatively
         # through their mean (capped) crs, as step B applies them
-        src = losses.source(p[:, :n_samples], labels, lam)
-        tgt = losses.crs(p[:, n_samples:], weight=-1.0, cap=cap)
-        return src.value + tgt.value, np.concatenate([src.dp, tgt.dp], axis=1)
+        src = losses.source(p[..., :n_samples, :], labels, lam)
+        tgt = losses.crs(p[..., n_samples:, :], weight=-1.0, cap=cap)
+        return src.value + tgt.value, np.concatenate([src.dp, tgt.dp], axis=-2)
 
     def discriminator_capped(p):
         return discriminator(p, cap=sep.cap)
 
     def alignment(p):
-        rows = np.arange(0, p.shape[1], 2)  # fixed detected-common subset
-        common = losses.crs(p[:, rows])
+        rows = np.arange(0, p.shape[-2], 2)  # fixed detected-common subset
+        common = losses.crs(p[..., rows, :])
         d = np.zeros_like(p)
-        d[:, rows] = common.dp
+        d[..., rows, :] = common.dp
         return common.value, d
 
     single = [("source-joint", source_joint),
@@ -120,34 +121,32 @@ def _hinge_gap(p1, p2, sep: SeparationParams) -> float:
 def check_gradients(seed: int = 11, tol: float = 1e-4, h: float = 1e-5
                     ) -> list[CheckResult]:
     """Finite-difference oracle over every training objective on a small
-    two-head network and a 4-sample batch."""
+    two-head network: the single-batch objectives on a 4-sample source
+    batch, the mixed ones on that batch stacked on a 4-sample target
+    batch."""
     num_classes = 3
     n = 4
     rng = make_rng(seed, "gradcheck-data")
     x_src = rng.normal(scale=1.5, size=(n, 2))
     x_tgt = rng.normal(scale=1.5, size=(n, 2)) + 2.0
     single, mixed, sep = _grad_objectives(num_classes, n, seed)
+    batches = [(x_src, single), (np.vstack([x_src, x_tgt]), mixed)]
 
     model = nn.init_model([2, 8, 8, 8], num_classes, seed=seed)
-    p1, p2, _ = nn.forward(model, x_src)
-    gap = _hinge_gap(p1, p2, sep)
-    results = []
+    # every row an objective sees must sit clear of the kinks
+    gap = min(_hinge_gap(*nn.forward(model, x)[:2], sep) for x, _ in batches)
     if gap < 1e-3:
-        results.append(CheckResult("gradient-setup", False,
-                                   f"hinge kink too close to a sample ({gap:.2e})"))
-        return results
+        return [CheckResult("gradient-setup", False,
+                            f"hinge kink too close to a sample ({gap:.2e})")]
 
-    for name, fn in single:
-        report = nn.grad_check(model, fn, x_src, h=h, tol=tol)
-        results.append(CheckResult(
-            f"grad-{name}", report.passed,
-            f"max rel err {report.max_rel_error:.3e} (worst {report.worst_param or 'n/a'})"))
-    both = np.vstack([x_src, x_tgt])
-    for name, fn in mixed:
-        report = nn.grad_check(model, fn, both, h=h, tol=tol)
-        results.append(CheckResult(
-            f"grad-{name}", report.passed,
-            f"max rel err {report.max_rel_error:.3e} (worst {report.worst_param or 'n/a'})"))
+    results = []
+    for x, objectives in batches:
+        for name, fn in objectives:
+            report = nn.grad_check(model, fn, x, h=h, tol=tol)
+            results.append(CheckResult(
+                f"grad-{name}", report.passed,
+                f"max rel err {report.max_rel_error:.3e} "
+                f"(worst {report.worst_param or 'n/a'})"))
     return results
 
 

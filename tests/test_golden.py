@@ -8,6 +8,11 @@ functions.  A change that moves the numerics on purpose
 re-records the digest it moves and says why.  The digests were recorded
 with numpy 2.4 on OpenBLAS; another BLAS may round the matmuls differently.
 
+``twohead selftest`` prints its lines byte for byte too: they report
+finite-difference errors and the first parameter with the largest one,
+so a change in how the gradient oracle evaluates its perturbed models
+that moves one loss value by a bit shows here.
+
 The trace digest was re-recorded when ``loss_b`` started reporting the
 source loss minus the mean *capped* target crs, the value whose gradient
 step B applies; it had subtracted the uncapped mean.  Only the ``loss_b``
@@ -20,6 +25,7 @@ import pytest
 
 from twohead import MethodVariant, TrainConfig
 from twohead.nn import save_model_csv
+from twohead.selfcheck import run_selftest
 from twohead.trainer import train
 
 TRACE_SHA256 = "24a035934bb124a62a19a9b922da9b64821ae6d4f420305664fcefe5813b0cc9"
@@ -37,6 +43,23 @@ VARIANT_MODEL_SHA256 = {
     "no_minimax": "93654fd8b5fbfb83901227321060ab2f248c16e5f4c0e0670a2d61accbe8868a",
     "with_kl": "f4cdc5d83ff66a70238be78c687cc9ac6d92746355527815fd19f79aaba6fdb3",
 }
+
+# twohead selftest's output, recorded before its oracle was batched
+SELFTEST_LINES = """\
+[PASS] loss-identities: 1000 pairs, max |skld - (crs - ent)| = 3.109e-15
+[PASS] grad-source-joint: max rel err 1.375e-05 (worst gen.2.b[4])
+[PASS] grad-supervised-only: max rel err 2.246e-05 (worst gen.2.b[4])
+[PASS] grad-separation-joint: max rel err 5.254e-06 (worst gen.2.b[4])
+[PASS] grad-separation-kl: max rel err 5.650e-06 (worst gen.2.b[4])
+[PASS] grad-separation-crs-only: max rel err 5.417e-06 (worst gen.2.b[4])
+[PASS] grad-separation-ent-only: max rel err 4.818e-06 (worst gen.2.b[6])
+[PASS] grad-separation-saturated: max rel err 4.818e-06 (worst gen.2.b[6])
+[PASS] grad-separation-off: max rel err 0.000e+00 (worst n/a)
+[PASS] grad-discriminator: max rel err 1.358e-05 (worst gen.2.b[4])
+[PASS] grad-discriminator-capped: max rel err 1.375e-05 (worst gen.2.b[4])
+[PASS] grad-alignment: max rel err 1.803e-07 (worst gen.2.b[1])
+[PASS] selection-contract: 10000 random vectors
+"""
 
 
 def _sha256(path):
@@ -59,3 +82,8 @@ def test_variant_model_digests(toy_data, tmp_path, variant):
                   TrainConfig(seed=3, epochs=10, variant=MethodVariant(variant)))
     save_model_csv(state.model, tmp_path / "model.csv")
     assert _sha256(tmp_path / "model.csv") == VARIANT_MODEL_SHA256[variant]
+
+
+def test_selftest_lines(capsys):
+    assert run_selftest(verbose=True)
+    assert capsys.readouterr().out == SELFTEST_LINES

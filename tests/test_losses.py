@@ -10,7 +10,7 @@ from twohead import (UNKNOWN, ConfigError, DataError, DimensionError, MethodVari
                      small_loss_select, variant_losses)
 from twohead import losses
 from twohead.losses import crs_rows, ent_rows, skld_rows
-from twohead.nn import forward
+from twohead.nn import forward, grad_check
 from twohead.rng import make_rng
 
 P = np.array([0.9, 0.1])
@@ -505,3 +505,106 @@ def test_objective_gradients_match_central_differences(name, seed, classes, n, m
         numeric = (up - down) / (2 * FD_STEP)
         assert abs(numeric - got.dp[cell]) <= 1e-6 + 1e-5 * abs(got.dp[cell]), \
             (cell, numeric, got.dp[cell])
+
+
+# --- a leading member axis ------------------------------------------------------
+
+def _member_stack(seed, members, classes, n):
+    """(members, 2, n, classes) head pairs, some rows one-hot (clamped
+    logs), and labels for them."""
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(classes), size=(members, 2, n))
+    onehot = rng.random((members, 2, n)) < 0.2
+    p[onehot] = np.eye(classes)[rng.integers(0, classes, size=int(onehot.sum()))]
+    return p, rng.integers(0, classes, size=n)
+
+
+def _assert_members_match(stacked, per_member):
+    assert stacked.value.shape == (len(per_member),)
+    for i, one in enumerate(per_member):
+        assert isinstance(one.value, float)
+        assert np.float64(one.value).tobytes() == stacked.value[i].tobytes()
+        assert one.per_sample.tobytes() == stacked.per_sample[i].tobytes()
+        assert one.dp.tobytes() == stacked.dp[i].tobytes()
+        assert one.rows.tolist() == stacked.rows.tolist()
+
+
+_member_draw = dict(seed=st.integers(0, 2**32 - 1), members=st.integers(1, 4),
+                    classes=st.integers(2, 12), n=st.integers(1, 16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_member_draw, lam=st.sampled_from([0.0, 0.1, 1.5]))
+def test_source_on_members_matches_each_member(seed, members, classes, n, lam):
+    p, labels = _member_stack(seed, members, classes, n)
+    stacked = losses.source(p, labels, lam)
+    per_member = [losses.source(p[i], labels, lam) for i in range(members)]
+    _assert_members_match(stacked, per_member)
+    for i, one in enumerate(per_member):
+        assert np.float64(one.sup).tobytes() == stacked.sup[i].tobytes()
+        assert np.float64(one.skld).tobytes() == stacked.skld[i].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_member_draw, use_crs=st.booleans(), use_ent=st.booleans(),
+       ent_sign=st.sampled_from([1.0, -1.0]), saturate=st.booleans())
+def test_separation_on_members_matches_each_member(seed, members, classes, n, use_crs,
+                                                   use_ent, ent_sign, saturate):
+    p, _ = _member_stack(seed, members, classes, n)
+    sep = SeparationParams(delta=math.log(classes), margin=0.3)
+    switches = dict(use_crs=use_crs, use_ent=use_ent, ent_sign=ent_sign,
+                    reach=sep.reach if saturate else None)
+    _assert_members_match(losses.separation(p, sep, **switches),
+                          [losses.separation(p[i], sep, **switches)
+                           for i in range(members)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_member_draw, weight=st.sampled_from([1.0, -1.0, -0.2]),
+       cap=st.sampled_from([None, 0.5, 2.0, 30.0]))
+def test_crs_on_members_matches_each_member(seed, members, classes, n, weight, cap):
+    p, _ = _member_stack(seed, members, classes, n)
+    _assert_members_match(losses.crs(p, weight=weight, cap=cap),
+                          [losses.crs(p[i], weight=weight, cap=cap) for i in range(members)])
+
+
+def test_member_stack_rejects_per_member_row_sets():
+    """Small-loss selection with alpha > 0 and the detection gate of crs
+    pick rows per member; a stack shares one row set, so both raise."""
+    p, labels = _member_stack(3, 2, 3, 8)
+    with pytest.raises(UsageError, match="alpha"):
+        losses.source(p, labels, 0.1, alpha=0.25)
+    with pytest.raises(UsageError, match="below"):
+        losses.crs(p, below=1.0)
+    with pytest.raises(UsageError, match="below"):
+        losses.crs(p[None], below=5.0)
+    # alpha out of range is a config error before it is a stack error
+    with pytest.raises(ConfigError):
+        losses.source(p, labels, 0.1, alpha=1.5)
+    # one pair takes both
+    assert len(losses.source(p[0], labels, 0.1, alpha=0.25).rows) == 6
+    losses.crs(p[0], below=1.0)
+
+
+def test_capped_crs_gradient_matches_finite_differences_across_the_cap():
+    """B's target term, -mean min(crs, cap), through the network on a batch
+    with rows on both sides of the cap: the capped rows carry no gradient,
+    and the oracle sees it (the uncapped gradient fails it)."""
+    model = init_model([2, 8, 8, 8], 3, seed=5)
+    x = make_rng(5, "cap-batch").normal(scale=3.0, size=(12, 2))
+    _, _, cache = forward(model, x)
+    c = np.sort(losses.crs(cache.p).per_sample)
+    split = int(np.argmax(np.diff(c)))          # the widest gap between rows
+    cap = float(c[split] + c[split + 1]) / 2.0
+    assert c[split + 1] - c[split] > 1e-3
+    assert 0 < split + 1 < len(c)               # rows on both sides
+
+    def capped(p):
+        got = losses.crs(p, weight=-1.0, cap=cap)
+        return got.value, got.dp
+
+    def cap_ignored_in_dp(p):
+        return losses.crs(p, weight=-1.0, cap=cap).value, losses.crs(p, weight=-1.0).dp
+
+    assert grad_check(model, capped, x).passed
+    assert not grad_check(model, cap_ignored_in_dp, x).passed

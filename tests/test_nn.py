@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from twohead import (Activation, ConfigError, DimensionError, Scope, SgdConfig,
                      UsageError, backward, forward, grad_check, init_model,
-                     sgd_step)
-from twohead.nn import load_model_csv, save_model_csv, softmax_rows
+                     losses, sgd_step)
+from twohead.nn import TwoHeadModel, load_model_csv, save_model_csv, softmax_rows
 from twohead.rng import make_rng
 
 
@@ -272,6 +272,18 @@ def test_model_csv_rejects_missing_cells(tmp_path, drop):
         load_model_csv(path)
 
 
+def test_model_csv_rejects_a_cell_listed_twice(tmp_path):
+    """The cell count cannot see a duplicate that replaces another cell's
+    row, so a second row for one cell is rejected by itself."""
+    m = init_model([2, 8, 8, 8], 3, seed=11)
+    path = tmp_path / "model.csv"
+    save_model_csv(m, path)
+    with open(path, "a") as fh:
+        fh.write("gen.1,3,4,123.0\n")
+    with pytest.raises(ConfigError, match=r"'gen\.1'.*\(3, 4\) twice"):
+        load_model_csv(path)
+
+
 # --- flat parameter buffer ---------------------------------------------------
 
 _SCOPE_LAYERS = {
@@ -475,3 +487,142 @@ def test_forward_reuse_rejects_another_batch():
     for batch in (other, x[:4], np.zeros((0, 2))):
         with pytest.raises(UsageError, match="another batch"):
             forward(m, batch, reuse=cache)
+
+
+# --- member axis ---------------------------------------------------------------
+
+_wide_model_args = st.tuples(
+    # hidden widths past 8, where numpy's sums along a row turn pairwise
+    st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    st.integers(2, 5),      # classes
+    st.integers(0, 2**16),  # seed
+)
+
+
+def _members(m, count, seed):
+    """A model whose ``count`` members are perturbed copies of ``m``, and
+    the unbatched model of each member."""
+    stacked = TwoHeadModel(*m.widths, m.feature_scale, members=(count,))
+    stacked.params[:] = m.params + make_rng(seed, "members").normal(
+        scale=0.3, size=stacked.params.shape)
+    singles = []
+    for i in range(count):
+        single = TwoHeadModel(*m.widths, m.feature_scale)
+        single.params[:] = stacked.params[i]
+        singles.append(single)
+    return stacked, singles
+
+
+@settings(max_examples=40, deadline=None)
+@given(_wide_model_args, st.integers(1, 5), st.integers(1, 12))
+def test_member_forward_matches_each_member_alone(args, count, rows):
+    m = _model(args)
+    stacked, singles = _members(m, count, args[2])
+    assert stacked.generator[0].weight.shape == (count,) + m.generator[0].weight.shape
+    assert stacked.heads[0].weight.shape == (count, 2) + m.heads[0].weight.shape[1:]
+    assert stacked.head2[-1].bias.shape == (count, m.num_classes)
+    x = make_rng(args[2], "member-x").normal(size=(rows, 2))
+    q1, q2, cache = forward(stacked, x)
+    assert cache.p.shape == (count, 2, rows, m.num_classes)
+    for i, single in enumerate(singles):
+        p1, p2, one = forward(single, x)
+        assert cache.p[i].tobytes() == one.p.tobytes()
+        assert q1[i].tobytes() == p1.tobytes() and q2[i].tobytes() == p2.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(_wide_model_args, st.integers(1, 4), st.integers(1, 9), st.sampled_from(list(Scope)))
+def test_member_backward_and_sgd_match_each_member_alone(args, count, rows, scope):
+    m = _model(args)
+    stacked, singles = _members(m, count, args[2])
+    rng = make_rng(args[2], "member-dp")
+    x = rng.normal(size=(rows, 2))
+    dp = rng.normal(size=(count, 2, rows, m.num_classes))
+    _, _, cache = forward(stacked, x)
+    backward(stacked, cache, dp, scope)
+    cfg = SgdConfig(learning_rate=0.05, momentum=0.9, weight_decay=5e-4)
+    grads = stacked.grads.copy()
+    sgd_step(stacked, cfg, scope)
+    for i, single in enumerate(singles):
+        _, _, one = forward(single, x)
+        backward(single, one, dp[i], scope)
+        assert single.grads.tobytes() == grads[i].tobytes()
+        sgd_step(single, cfg, scope)
+        assert single.params.tobytes() == stacked.params[i].tobytes()
+
+
+def test_grad_check_takes_no_members():
+    m = init_model([2, 8, 8, 8], 3, seed=4)
+    stacked = TwoHeadModel(*m.widths, m.feature_scale, members=(2,))
+    with pytest.raises(UsageError, match="members"):
+        grad_check(stacked, lambda p: (0.0, np.zeros_like(p)), np.zeros((1, 2)))
+
+
+def test_grad_check_fails_a_loss_that_is_not_finite():
+    """A NaN difference is the worst error, not one that is skipped."""
+    m = init_model([2, 8, 8, 8], 3, seed=4)
+    x = np.array([[0.3, 0.4], [1.0, -1.0]])
+
+    def nan_in_first_member(p):
+        if p.ndim == 3:
+            return 0.0, np.zeros_like(p)
+        value = np.zeros(len(p))
+        value[0] = math.nan   # every forward's first +h copy
+        return value, np.zeros_like(p)
+
+    report = grad_check(m, nan_in_first_member, x)
+    assert math.isnan(report.max_rel_error) and not report.passed
+    assert report.worst_param == "gen.0.w[0]"
+
+
+def _loop_grad_check(model, loss_fn, x, h=1e-5):
+    """The per-parameter loop the batched oracle replaced: one cell at a
+    time, two unbatched forwards each.  Returns (max_rel_error,
+    worst_param)."""
+    model.zero_grads()
+    _, _, cache = forward(model, x)
+    backward(model, cache, loss_fn(cache.p)[1])
+    worst, worst_param = 0.0, ""
+    for name, layer in model.named_layers():
+        for kind, param, grad in (("w", layer.weight, layer.grad_weight),
+                                  ("b", layer.bias, layer.grad_bias)):
+            flat_p, flat_g = param.reshape(-1), grad.reshape(-1)
+            for idx in range(flat_p.size):
+                orig = flat_p[idx]
+                flat_p[idx] = orig + h
+                up = loss_fn(forward(model, x)[2].p)[0]
+                flat_p[idx] = orig - h
+                down = loss_fn(forward(model, x)[2].p)[0]
+                flat_p[idx] = orig
+                numeric = (up - down) / (2.0 * h)
+                analytic = flat_g[idx]
+                denom = max(abs(analytic), abs(numeric))
+                err = abs(analytic - numeric)
+                if denom >= 1e-6:
+                    err /= denom
+                if err > worst:
+                    worst, worst_param = err, f"{name}.{kind}[{idx}]"
+    model.zero_grads()
+    return worst, worst_param
+
+
+@pytest.mark.parametrize("seed", [4, 19])
+@pytest.mark.parametrize("objective", ["source", "separation"])
+def test_grad_check_matches_the_per_parameter_loop(seed, objective):
+    m = init_model([2, 8, 8, 8], 3, seed=seed)
+    rng = make_rng(seed, "loop-parity")
+    x = rng.normal(scale=1.5, size=(5, 2))
+    labels = rng.integers(0, 3, size=5)
+    sep = losses.SeparationParams(delta=math.log(3), margin=0.35)
+    objectives = {"source": lambda p: losses.source(p, labels, 0.1),
+                  "separation": lambda p: losses.separation(p, sep)}
+
+    def loss_fn(p):
+        got = objectives[objective](p)
+        return got.value, got.dp
+
+    report = grad_check(m, loss_fn, x)
+    worst, worst_param = _loop_grad_check(m, loss_fn, x)
+    assert report.max_rel_error == worst
+    assert report.worst_param == worst_param
+    assert not m.grads.any()
