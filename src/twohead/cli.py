@@ -106,9 +106,9 @@ def _dispatch(args) -> int:
     if args.command == "grid":
         model = load_model_csv(args.model)
         delta = args.delta if args.delta is not None else math.log(model.num_classes)
+        grid = boundary_grid(model, TOY_BOUNDS, args.resolution, delta)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        grid = boundary_grid(model, TOY_BOUNDS, args.resolution, delta)
         atomic_write(out / "boundary.csv", grid.to_csv)
         atomic_write(out / "boundary.svg", lambda p: write_boundary_svg(grid, p))
         print(f"boundary grid written to {out}")

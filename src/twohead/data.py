@@ -9,7 +9,6 @@ transition matrix (pair or symmetric flipping).
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -226,13 +225,11 @@ def minibatches(dataset: DomainDataset, batch_size: int, seed: int,
 
 def dataset_to_csv(dataset: DomainDataset, path) -> None:
     """Audit export: x0,x1,observed_label,true_label,role,domain."""
+    roles = [f"{role.value},{dataset.domain}" for role in dataset.class_roles]
+    observed = ([""] * len(dataset) if dataset.observed_labels is None
+                else dataset.observed_labels.tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x0", "x1", "observed_label", "true_label", "role", "domain"])
-        for i in range(len(dataset)):
-            obs = "" if dataset.observed_labels is None else int(dataset.observed_labels[i])
-            true = int(dataset.true_labels[i])
-            writer.writerow([repr(float(dataset.features[i, 0])),
-                             repr(float(dataset.features[i, 1])),
-                             obs, true, dataset.class_roles[true].value,
-                             dataset.domain])
+        fh.write("x0,x1,observed_label,true_label,role,domain\n")
+        fh.write("".join(f"{x0!r},{x1!r},{obs},{true},{roles[true]}\n"
+                         for (x0, x1), obs, true in zip(dataset.features.tolist(), observed,
+                                                        dataset.true_labels.tolist())))

@@ -17,12 +17,15 @@ from .losses import crs_rows
 from .nn import TwoHeadModel, forward
 
 UNKNOWN = -1
-# boundary_grid forwards this many cells at a time.  At the default hidden
-# width of 32 a block's largest array, the stacked head activations, is
-# 2 x 4096 x 32 float64 = 2 MiB: under the 4 MiB from which numpy asks for
-# transparent huge pages, whose faults (and compaction) every block would
-# otherwise pay again.
-GRID_BLOCK_ROWS = 4096
+# boundary_grid forwards this many cells at a time, the last block taking
+# the remainder.  glibc hands freed arrays of a few MiB back to the kernel,
+# so 4096-row blocks, whose largest arrays are 1-2 MiB, faulted their pages
+# in again on every block: 48k minor page faults per resolution-300 grid
+# (getrusage), against ~4.2k with 1024-row blocks.  OpenBLAS
+# takes another dgemm path below ~1000 rows, which rounds some cells
+# differently, so no block of a grid of at least this many cells is
+# shorter than this.
+GRID_BLOCK_ROWS = 1024
 
 
 def _check_delta(delta: float) -> None:
@@ -172,26 +175,29 @@ class BoundaryGrid:
 
     def to_csv(self, path) -> None:
         # Cells are read from python lists, not as one numpy scalar each,
-        # and every field is a number, so rows are formatted without the
-        # csv module's quoting checks.
-        pred1, pred2 = self.pred1.tolist(), self.pred2.tolist()
-        l_crs, unknown = self.l_crs.tolist(), self.unknown.tolist()
+        # every field is a number, so rows are formatted without the csv
+        # module's quoting checks, and a row's y is formatted once.
         xs = [repr(x) for x in self.xs.tolist()]
+        rows = zip(self.ys.tolist(), self.pred1.tolist(), self.pred2.tolist(),
+                   self.l_crs.tolist(), self.unknown.tolist())
         with open(path, "w", newline="") as fh:
             fh.write("x,y,pred1,pred2,l_crs,unknown\n")
-            for j, y in enumerate(self.ys.tolist()):
-                p1, p2, crs, unk = pred1[j], pred2[j], l_crs[j], unknown[j]
-                fh.write("".join(f"{x},{y!r},{p1[i]},{p2[i]},{crs[i]!r},{unk[i]:d}\n"
-                                 for i, x in enumerate(xs)))
+            for y, p1, p2, crs, unk in rows:
+                y = repr(y)
+                fh.write("".join(f"{x},{y},{a},{b},{c!r},{u:d}\n"
+                                 for x, a, b, c, u in zip(xs, p1, p2, crs, unk)))
 
 
 def boundary_grid(model: TwoHeadModel, bounds: tuple[tuple[float, float], tuple[float, float]],
                   resolution: int, delta: float) -> BoundaryGrid:
     """Evaluate both heads on a regular 2-D grid (resolution cells per
-    axis).  Cells go through the network GRID_BLOCK_ROWS at a time, so the
-    forward caches of only one block are alive at once.  A ``delta`` that
-    is not finite and > 0 raises ConfigError."""
+    axis).  Cells go through the network GRID_BLOCK_ROWS at a time, the
+    last block taking the remainder, so the forward caches and head
+    probabilities of at most two blocks are alive at once.  A ``resolution``
+    below 2 or a ``delta`` that is not finite and > 0 raises ConfigError."""
     _check_delta(delta)
+    if resolution < 2:
+        raise ConfigError(f"grid resolution must be at least 2, got {resolution}")
     if model.input_dim != 2:
         raise ConfigError("boundary grids need a 2-D input model")
     if not np.isfinite(bounds).all():
@@ -201,15 +207,23 @@ def boundary_grid(model: TwoHeadModel, bounds: tuple[tuple[float, float], tuple[
     ys = np.linspace(y0, y1, resolution)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    blocks = [forward(model, pts[i:i + GRID_BLOCK_ROWS])[:2]
-              for i in range(0, len(pts), GRID_BLOCK_ROWS)]
-    p1 = np.concatenate([b[0] for b in blocks])
-    p2 = np.concatenate([b[1] for b in blocks])
-    l_crs = crs_rows(p1, p2).reshape(resolution, resolution)
+    starts = list(range(0, max(len(pts) - GRID_BLOCK_ROWS, 0) + 1, GRID_BLOCK_ROWS))
+    l_crs = np.empty(len(pts))
+    pred1 = np.empty(len(pts), dtype=np.int64)
+    pred2 = np.empty(len(pts), dtype=np.int64)
+    for a, b in zip(starts, starts[1:] + [len(pts)]):
+        # the last block's cache is freed once this block's forward returns.
+        # Freeing it before this forward took 3k-88k minor page faults per
+        # resolution-300 grid, by the state the heap was in; this, ~4.2k.
+        p1, p2, cache = forward(model, pts[a:b])
+        l_crs[a:b] = crs_rows(p1, p2)
+        pred1[a:b] = np.argmax(p1, axis=1)
+        pred2[a:b] = np.argmax(p2, axis=1)
+    l_crs = l_crs.reshape(resolution, resolution)
     return BoundaryGrid(
         xs=xs, ys=ys,
-        pred1=np.argmax(p1, axis=1).reshape(resolution, resolution),
-        pred2=np.argmax(p2, axis=1).reshape(resolution, resolution),
+        pred1=pred1.reshape(resolution, resolution),
+        pred2=pred2.reshape(resolution, resolution),
         l_crs=l_crs,
         unknown=l_crs > delta,
         delta=delta,
@@ -243,26 +257,24 @@ def write_boundary_svg(grid: BoundaryGrid, path,
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
              f'height="{size}" viewBox="0 0 {size} {size}">']
-    unknown, pred1, pred2 = grid.unknown.tolist(), grid.pred1.tolist(), grid.pred2.tolist()
-    cxs = [f'{sx(x) - cell / 2:.2f}' for x in grid.xs.tolist()]
-    for j, y in enumerate(grid.ys.tolist()):
-        cy = f'{sy(y) - cell / 2:.2f}'
-        for i, cx in enumerate(cxs):
-            if unknown[j][i]:
-                color = _UNKNOWN_COLOR
-            elif pred1[j][i] == pred2[j][i]:
-                color = _REGION_COLORS[pred1[j][i] % len(_REGION_COLORS)]
-            else:
-                color = _DISAGREE_COLOR
-            parts.append(f'<rect x="{cx}" y="{cy}" width="{cell:.2f}" '
-                         f'height="{cell:.2f}" fill="{color}"/>')
+    # a cell's rect is its column's start, its row's middle and its color's
+    # tail; color k < len(_REGION_COLORS) is the class both heads agree on
+    starts = [f'<rect x="{sx(x) - cell / 2:.2f}" y="' for x in grid.xs.tolist()]
+    mids = [f'{sy(y) - cell / 2:.2f}" width="{cell:.2f}" height="{cell:.2f}" fill="'
+            for y in grid.ys.tolist()]
+    tails = [f'{c}"/>' for c in _REGION_COLORS + [_DISAGREE_COLOR, _UNKNOWN_COLOR]]
+    color_idx = np.where(grid.pred1 == grid.pred2, grid.pred1 % len(_REGION_COLORS),
+                         len(_REGION_COLORS))
+    color_idx[grid.unknown] = len(_REGION_COLORS) + 1
+    for mid, row in zip(mids, color_idx.tolist()):
+        parts.extend([f"{start}{mid}{tails[k]}" for start, k in zip(starts, row)])
     if source is not None and source.observed_labels is not None:
-        for (px, py), lab in zip(source.features, source.observed_labels):
-            color = _POINT_COLORS[int(lab) % len(_POINT_COLORS)]
+        for (px, py), lab in zip(source.features.tolist(), source.observed_labels.tolist()):
+            color = _POINT_COLORS[lab % len(_POINT_COLORS)]
             parts.append(f'<circle cx="{sx(px):.2f}" cy="{sy(py):.2f}" r="2.5" '
                          f'fill="{color}" stroke="#333333" stroke-width="0.4"/>')
     if target is not None:
-        for px, py in target.features:
+        for px, py in target.features.tolist():
             parts.append(f'<circle cx="{sx(px):.2f}" cy="{sy(py):.2f}" r="2.0" '
                          f'fill="#ffffff" stroke="#333333" stroke-width="0.5"/>')
     parts.append("</svg>")
@@ -275,12 +287,12 @@ def density_to_csv(report: EvalReport, path) -> None:
     is unavailable)."""
     common = report.density_curves.get("common")
     private = report.density_curves.get("private")
-    grid = (common or private or (np.array([]),))[0]
+    grid = (common or private or (np.array([]),))[0].tolist()
+
+    def column(curve) -> list[str]:
+        return [""] * len(grid) if curve is None else [repr(v) for v in curve[1].tolist()]
+
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "pdf_common", "pdf_private"])
-        for i, x in enumerate(grid):
-            row = [repr(float(x))]
-            row.append(repr(float(common[1][i])) if common is not None else "")
-            row.append(repr(float(private[1][i])) if private is not None else "")
-            writer.writerow(row)
+        fh.write("x,pdf_common,pdf_private\n")
+        fh.write("".join(f"{x!r},{c},{p}\n"
+                         for x, c, p in zip(grid, column(common), column(private))))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, Sequence
@@ -475,43 +476,64 @@ def grad_check(model: TwoHeadModel, loss_fn: LossFn, x: np.ndarray,
 
 # --- parameter serialization -------------------------------------------------
 
+_MODEL_HEADER = ["layer", "row", "col", "value"]
+_LAYER_NAME = re.compile(r"(gen|head1|head2)\.(0|[1-9][0-9]*)")
+
+
 def save_model_csv(model: TwoHeadModel, path) -> None:
     """Flat (layer, row, col, value) CSV; bias entries use col = -1."""
+    if model.members:
+        raise UsageError("save_model_csv writes one model, not a member stack")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["layer", "row", "col", "value"])
+        fh.write(",".join(_MODEL_HEADER) + "\n")
         for name, layer in model.named_layers():
-            for (r, c), v in np.ndenumerate(layer.weight):
-                writer.writerow([name, r, c, repr(float(v))])
-            for r, v in enumerate(layer.bias):
-                writer.writerow([name, r, -1, repr(float(v))])
+            fh.write("".join(f"{name},{r},{c},{v!r}\n"
+                             for r, row in enumerate(layer.weight.tolist())
+                             for c, v in enumerate(row)))
+            fh.write("".join(f"{name},{r},-1,{v!r}\n"
+                             for r, v in enumerate(layer.bias.tolist())))
 
 
 def load_model_csv(path) -> TwoHeadModel:
     """Rebuild a model from ``save_model_csv`` output.  Layer roles and
-    activations are implied by the layer names and positions.  Each layer
-    must list every weight and bias cell of its shape exactly once with an
-    integral row and column and a finite value, each layer's input width
-    must match the previous layer's output width, and the two heads must
-    have the same shapes, since they share one stacked buffer.  A file
-    that breaks any of these raises ConfigError."""
+    activations are implied by the layer names and positions.  The file
+    must start with the header ``layer,row,col,value``, every layer name
+    must be ``gen``, ``head1`` or ``head2`` and an integral index, and each
+    layer must list every weight and bias cell of its shape exactly once
+    with an integral row and column and a finite value.  Each layer's input
+    width must match the previous layer's output width, and the two heads
+    must have the same shapes, since they share one stacked buffer.  A file
+    that cannot be read or breaks any of these raises ConfigError."""
     entries: dict[str, dict[tuple[int, int], float]] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            try:
-                key, value = (int(row["row"]), int(row["col"])), float(row["value"])
-                if not math.isfinite(value):
-                    raise ValueError
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"model file layer '{row['layer']}' cell ({row['row']}, {row['col']}) "
-                    f"= {row['value']!r}: expected an integral row and column and a "
-                    f"finite value") from None
-            cells = entries.setdefault(row["layer"], {})
-            if key in cells:
-                raise ConfigError(f"model file layer '{row['layer']}' lists cell "
-                                  f"({row['row']}, {row['col']}) twice")
-            cells[key] = value
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"model file {path}: cannot read: {exc}") from exc
+    header = rows[0] if rows else []
+    if header != _MODEL_HEADER:
+        raise ConfigError(f"model file {path}: header {header} is not {_MODEL_HEADER}")
+    for row in rows[1:]:
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ConfigError(f"model file {path}: expected 4 fields, got {row}")
+        name, r, c, v = row
+        if not _LAYER_NAME.fullmatch(name):
+            raise ConfigError(f"model file layer '{name}': expected gen, head1 or "
+                              f"head2 and an integer index, such as 'gen.0'")
+        try:
+            key, value = (int(r), int(c)), float(v)
+            if not math.isfinite(value):
+                raise ValueError
+        except ValueError:
+            raise ConfigError(
+                f"model file layer '{name}' cell ({r}, {c}) = {v!r}: expected an "
+                f"integral row and column and a finite value") from None
+        cells = entries.setdefault(name, {})
+        if key in cells:
+            raise ConfigError(f"model file layer '{name}' lists cell ({r}, {c}) twice")
+        cells[key] = value
 
     def shape_table(prefix: str) -> tuple[list[str], list[int]]:
         names = sorted((n for n in entries if n.startswith(prefix + ".")),

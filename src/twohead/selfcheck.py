@@ -54,14 +54,15 @@ def _value_and_grad(objective) -> tuple[float, np.ndarray]:
     return objective.value, objective.dp
 
 
-def _grad_objectives(num_classes: int, n_samples: int, seed: int):
+def _grad_objectives(num_classes: int, n_samples: int, seed: int,
+                     sep: SeparationParams, cap: float):
     """Named (loss_fn, batch-layout) closures over the objectives in
     ``losses`` that training applies.  Mixed-batch objectives mark the
-    first ``n_samples`` rows as source and the rest as target.  Each takes
-    the (..., 2, N, C) probabilities ``nn.grad_check`` passes it."""
+    first ``n_samples`` rows as source and the rest as target, and the
+    capped discriminator caps the target crs at ``cap``.  Each takes the
+    (..., 2, N, C) probabilities ``nn.grad_check`` passes it."""
     rng = make_rng(seed, "gradcheck-labels")
     labels = rng.integers(0, num_classes, size=n_samples)
-    sep = SeparationParams(delta=math.log(num_classes), margin=0.35)
     lam = 0.1
 
     def source_joint(p):
@@ -84,7 +85,7 @@ def _grad_objectives(num_classes: int, n_samples: int, seed: int):
         return src.value + tgt.value, np.concatenate([src.dp, tgt.dp], axis=-2)
 
     def discriminator_capped(p):
-        return discriminator(p, cap=sep.cap)
+        return discriminator(p, cap=cap)
 
     def alignment(p):
         rows = np.arange(0, p.shape[-2], 2)  # fixed detected-common subset
@@ -104,7 +105,7 @@ def _grad_objectives(num_classes: int, n_samples: int, seed: int):
     mixed = [("discriminator", discriminator),
              ("discriminator-capped", discriminator_capped),
              ("alignment", alignment)]
-    return single, mixed, sep
+    return single, mixed
 
 
 def _hinge_gap(p1, p2, sep: SeparationParams) -> float:
@@ -123,18 +124,24 @@ def check_gradients(seed: int = 11, tol: float = 1e-4, h: float = 1e-5
     """Finite-difference oracle over every training objective on a small
     two-head network: the single-batch objectives on a 4-sample source
     batch, the mixed ones on that batch stacked on a 4-sample target
-    batch."""
+    batch.  The capped discriminator's cap sits in the widest gap between
+    the target rows' crs values, so rows on both sides of it are checked."""
     num_classes = 3
     n = 4
     rng = make_rng(seed, "gradcheck-data")
     x_src = rng.normal(scale=1.5, size=(n, 2))
     x_tgt = rng.normal(scale=1.5, size=(n, 2)) + 2.0
-    single, mixed, sep = _grad_objectives(num_classes, n, seed)
+    sep = SeparationParams(delta=math.log(num_classes), margin=0.35)
+    model = nn.init_model([2, 8, 8, 8], num_classes, seed=seed)
+    crs_tgt = np.sort(losses.crs_rows(*nn.forward(model, x_tgt)[:2]))
+    split = int(np.argmax(np.diff(crs_tgt)))
+    cap = float(crs_tgt[split] + crs_tgt[split + 1]) / 2.0
+    single, mixed = _grad_objectives(num_classes, n, seed, sep, cap)
     batches = [(x_src, single), (np.vstack([x_src, x_tgt]), mixed)]
 
-    model = nn.init_model([2, 8, 8, 8], num_classes, seed=seed)
     # every row an objective sees must sit clear of the kinks
-    gap = min(_hinge_gap(*nn.forward(model, x)[:2], sep) for x, _ in batches)
+    gap = min(min(_hinge_gap(*nn.forward(model, x)[:2], sep) for x, _ in batches),
+              float(np.abs(crs_tgt - cap).min()))
     if gap < 1e-3:
         return [CheckResult("gradient-setup", False,
                             f"hinge kink too close to a sample ({gap:.2e})")]

@@ -201,6 +201,16 @@ def test_grid_rejects_bad_delta(tmp_path, capsys, delta):
     assert not (gout / "boundary.csv").exists()
 
 
+@pytest.mark.parametrize("resolution", ["0", "1", "-3"])
+def test_grid_rejects_a_resolution_below_two(tmp_path, capsys, resolution):
+    gout = tmp_path / "grid"
+    rc = main(["grid", "--model", str(_saved_model(tmp_path)), "--out", str(gout),
+               f"--resolution={resolution}"])
+    assert rc == 2
+    assert "resolution" in capsys.readouterr().err
+    assert not gout.exists()
+
+
 @pytest.mark.parametrize("drop", ["gen.1,3,4,", "head2.2,1,-1,"])
 def test_grid_rejects_model_with_missing_cell(tmp_path, capsys, drop):
     """A dropped weight or bias row would otherwise load as 0.0."""

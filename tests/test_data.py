@@ -1,11 +1,16 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twohead import (ClassRole, ConfigError, DataError, NoiseKind, NoiseSpec,
                      build_toy_scenario, class_split, inject_noise,
                      make_transition_matrix, minibatches)
-from twohead.data import (BlobSpec, TOY_SOURCE_CENTERS, _assert_private_margin,
-                          dataset_to_csv, sample_blobs)
+from twohead.data import (BlobSpec, DomainDataset, TOY_SOURCE_CENTERS,
+                          _assert_private_margin, dataset_to_csv, sample_blobs)
 from twohead.rng import make_rng
 
 
@@ -202,3 +207,31 @@ def test_dataset_csv_export(tmp_path):
     t_lines = (tmp_path / "target.csv").read_text().splitlines()
     # target rows carry no observed label
     assert t_lines[1].split(",")[2] == ""
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 40), st.integers(1, 6), st.booleans(), st.integers(0, 2**16))
+def test_dataset_csv_matches_csv_writer_reference(tmp_path_factory, n, classes, labelled,
+                                                  seed):
+    """One csv.writer row per sample, with an empty observed label when
+    the dataset has none."""
+    rng = make_rng(seed, "dataset-csv")
+    roles = tuple(ClassRole)
+    dataset = DomainDataset(
+        features=rng.normal(scale=10.0, size=(n, 2)),
+        observed_labels=rng.integers(0, classes, size=n) if labelled else None,
+        true_labels=rng.integers(0, classes, size=n),
+        class_roles=tuple(roles[i] for i in rng.integers(0, len(roles), size=classes)),
+        domain="source" if labelled else "target")
+    path = tmp_path_factory.mktemp("dataset") / "data.csv"
+    dataset_to_csv(dataset, path)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["x0", "x1", "observed_label", "true_label", "role", "domain"])
+    for i in range(n):
+        obs = "" if dataset.observed_labels is None else int(dataset.observed_labels[i])
+        true = int(dataset.true_labels[i])
+        writer.writerow([repr(float(dataset.features[i, 0])),
+                         repr(float(dataset.features[i, 1])), obs, true,
+                         dataset.class_roles[true].value, dataset.domain])
+    assert path.read_bytes() == expected.getvalue().encode()

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twohead import (ConfigError, DataError, NumericError, UNKNOWN, UsageError, boundary_grid,
+from twohead import (ClassRole, ConfigError, DataError, NumericError, UNKNOWN, UsageError, boundary_grid,
                      divergence_density, evaluate, evaluation, forward, init_model,
                      predict, scott_bandwidth)
-from twohead.evaluation import EvalReport, density_to_csv, write_boundary_svg
+from twohead.data import DomainDataset
+from twohead.evaluation import BoundaryGrid, EvalReport, density_to_csv, write_boundary_svg
 from twohead.losses import crs_rows
 from twohead.rng import make_rng
 
@@ -164,7 +167,7 @@ def test_boundary_grid_counts_and_uniform_case():
 
 
 def test_boundary_grid_blocks_match_one_forward(monkeypatch):
-    """Row blocks, the last one partial, reassemble every cell in place."""
+    """Row blocks, the last one longer, reassemble every cell in place."""
     m = init_model([2, 8, 8, 8], 3, seed=4)
     bounds, res = ((-3.0, 5.0), (-4.0, 2.0)), 10
     monkeypatch.setattr(evaluation, "GRID_BLOCK_ROWS", 7)
@@ -175,6 +178,28 @@ def test_boundary_grid_blocks_match_one_forward(monkeypatch):
     assert np.array_equal(grid.pred2, np.argmax(p2, axis=1).reshape(res, res))
     np.testing.assert_allclose(grid.l_crs, crs_rows(p1, p2).reshape(res, res),
                                rtol=0, atol=1e-12)
+
+
+def test_boundary_grid_folds_the_remainder_into_the_last_block(monkeypatch):
+    """No block is shorter than GRID_BLOCK_ROWS once the grid has that
+    many cells: the BLAS rounds short products along another path."""
+    seen = []
+
+    def counting_forward(model, x, *args, **kwargs):
+        seen.append(len(x))
+        return forward(model, x, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "GRID_BLOCK_ROWS", 7)
+    monkeypatch.setattr(evaluation, "forward", counting_forward)
+    boundary_grid(init_model([2, 8, 8, 8], 3, seed=4), ((-3.0, 5.0), (-4.0, 2.0)), 10, 1.0)
+    assert seen == [7] * 13 + [9]
+
+
+@pytest.mark.parametrize("resolution", [1, 0, -3])
+def test_boundary_grid_rejects_a_resolution_below_two(resolution):
+    m = init_model([2, 8, 8, 8], 3, seed=1)
+    with pytest.raises(ConfigError, match="resolution"):
+        boundary_grid(m, ((-1.0, 1.0), (-1.0, 1.0)), resolution, 1.0)
 
 
 def test_boundary_grid_rejects_nonfinite_bounds():
@@ -226,9 +251,65 @@ def test_boundary_csv_and_svg(tmp_path, toy_data):
     assert "http" not in svg.replace("http://www.w3.org/2000/svg", "")
 
 
-def test_boundary_writers_match_per_cell_reference(tmp_path):
-    """boundary.csv and the SVG's cell rects are byte for byte what a
-    csv.writer row and an f-string per numpy cell give."""
+_REGION_COLORS = ["#f7b6c2", "#b6d4f7", "#f7ecb6", "#c9f7b6", "#e0b6f7"]
+_POINT_COLORS = ["#d62728", "#1f77b4", "#ff7f0e", "#2ca02c", "#9467bd"]
+
+
+def _reference_boundary_csv(grid) -> bytes:
+    """boundary.csv as one csv.writer row per numpy cell."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["x", "y", "pred1", "pred2", "l_crs", "unknown"])
+    for j, y in enumerate(grid.ys):
+        for i, x in enumerate(grid.xs):
+            writer.writerow([repr(float(x)), repr(float(y)), int(grid.pred1[j, i]),
+                             int(grid.pred2[j, i]), repr(float(grid.l_crs[j, i])),
+                             int(grid.unknown[j, i])])
+    return out.getvalue().encode()
+
+
+def _reference_boundary_svg(grid, source=None, target=None, size=640) -> bytes:
+    """boundary.svg as one f-string per numpy cell and per point."""
+    res = len(grid.xs)
+    cell = size / res
+    (x0, x1), (y0, y1) = (grid.xs[0], grid.xs[-1]), (grid.ys[0], grid.ys[-1])
+
+    def sx(x):
+        return (float(x) - x0) / (x1 - x0) * size
+
+    def sy(y):
+        return size - (float(y) - y0) / (y1 - y0) * size
+
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+             f'height="{size}" viewBox="0 0 {size} {size}">']
+    for j in range(res):
+        for i in range(res):
+            if grid.unknown[j, i]:
+                color = "#b0b0b0"
+            elif grid.pred1[j, i] == grid.pred2[j, i]:
+                color = _REGION_COLORS[int(grid.pred1[j, i]) % len(_REGION_COLORS)]
+            else:
+                color = "#ffffff"
+            parts.append(f'<rect x="{sx(grid.xs[i]) - cell / 2:.2f}" '
+                         f'y="{sy(grid.ys[j]) - cell / 2:.2f}" width="{cell:.2f}" '
+                         f'height="{cell:.2f}" fill="{color}"/>')
+    if source is not None and source.observed_labels is not None:
+        for (px, py), lab in zip(source.features, source.observed_labels):
+            color = _POINT_COLORS[int(lab) % len(_POINT_COLORS)]
+            parts.append(f'<circle cx="{sx(px):.2f}" cy="{sy(py):.2f}" r="2.5" '
+                         f'fill="{color}" stroke="#333333" stroke-width="0.4"/>')
+    if target is not None:
+        for px, py in target.features:
+            parts.append(f'<circle cx="{sx(px):.2f}" cy="{sy(py):.2f}" r="2.0" '
+                         f'fill="#ffffff" stroke="#333333" stroke-width="0.5"/>')
+    parts.append("</svg>")
+    return "\n".join(parts).encode()
+
+
+def test_boundary_writers_match_per_cell_reference(tmp_path, toy_data):
+    """boundary.csv and the SVG are byte for byte what a csv.writer row
+    and an f-string per numpy cell give."""
+    source, target = toy_data
     m = init_model([2, 8, 8, 8], 3, seed=3)
     grid = boundary_grid(m, ((-3.0, 5.0), (-4.0, 2.0)), 9, 0.5)
     grid.pred2[0, :4] = (grid.pred1[0, :4] + 1) % 3      # heads disagree
@@ -236,38 +317,52 @@ def test_boundary_writers_match_per_cell_reference(tmp_path):
     grid.unknown[2, :] = False
     grid.l_crs[3, 3] = np.nan
 
-    csv_path = tmp_path / "b.csv"
-    grid.to_csv(csv_path)
-    expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(["x", "y", "pred1", "pred2", "l_crs", "unknown"])
-    for j, y in enumerate(grid.ys):
-        for i, x in enumerate(grid.xs):
-            writer.writerow([repr(float(x)), repr(float(y)), int(grid.pred1[j, i]),
-                             int(grid.pred2[j, i]), repr(float(grid.l_crs[j, i])),
-                             int(grid.unknown[j, i])])
-    assert csv_path.read_bytes() == expected.getvalue().encode()
+    grid.to_csv(tmp_path / "b.csv")
+    assert (tmp_path / "b.csv").read_bytes() == _reference_boundary_csv(grid)
+    write_boundary_svg(grid, tmp_path / "b.svg")
+    assert (tmp_path / "b.svg").read_bytes() == _reference_boundary_svg(grid)
+    write_boundary_svg(grid, tmp_path / "b.svg", source=source, target=target)
+    assert (tmp_path / "b.svg").read_bytes() == _reference_boundary_svg(grid, source, target)
 
-    svg_path = tmp_path / "b.svg"
-    write_boundary_svg(grid, svg_path)
-    size, res = 640, len(grid.xs)
-    cell = size / res
-    (x0, x1), (y0, y1) = (grid.xs[0], grid.xs[-1]), (grid.ys[0], grid.ys[-1])
-    rects = []
-    for j in range(res):
-        for i in range(res):
-            if grid.unknown[j, i]:
-                color = "#b0b0b0"
-            elif grid.pred1[j, i] == grid.pred2[j, i]:
-                color = ["#f7b6c2", "#b6d4f7", "#f7ecb6"][int(grid.pred1[j, i])]
-            else:
-                color = "#ffffff"
-            cx = (float(grid.xs[i]) - x0) / (x1 - x0) * size - cell / 2
-            cy = size - (float(grid.ys[j]) - y0) / (y1 - y0) * size - cell / 2
-            rects.append(f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{cell:.2f}" '
-                         f'height="{cell:.2f}" fill="{color}"/>')
-    lines = svg_path.read_text().split("\n")
-    assert lines[1:-1] == rects
+
+def _random_dataset(rng, classes, labelled):
+    n = int(rng.integers(0, 12))
+    true = rng.integers(0, classes, size=n)
+    return DomainDataset(features=rng.normal(scale=8.0, size=(n, 2)),
+                         observed_labels=rng.integers(0, classes, size=n) if labelled else None,
+                         true_labels=true, class_roles=(ClassRole.COMMON,) * classes,
+                         domain="source" if labelled else "target")
+
+
+@settings(max_examples=60, deadline=None)
+@given(res=st.integers(2, 12), classes=st.integers(1, 7), seed=st.integers(0, 2**16),
+       origin=st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
+       span=st.tuples(st.floats(0.01, 100), st.floats(0.01, 100)),
+       overlays=st.booleans())
+def test_boundary_writers_match_reference_on_random_grids(tmp_path_factory, res, classes,
+                                                          seed, origin, span, overlays):
+    """Any grid, up to 7 classes so region colors wrap, with NaN/Inf crs,
+    unknown cells and cells where the heads disagree."""
+    rng = make_rng(seed, "grid-writers")
+    pred1 = rng.integers(0, classes, size=(res, res))
+    pred2 = np.where(rng.random((res, res)) < 0.6, pred1,
+                     rng.integers(0, classes, size=(res, res)))
+    l_crs = rng.exponential(size=(res, res))
+    special = rng.random((res, res))
+    l_crs[special < 0.1] = np.nan
+    l_crs[(special >= 0.1) & (special < 0.15)] = np.inf
+    grid = BoundaryGrid(xs=np.linspace(origin[0], origin[0] + span[0], res),
+                        ys=np.linspace(origin[1], origin[1] + span[1], res),
+                        pred1=pred1, pred2=pred2, l_crs=l_crs,
+                        unknown=rng.random((res, res)) < 0.3, delta=1.0)
+    source = _random_dataset(rng, classes, labelled=True) if overlays else None
+    target = _random_dataset(rng, classes, labelled=False) if overlays else None
+
+    out = tmp_path_factory.mktemp("grid")
+    grid.to_csv(out / "b.csv")
+    assert (out / "b.csv").read_bytes() == _reference_boundary_csv(grid)
+    write_boundary_svg(grid, out / "b.svg", source=source, target=target)
+    assert (out / "b.svg").read_bytes() == _reference_boundary_svg(grid, source, target)
 
 
 def test_density_csv_resolves_a_narrow_curve_next_to_a_wide_one(tmp_path):
@@ -290,6 +385,24 @@ def test_density_csv_resolves_a_narrow_curve_next_to_a_wide_one(tmp_path):
     for col in ("pdf_common", "pdf_private"):
         pdf = np.array([float(r[col]) for r in rows])
         assert abs(np.trapezoid(pdf, x) - 1.0) <= 1e-3, col
+
+
+@pytest.mark.parametrize("curves", [("common", "private"), ("common",), ("private",), ()])
+def test_density_csv_matches_csv_writer_reference(tmp_path, curves):
+    rng = make_rng(1, "density-csv")
+    grid = np.sort(rng.normal(size=40))
+    report = EvalReport(per_class_accuracy={}, average_accuracy=0.0,
+                        common_divergences=np.zeros(0), private_divergences=np.zeros(0),
+                        density_curves={k: (grid, rng.random(40)) for k in curves})
+    density_to_csv(report, tmp_path / "density.csv")
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["x", "pdf_common", "pdf_private"])
+    for i, x in enumerate(grid if curves else []):
+        writer.writerow([repr(float(x))] + [
+            repr(float(report.density_curves[k][1][i])) if k in curves else ""
+            for k in ("common", "private")])
+    assert (tmp_path / "density.csv").read_bytes() == expected.getvalue().encode()
 
 
 def test_density_csv(tmp_path, reference_run):

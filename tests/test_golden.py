@@ -17,6 +17,21 @@ The trace digest was re-recorded when ``loss_b`` started reporting the
 source loss minus the mean *capped* target crs, the value whose gradient
 step B applies; it had subtracted the uncapped mean.  Only the ``loss_b``
 column moved (554 of the 560 rows); the model digest did not change.
+
+The ``grad-discriminator-capped`` selftest line was re-recorded when its
+cap moved from the training cap, 1.80, into the widest gap between the
+target rows' crs values (3.69-4.00, so the cap is ~3.85).  Every target
+row had been past the old cap, so the line checked the constant capped
+term only; now rows on both sides of the cap are checked.  No other line
+moved.
+
+The seed-7 model's ``boundary.csv`` and ``boundary.svg`` at the CLI's
+default resolution, 120, and at 300 are pinned as well.  The grid goes
+through the network in blocks, and the BLAS rounds a product differently
+by block length, so a change of block layout can move cells; and the
+writers share formatted strings between cells, which a slip would show
+in these bytes.  They were recorded with 4096-row blocks, and 1024-row
+blocks with the remainder folded into the last give the same bytes.
 """
 
 import hashlib
@@ -24,10 +39,20 @@ import hashlib
 import pytest
 
 from twohead import MethodVariant, TrainConfig
+from twohead.evaluation import boundary_grid, write_boundary_svg
+from twohead.experiment import TOY_BOUNDS
 from twohead.nn import save_model_csv
 from twohead.selfcheck import run_selftest
 from twohead.trainer import train
 
+# (boundary.csv, boundary.svg with both datasets drawn) of the seed-7
+# model per grid resolution
+BOUNDARY_SHA256 = {
+    120: ("47bc34dce315cf224b53896d5ac0d7e7169efd4e176d36836019405b41babca8",
+          "4ff188b0823283d760170fd907d04a47ad2ad397957524352126a1bee8728666"),
+    300: ("83f587b93b3555bf2c81db7392c8d1989f337126e8242f4c4edd32bae8de3b18",
+          "39df33f801f879887fdc79d23c083f78fdce4ebf3d0b381482990538063dcb63"),
+}
 TRACE_SHA256 = "24a035934bb124a62a19a9b922da9b64821ae6d4f420305664fcefe5813b0cc9"
 MODEL_SHA256 = "0b70fc6d5c58e5fdbfd8201bdbac8561c4b6e51c93a14d6bb5a112483373a21a"
 
@@ -44,7 +69,8 @@ VARIANT_MODEL_SHA256 = {
     "with_kl": "f4cdc5d83ff66a70238be78c687cc9ac6d92746355527815fd19f79aaba6fdb3",
 }
 
-# twohead selftest's output, recorded before its oracle was batched
+# twohead selftest's output, recorded before its oracle was batched; the
+# capped discriminator's line since its cap moved between the target rows
 SELFTEST_LINES = """\
 [PASS] loss-identities: 1000 pairs, max |skld - (crs - ent)| = 3.109e-15
 [PASS] grad-source-joint: max rel err 1.375e-05 (worst gen.2.b[4])
@@ -56,7 +82,7 @@ SELFTEST_LINES = """\
 [PASS] grad-separation-saturated: max rel err 4.818e-06 (worst gen.2.b[6])
 [PASS] grad-separation-off: max rel err 0.000e+00 (worst n/a)
 [PASS] grad-discriminator: max rel err 1.358e-05 (worst gen.2.b[4])
-[PASS] grad-discriminator-capped: max rel err 1.375e-05 (worst gen.2.b[4])
+[PASS] grad-discriminator-capped: max rel err 1.364e-05 (worst gen.2.b[4])
 [PASS] grad-alignment: max rel err 1.803e-07 (worst gen.2.b[1])
 [PASS] selection-contract: 10000 random vectors
 """
@@ -66,13 +92,28 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_seed7_trace_and_model_digests(toy_data, tmp_path):
+@pytest.fixture(scope="module")
+def seed7_state(toy_data):
     source, target = toy_data
-    state = train(source, target, TrainConfig(seed=7, epochs=40))
+    return train(source, target, TrainConfig(seed=7, epochs=40))
+
+
+def test_seed7_trace_and_model_digests(seed7_state, tmp_path):
+    state = seed7_state
     state.trace_to_csv(tmp_path / "loss_trace.csv")
     save_model_csv(state.model, tmp_path / "model.csv")
     assert _sha256(tmp_path / "loss_trace.csv") == TRACE_SHA256
     assert _sha256(tmp_path / "model.csv") == MODEL_SHA256
+
+
+@pytest.mark.parametrize("resolution", sorted(BOUNDARY_SHA256))
+def test_seed7_boundary_digests(toy_data, seed7_state, tmp_path, resolution):
+    source, target = toy_data
+    grid = boundary_grid(seed7_state.model, TOY_BOUNDS, resolution, seed7_state.delta)
+    grid.to_csv(tmp_path / "boundary.csv")
+    write_boundary_svg(grid, tmp_path / "boundary.svg", source=source, target=target)
+    assert (_sha256(tmp_path / "boundary.csv"),
+            _sha256(tmp_path / "boundary.svg")) == BOUNDARY_SHA256[resolution]
 
 
 @pytest.mark.parametrize("variant", [v.value for v in MethodVariant])

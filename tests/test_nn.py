@@ -1,4 +1,7 @@
+import csv
+import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -284,6 +287,36 @@ def test_model_csv_rejects_a_cell_listed_twice(tmp_path):
         load_model_csv(path)
 
 
+def test_model_csv_rejects_a_missing_file(tmp_path):
+    path = tmp_path / "absent.csv"
+    with pytest.raises(ConfigError, match="absent.csv"):
+        load_model_csv(path)
+
+
+def test_model_csv_rejects_a_file_without_the_header(tmp_path):
+    m = init_model([2, 8, 8, 8], 3, seed=11)
+    path = tmp_path / "model.csv"
+    save_model_csv(m, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("layer,cell,value\n" + "".join(lines[1:]))
+    with pytest.raises(ConfigError, match=r"header \['layer', 'cell', 'value'\]"):
+        load_model_csv(path)
+
+
+def test_model_csv_rejects_a_layer_index_that_is_not_an_integer(tmp_path):
+    m = init_model([2, 8, 8, 8], 3, seed=11)
+    path = tmp_path / "model.csv"
+    save_model_csv(m, path)
+    path.write_text(path.read_text().replace("gen.1,", "gen.x,"))
+    with pytest.raises(ConfigError, match=r"'gen\.x'"):
+        load_model_csv(path)
+
+
+def test_model_csv_saves_one_model_only(tmp_path):
+    with pytest.raises(UsageError):
+        save_model_csv(TwoHeadModel([2, 4], [4, 3], members=(2,)), tmp_path / "model.csv")
+
+
 # --- flat parameter buffer ---------------------------------------------------
 
 _SCOPE_LAYERS = {
@@ -365,6 +398,50 @@ def test_loaded_model_layers_view_its_buffer(tmp_path_factory, args):
     assert loaded.parameters_blob() == m.parameters_blob()
     for (_, a), (_, b) in zip(m.named_layers(), loaded.named_layers()):
         assert a.activation is b.activation
+
+
+@settings(max_examples=30, deadline=None)
+@given(_model_args)
+def test_model_csv_matches_ndenumerate_reference(tmp_path_factory, args):
+    """One csv.writer row per weight cell in np.ndenumerate order, then
+    one per bias entry, layer by layer."""
+    m = _model(args)
+    m.params += make_rng(args[2], "save").normal(size=m.params.size)
+    path = tmp_path_factory.mktemp("model") / "model.csv"
+    save_model_csv(m, path)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["layer", "row", "col", "value"])
+    for name, layer in m.named_layers():
+        for (r, c), v in np.ndenumerate(layer.weight):
+            writer.writerow([name, r, c, repr(float(v))])
+        for r, v in enumerate(layer.bias):
+            writer.writerow([name, r, -1, repr(float(v))])
+    assert path.read_bytes() == expected.getvalue().encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(2, 5), min_size=1, max_size=3), st.integers(2, 4),
+       st.integers(0, 2**16), st.integers(0, 10**6),
+       st.sampled_from(["abc", "nan", "inf", "-inf", "", "missing", "duplicate"]))
+def test_model_csv_rejects_one_corrupted_cell(tmp_path_factory, hidden, classes, seed,
+                                              pick, corruption):
+    """A non-numeric, NaN, infinite, missing or duplicated cell anywhere in
+    the file raises ConfigError naming its layer."""
+    path = tmp_path_factory.mktemp("model") / "model.csv"
+    save_model_csv(init_model([2] + hidden, classes, seed=seed), path)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    i = pick % len(rows)
+    layer, r, c, _ = rows[i].rstrip("\n").split(",")
+    if corruption == "missing":
+        del rows[i]
+    elif corruption == "duplicate":
+        rows.append(f"{layer},{r},{c},0.5\n")
+    else:
+        rows[i] = f"{layer},{r},{c},{corruption}\n"
+    path.write_text(header + "".join(rows))
+    with pytest.raises(ConfigError, match=re.escape(f"'{layer}'")):
+        load_model_csv(path)
 
 
 def _reference_sgd(layers, cfg):
