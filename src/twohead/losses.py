@@ -183,11 +183,17 @@ def skld_rows(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
 
 # --- small-loss selection ------------------------------------------------------
 
+SELECTION_GUARD = 1e-9  # alpha * N this close below an integer counts as it
+
+
 def small_loss_select(per_sample_losses: np.ndarray, alpha: float) -> np.ndarray:
     """Indices of the k = ceil((1 - alpha) * N) smallest losses.
 
-    ``alpha`` is the dropped fraction: alpha = 0 keeps everything.  Ties
-    break toward the lower index; the result is sorted ascending.
+    ``alpha`` is the dropped fraction: alpha = 0 keeps everything.  An
+    alpha * N within ``SELECTION_GUARD`` below an integer counts as that
+    integer, so alpha = 0.7 keeps 3 of 10 although 1 - 0.7 is a float
+    above 0.3.  Ties break toward the lower index; the result is sorted
+    ascending.
     """
     losses = np.asarray(per_sample_losses, dtype=np.float64)
     if losses.ndim != 1 or losses.size == 0:
@@ -196,7 +202,7 @@ def small_loss_select(per_sample_losses: np.ndarray, alpha: float) -> np.ndarray
         raise ConfigError(f"alpha must be in [0, 1), got {alpha}")
     n = losses.size
     # guard float drift: N - floor(alpha*N) == ceil((1-alpha)*N) for integer N
-    k = n - int(math.floor(alpha * n + 1e-9))
+    k = n - int(math.floor(alpha * n + SELECTION_GUARD))
     if k == n:
         return np.arange(n)
     order = np.argsort(losses, kind="stable")

@@ -19,7 +19,8 @@ refused with UsageError.
 A model built with ``members=(M,)`` holds M copies of its parameters, and
 ``forward``, ``backward`` and ``sgd_step`` run all of them at once, each
 member bit for bit as a model of its own; ``grad_check`` evaluates its
-perturbed models that way.
+perturbed models that way, and every objective it checks reads the same
+perturbed forwards.
 """
 
 from __future__ import annotations
@@ -417,40 +418,49 @@ class GradCheckReport:
         self.passed = self.max_rel_error < self.tol
 
 
-def grad_check(model: TwoHeadModel, loss_fn: LossFn, x: np.ndarray,
-               h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
+def grad_check(model: TwoHeadModel, loss_fns: Sequence[LossFn], x: np.ndarray,
+               h: float = 1e-5, tol: float = 1e-4) -> list[GradCheckReport]:
     """Compare analytic gradients against central finite differences for
-    every parameter.
+    every parameter, for each loss in ``loss_fns``; returns one report per
+    loss, in order.
 
-    The perturbed models run as the members of one model: each forward
-    holds +h and -h copies for up to ``_FD_CELLS`` cells of one layer's
-    weight or bias, so ``loss_fn`` also sees (M, 2, N, C) probabilities.
-    Each loss value is the one a forward of that single perturbed model
-    gives, bit for bit.
+    One unperturbed forward serves every loss's backward.  The perturbed
+    models run as the members of one model: each forward holds +h and -h
+    copies for up to ``_FD_CELLS`` cells of one layer's weight or bias,
+    and every loss reads its (M, 2, N, C) probabilities.  Each loss value
+    is the one a forward of that single perturbed model gives, bit for
+    bit, so a loss gets the report it would get checked alone.
 
     Entries where both gradients are below 1e-6 in magnitude are compared
     absolutely (the relative measure is meaningless at zero); everything
     else uses |a - n| / max(|a|, |n|).  The worst entry is the first
     largest error in ``named_layers`` order; a NaN error (a loss that is
-    not finite) counts as the worst.
+    not finite) counts as the worst.  The grad buffer is left zero.
     """
     if not 0.0 < h <= 1e-3:
         raise ConfigError(f"h must be in (0, 1e-3], got {h}")
     if model.members:
         raise UsageError("grad_check takes a model without members")
 
-    model.zero_grads()
+    n_fns = len(loss_fns)
+    # member j of ``analytic`` holds loss j's gradient, in the model's layout
+    analytic = TwoHeadModel(*model.widths, model.feature_scale, members=(n_fns,))
     _, _, cache = forward(model, x)
-    backward(model, cache, loss_fn(cache.p)[1])
+    for j, loss_fn in enumerate(loss_fns):
+        model.zero_grads()
+        backward(model, cache, loss_fn(cache.p)[1])
+        analytic.params[j] = model.grads
+    model.zero_grads()
 
     copies = TwoHeadModel(*model.widths, model.feature_scale, members=(2 * _FD_CELLS,))
-    worst = 0.0
-    worst_param = ""
-    for (name, layer), (_, stacked) in zip(model.named_layers(), copies.named_layers()):
-        for kind, param, grad, cells in (("w", layer.weight, layer.grad_weight, stacked.weight),
-                                         ("b", layer.bias, layer.grad_bias, stacked.bias)):
+    worst = [0.0] * n_fns
+    worst_param = [""] * n_fns
+    for (name, layer), (_, stacked), (_, grads) in zip(
+            model.named_layers(), copies.named_layers(), analytic.named_layers()):
+        for kind, param, grad, cells in (("w", layer.weight, grads.weight, stacked.weight),
+                                         ("b", layer.bias, grads.bias, stacked.bias)):
             orig = param.reshape(-1)
-            numeric = np.empty(orig.size)
+            numeric = np.empty((n_fns, orig.size))
             for start in range(0, orig.size, _FD_CELLS):
                 idx = np.arange(start, min(start + _FD_CELLS, orig.size))
                 k = np.arange(idx.size)
@@ -459,19 +469,22 @@ def grad_check(model: TwoHeadModel, loss_fn: LossFn, x: np.ndarray,
                 copies.params[:] = model.params
                 cells[(k, *cell)] = orig[idx] + h
                 cells[(_FD_CELLS + k, *cell)] = orig[idx] - h
-                value = np.broadcast_to(loss_fn(forward(copies, x)[2].p)[0],
-                                        (2 * _FD_CELLS,))
-                numeric[idx] = (value[k] - value[_FD_CELLS + k]) / (2.0 * h)
-            analytic = grad.reshape(-1)
-            err = np.abs(analytic - numeric)
-            denom = np.maximum(np.abs(analytic), np.abs(numeric))
+                p = forward(copies, x)[2].p
+                for j, loss_fn in enumerate(loss_fns):
+                    value = np.broadcast_to(loss_fn(p)[0], (2 * _FD_CELLS,))
+                    numeric[j, idx] = (value[k] - value[_FD_CELLS + k]) / (2.0 * h)
+            a = grad.reshape(n_fns, orig.size)
+            err = np.abs(a - numeric)
+            denom = np.maximum(np.abs(a), np.abs(numeric))
             np.divide(err, denom, out=err, where=denom >= _ZERO_GRAD_FLOOR)
-            i = int(np.argmax(err))   # the first largest error, or the first NaN
-            if err[i] > worst or (math.isnan(err[i]) and not math.isnan(worst)):
-                worst = float(err[i])
-                worst_param = f"{name}.{kind}[{i}]"
-    model.zero_grads()
-    return GradCheckReport(max_rel_error=worst, worst_param=worst_param, tol=tol)
+            # per loss, the first largest error, or the first NaN
+            for j, i in enumerate(np.argmax(err, axis=1).tolist()):
+                e = float(err[j, i])
+                if e > worst[j] or (math.isnan(e) and not math.isnan(worst[j])):
+                    worst[j] = e
+                    worst_param[j] = f"{name}.{kind}[{i}]"
+    return [GradCheckReport(max_rel_error=w, worst_param=wp, tol=tol)
+            for w, wp in zip(worst, worst_param)]
 
 
 # --- parameter serialization -------------------------------------------------
@@ -498,7 +511,8 @@ def load_model_csv(path) -> TwoHeadModel:
     """Rebuild a model from ``save_model_csv`` output.  Layer roles and
     activations are implied by the layer names and positions.  The file
     must start with the header ``layer,row,col,value``, every layer name
-    must be ``gen``, ``head1`` or ``head2`` and an integral index, and each
+    must be ``gen``, ``head1`` or ``head2`` and an integral index, the
+    indices of each prefix must run 0, 1, ... without a gap, and each
     layer must list every weight and bias cell of its shape exactly once
     with an integral row and column and a finite value.  Each layer's input
     width must match the previous layer's output width, and the two heads
@@ -540,6 +554,11 @@ def load_model_csv(path) -> TwoHeadModel:
                         key=lambda n: int(n.split(".")[1]))
         if not names:
             raise ConfigError(f"model file has no '{prefix}' layers")
+        # sorted by index, so the first name out of place marks the gap
+        for i, n in enumerate(names):
+            if n != f"{prefix}.{i}":
+                raise ConfigError(f"model file has no '{prefix}.{i}' layer "
+                                  f"but lists '{n}': '{prefix}' indices must run 0, 1, ...")
         dims = [(1 + max(r for r, _ in entries[n]), 1 + max(c for _, c in entries[n]))
                 for n in names]
         for n, (rows, cols) in zip(names, dims):

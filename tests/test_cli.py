@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twohead import init_model, losses
 from twohead.cli import main
@@ -240,6 +242,33 @@ def test_grid_rejects_model_with_bad_cell(tmp_path, capsys, cell, value):
     err = capsys.readouterr().err
     assert cell.split(",")[0] in err and value in err
     assert not (gout / "boundary.csv").exists()
+
+
+def test_grid_rejects_model_with_a_gap_in_layer_indices(tmp_path, capsys):
+    """gen.2 renamed gen.7 would load as a 3-layer generator and render."""
+    path = _saved_model(tmp_path)
+    path.write_text(path.read_text().replace("gen.2,", "gen.7,"))
+    gout = tmp_path / "grid"
+    rc = main(["grid", "--model", str(path), "--out", str(gout), "--resolution", "5"])
+    assert rc == 2
+    assert "'gen.2'" in capsys.readouterr().err
+    assert not gout.exists()
+
+
+# delta defaults to None, which means ln(num classes)
+_FLOAT_KEYS = sorted([k for k, v in ExperimentSpec.default_dict().items()
+                      if isinstance(v, float)] + ["delta"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from(_FLOAT_KEYS),
+                       st.sampled_from([math.nan, math.inf, -math.inf]), min_size=1))
+def test_from_dict_rejects_non_finite_floats(bad):
+    raw = ExperimentSpec.default_dict()
+    raw.update(bad)
+    with pytest.raises(ConfigError) as info:
+        ExperimentSpec.from_dict(raw)
+    assert any(key in str(info.value) for key in bad)
 
 
 def test_selftest_passes():

@@ -205,7 +205,7 @@ def test_grad_check_constant_loss_is_zero():
     def const(p):
         return 1.0, np.zeros_like(p)
 
-    report = grad_check(m, const, x)
+    report, = grad_check(m, [const], x)
     assert report.max_rel_error == 0.0
     assert report.passed
 
@@ -219,7 +219,7 @@ def test_grad_check_detects_corruption():
         d[0, 0, 0] = 1.0  # claims a gradient where the loss is constant
         return 1.0, d
 
-    report = grad_check(m, corrupted, x, tol=1e-4)
+    report, = grad_check(m, [corrupted], x, tol=1e-4)
     assert report.max_rel_error > 1e-4
     assert not report.passed
 
@@ -227,7 +227,7 @@ def test_grad_check_detects_corruption():
 def test_grad_check_validates_h():
     m = init_model([2, 8, 8, 8], 3, seed=4)
     with pytest.raises(ConfigError):
-        grad_check(m, lambda p: (0.0, np.zeros_like(p)),
+        grad_check(m, [lambda p: (0.0, np.zeros_like(p))],
                    np.zeros((1, 2)), h=0.1)
 
 
@@ -309,6 +309,19 @@ def test_model_csv_rejects_a_layer_index_that_is_not_an_integer(tmp_path):
     save_model_csv(m, path)
     path.write_text(path.read_text().replace("gen.1,", "gen.x,"))
     with pytest.raises(ConfigError, match=r"'gen\.x'"):
+        load_model_csv(path)
+
+
+@pytest.mark.parametrize("rename, missing", [("gen.2,", "gen.2"), ("gen.0,", "gen.0"),
+                                             ("head1.1,", "head1.1")])
+def test_model_csv_rejects_a_gap_in_layer_indices(tmp_path, rename, missing):
+    """A layer renamed past the last index would load as a shallower
+    network, its layers renumbered."""
+    m = init_model([2, 8, 8, 8], 3, seed=11)
+    path = tmp_path / "model.csv"
+    save_model_csv(m, path)
+    path.write_text(path.read_text().replace(rename, rename.split(".")[0] + ".7,"))
+    with pytest.raises(ConfigError, match=rf"no '{re.escape(missing)}' layer"):
         load_model_csv(path)
 
 
@@ -632,7 +645,7 @@ def test_grad_check_takes_no_members():
     m = init_model([2, 8, 8, 8], 3, seed=4)
     stacked = TwoHeadModel(*m.widths, m.feature_scale, members=(2,))
     with pytest.raises(UsageError, match="members"):
-        grad_check(stacked, lambda p: (0.0, np.zeros_like(p)), np.zeros((1, 2)))
+        grad_check(stacked, [lambda p: (0.0, np.zeros_like(p))], np.zeros((1, 2)))
 
 
 def test_grad_check_fails_a_loss_that_is_not_finite():
@@ -647,7 +660,7 @@ def test_grad_check_fails_a_loss_that_is_not_finite():
         value[0] = math.nan   # every forward's first +h copy
         return value, np.zeros_like(p)
 
-    report = grad_check(m, nan_in_first_member, x)
+    report, = grad_check(m, [nan_in_first_member], x)
     assert math.isnan(report.max_rel_error) and not report.passed
     assert report.worst_param == "gen.0.w[0]"
 
@@ -698,8 +711,38 @@ def test_grad_check_matches_the_per_parameter_loop(seed, objective):
         got = objectives[objective](p)
         return got.value, got.dp
 
-    report = grad_check(m, loss_fn, x)
+    report, = grad_check(m, [loss_fn], x)
     worst, worst_param = _loop_grad_check(m, loss_fn, x)
     assert report.max_rel_error == worst
     assert report.worst_param == worst_param
     assert not m.grads.any()
+
+
+@pytest.mark.parametrize("seed", [4, 19])
+def test_multi_objective_grad_check_matches_one_objective_at_a_time(seed):
+    """One shared forward per perturbed model gives each objective the
+    report of a call for it alone and of the per-parameter loop."""
+    m = init_model([2, 8, 8, 8], 3, seed=seed)
+    rng = make_rng(seed, "multi-objective")
+    x = rng.normal(scale=1.5, size=(5, 2))
+    labels = rng.integers(0, 3, size=5)
+    sep = losses.SeparationParams(delta=math.log(3), margin=0.35)
+
+    def objective(fn):
+        def loss_fn(p):
+            got = fn(p)
+            return got.value, got.dp
+        return loss_fn
+
+    loss_fns = [objective(lambda p: losses.source(p, labels, 0.1)),
+                objective(lambda p: losses.separation(p, sep, ent_sign=-1.0)),
+                objective(lambda p: losses.crs(p, weight=-1.0)),
+                lambda p: (1.0, np.zeros_like(p))]
+    reports = grad_check(m, loss_fns, x)
+    assert not m.grads.any()
+    assert len(reports) == len(loss_fns)
+    for loss_fn, report in zip(loss_fns, reports):
+        alone, = grad_check(m, [loss_fn], x)
+        assert (report.max_rel_error, report.worst_param) == \
+            (alone.max_rel_error, alone.worst_param) == _loop_grad_check(m, loss_fn, x)
+    assert reports[-1].max_rel_error == 0.0 and reports[-1].worst_param == ""

@@ -1,0 +1,156 @@
+"""The selftest's own machinery: the gradient oracle's shared forwards, and
+the block-wise selection-contract check against the per-vector loop it
+replaced."""
+
+import math
+
+import numpy as np
+import pytest
+
+from twohead import losses, nn, selfcheck
+from twohead.rng import make_rng
+from twohead.selfcheck import CheckResult, check_gradients, check_selection_contract
+
+
+def test_check_gradients_runs_135_forwards(monkeypatch):
+    """Per batch layout one unperturbed forward and 65 member forwards
+    (the selftest model's 510 parameters, 8 cells a forward, per layer
+    and kind), plus three set-up forwards: 2 * 66 + 3.  A grad check per
+    objective ran 11 * 66 + 3 = 729."""
+    calls = []
+    real = nn.forward
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].members)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "forward", counting)
+    results = check_gradients()
+    assert len(results) == 11 and all(r.passed for r in results)
+    assert len(calls) == 135
+    assert calls.count((16,)) == 130
+
+
+def _per_vector_contract(n_vectors: int, seed: int = 5) -> CheckResult:
+    """The check as a loop over one vector at a time: the reference for
+    the block-wise check, drawing the same vectors."""
+    rng = make_rng(seed, "selection")
+    for i in range(n_vectors):
+        n = int(rng.integers(1, 65))
+        alpha = float(rng.random())
+        vec = rng.normal(size=n)
+        sel = losses.small_loss_select(vec, alpha)
+        expect = math.ceil((1.0 - alpha) * n - losses.SELECTION_GUARD)
+        if len(sel) != expect:
+            return CheckResult("selection-contract", False,
+                               f"vector {i}: kept {len(sel)}, expected {expect}")
+        rest = np.ones(n, dtype=bool)
+        rest[sel] = False
+        if rest.any() and vec[sel].max() > vec[rest].min():
+            return CheckResult("selection-contract", False,
+                               f"vector {i}: selected loss above unselected")
+    return CheckResult("selection-contract", True, f"{n_vectors} random vectors")
+
+
+_select = losses.small_loss_select   # the tests below patch the module's
+
+
+def _wrong_from(call: int, wrong):
+    """A selector that is right until its ``call``-th call (0-based), and
+    ``wrong`` from then on."""
+    calls = [0]
+
+    def selector(vec, alpha):
+        calls[0] += 1
+        return (wrong if calls[0] > call else _select)(vec, alpha)
+
+    return selector
+
+
+def _largest(vec, alpha):
+    kept = len(_select(vec, alpha))
+    return np.sort(np.argsort(-vec, kind="stable")[:kept])
+
+
+def _one_short(vec, alpha):
+    return _select(vec, alpha)[1:]
+
+
+def _repeat_last(vec, alpha):
+    """The right count, with the first kept index swapped for a second
+    copy of the last."""
+    sel = _select(vec, alpha)
+    return np.concatenate([sel[1:], sel[-1:]])
+
+
+# name -> (selector factory, the first vector it gets wrong, or None)
+_SELECTORS = {
+    "right": (lambda: _select, None),
+    "largest": (lambda: _largest, 0),
+    "one short": (lambda: _one_short, 0),
+    "repeats the last index": (lambda: _repeat_last, 0),
+    "one short from vector 436": (lambda: _wrong_from(436, _one_short), 436),
+    "one short from vector 1030": (lambda: _wrong_from(1030, _one_short), 1030),
+}
+
+
+@pytest.mark.parametrize("n_vectors", [200, 450, 1037])
+@pytest.mark.parametrize("selector", list(_SELECTORS))
+def test_block_check_matches_the_per_vector_loop(monkeypatch, selector, n_vectors):
+    """Same verdict and message, for failures in the first, a middle and
+    a partial last block of 200."""
+    factory, first_wrong = _SELECTORS[selector]
+    results = []
+    for check in (check_selection_contract, _per_vector_contract):
+        monkeypatch.setattr(losses, "small_loss_select", factory())
+        results.append(check(n_vectors))
+    assert results[0] == results[1]
+    assert results[0].passed == (first_wrong is None or first_wrong >= n_vectors)
+    if "from vector" in selector and not results[0].passed:
+        assert results[0].detail.startswith(f"vector {first_wrong}: kept ")
+
+
+def test_block_check_matches_the_per_vector_loop_on_the_selftest_draws():
+    result = check_selection_contract()
+    assert result == _per_vector_contract(10_000)
+    assert result.passed
+
+
+class _ScriptedRng:
+    """Stands in for the check's generator: yields the given (n, alpha)
+    pairs in order, with normal losses."""
+
+    def __init__(self, pairs):
+        self._pairs = iter(pairs)
+        self._alpha = None
+        self._normal = make_rng(0, "scripted")
+
+    def integers(self, low, high):
+        n, self._alpha = next(self._pairs)
+        assert low <= n < high
+        return n
+
+    def random(self):
+        return self._alpha
+
+    def normal(self, size):
+        return self._normal.normal(size=size)
+
+
+def test_selection_contract_expects_what_the_guard_keeps(monkeypatch):
+    """On a 1/1000 alpha grid, ceil((1 - alpha) N) in floats expects one
+    row more than small_loss_select keeps at 28 (N, alpha) pairs, where
+    1 - alpha rounds up (0.3 N for alpha = 0.7).  The selector's guard
+    keeps the decimal count there, and the check expects it."""
+    kept = {(n, i / 1000): len(losses.small_loss_select(np.zeros(n), i / 1000))
+            for i in range(1000) for n in range(1, 65)}
+    drift = [(n, alpha) for (n, alpha), k in kept.items()
+             if math.ceil((1.0 - alpha) * n) != k]
+    assert len(drift) == 28
+    assert kept[10, 0.7] == 3 and kept[20, 0.85] == 3 and kept[25, 0.44] == 14
+    assert {(10, 0.7), (20, 0.85), (25, 0.44)} <= set(drift)
+    monkeypatch.setattr(selfcheck, "make_rng", lambda seed, label: _ScriptedRng(drift))
+    assert check_selection_contract(n_vectors=len(drift)) == CheckResult(
+        "selection-contract", True, "28 random vectors")
+    monkeypatch.setattr(selfcheck, "make_rng", lambda seed, label: _ScriptedRng(kept))
+    assert check_selection_contract(n_vectors=len(kept)).passed

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twohead import (ConfigError, MethodVariant, NonFiniteLossError,
                      NumericError, SeparationParams, SgdConfig, TrainConfig,
@@ -339,11 +341,15 @@ def test_train_rejects_mismatched_dims(toy_data):
         train(source, bad, TrainConfig(**SHORT))
 
 
-def _first_rows(dataset, n):
+def _rows(dataset, idx):
     obs = dataset.observed_labels
     return dataclasses.replace(
-        dataset, features=dataset.features[:n], true_labels=dataset.true_labels[:n],
-        observed_labels=None if obs is None else obs[:n])
+        dataset, features=dataset.features[idx], true_labels=dataset.true_labels[idx],
+        observed_labels=None if obs is None else obs[idx])
+
+
+def _first_rows(dataset, n):
+    return _rows(dataset, slice(n))
 
 
 @pytest.mark.parametrize("side", ["source", "target"])
@@ -365,6 +371,31 @@ def test_train_rejects_domains_with_different_batch_counts(toy_data):
     # domains of different sizes with equal batch counts still train
     state = train(_first_rows(source, 14 * 64), target, TrainConfig(epochs=1, seed=7))
     assert state.step_counter == 900 // 64
+
+
+@settings(max_examples=30, deadline=None)
+@given(batch_size=st.integers(2, 48), counts=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+       data=st.data())
+def test_train_runs_or_raises_config_error_for_any_domain_sizes(toy_data, batch_size,
+                                                                counts, data):
+    """Random rows of each domain, ``counts`` whole batches and a random
+    remainder each: training runs one step per pair of whole batches, or
+    raises ConfigError when a domain has no whole batch or the two have
+    different batch counts."""
+    source, target = toy_data
+    rng = make_rng(data.draw(st.integers(0, 2**16)), "domain-sizes")
+
+    def sample(domain, count):
+        n = count * batch_size + data.draw(st.integers(0, batch_size - 1))
+        return _rows(domain, rng.permutation(len(domain))[:n])
+
+    src, tgt = sample(source, counts[0]), sample(target, counts[1])
+    config = TrainConfig(epochs=1, batch_size=batch_size, seed=7)
+    if 0 < counts[0] == counts[1]:
+        assert train(src, tgt, config).step_counter == counts[0]
+    else:
+        with pytest.raises(ConfigError):
+            train(src, tgt, config)
 
 
 def test_step_b_reports_the_capped_objective():
