@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import ConfigError, DataError, NonFiniteLossError, TwoHeadError
 from .evaluation import boundary_grid, write_boundary_svg
-from .experiment import (DEFAULT_GRID_RESOLUTION, TOY_BOUNDS, ExperimentSpec,
+from .experiment import (DEFAULT_GRID_RESOLUTION, SWEEPABLE, TOY_BOUNDS, ExperimentSpec,
                          SweepSpec, ablate, atomic_write, run_experiment, sweep)
 from .losses import MethodVariant
 from .nn import load_model_csv
@@ -71,8 +71,7 @@ def main(argv: list[str] | None = None) -> int:
     common(sub.add_parser("ablate", help="run every method variant"), jobs=True)
     p_sweep = sub.add_parser("sweep", help="sweep one hyperparameter")
     common(p_sweep, jobs=True)
-    p_sweep.add_argument("--param", required=True,
-                         help="alpha | lambda | delta | margin | n_inner")
+    p_sweep.add_argument("--param", required=True, help=" | ".join(SWEEPABLE))
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values, e.g. 0,0.1,0.2")
 

@@ -62,7 +62,6 @@ class EvalReport:
     common_divergences: np.ndarray
     private_divergences: np.ndarray
     density_curves: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    delta: float = 0.0
 
     @property
     def common_accuracy(self) -> float:
@@ -116,7 +115,6 @@ def evaluate(model: TwoHeadModel, target: DomainDataset, delta: float) -> EvalRe
         average_accuracy=float(np.mean(list(per_class.values()))),
         common_divergences=l_crs[common_mask_true],
         private_divergences=l_crs[private_mask],
-        delta=delta,
     )
     _attach_density_curves(report)
     return report

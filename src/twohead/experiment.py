@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -112,9 +112,12 @@ class ExperimentSpec:
 
 @dataclass
 class SweepSpec:
+    """``specs[i]`` is ``base`` with ``param`` set to ``values[i]``."""
+
     param: str
     values: list
     base: ExperimentSpec
+    specs: list[ExperimentSpec] = field(init=False)
 
     def __post_init__(self):
         if self.param not in SWEEPABLE:
@@ -122,11 +125,11 @@ class SweepSpec:
                 f"param: must be one of {sorted(SWEEPABLE)}, got {self.param!r}")
         if not self.values:
             raise ConfigError("values: need at least one sweep value")
+        self.specs = []
         for v in self.values:
-            raw = self.base.to_dict()
-            raw[self.param] = v
             try:
-                ExperimentSpec.from_dict(raw)
+                self.specs.append(ExperimentSpec.from_dict(
+                    {**self.base.to_dict(), self.param: v}))
             except ConfigError as exc:
                 raise ConfigError(f"values: {self.param}={v}: {exc}") from exc
 
@@ -184,27 +187,21 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> RunSummary:
                       out_dir=str(out_dir))
 
 
-def _child_run(args: tuple[dict, str]) -> RunSummary:
-    raw, out_dir = args
-    return run_experiment(ExperimentSpec.from_dict(raw), Path(out_dir))
-
-
-def _run_many(jobs: int, work: list[tuple[dict, str]]) -> list[RunSummary]:
-    if jobs <= 1 or len(work) <= 1:
-        return [_child_run(w) for w in work]
+def _run_many(jobs: int, specs: list[ExperimentSpec], out_dirs: list[Path]
+              ) -> list[RunSummary]:
+    if jobs <= 1 or len(specs) <= 1:
+        return list(map(run_experiment, specs, out_dirs))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_child_run, work))
+        return list(pool.map(run_experiment, specs, out_dirs))
 
 
 def ablate(base: ExperimentSpec, out_dir: Path, jobs: int = 1) -> list[RunSummary]:
     """Run every method variant on identical data and seed."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    work = []
-    for variant in MethodVariant:
-        spec = replace(base, train=replace(base.train, variant=variant))
-        work.append((spec.to_dict(), str(out_dir / variant.value)))
-    summaries = _run_many(jobs, work)
+    summaries = _run_many(jobs, [replace(base, train=replace(base.train, variant=v))
+                                 for v in MethodVariant],
+                          [out_dir / v.value for v in MethodVariant])
 
     def write(pth):
         with open(pth, "w", newline="") as fh:
@@ -222,12 +219,8 @@ def sweep(spec: SweepSpec, out_dir: Path, jobs: int = 1) -> list[RunSummary]:
     """One full run per swept value; everything else fixed."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    work = []
-    for v in spec.values:
-        raw = spec.base.to_dict()
-        raw[spec.param] = v
-        work.append((raw, str(out_dir / f"{spec.param}_{v}")))
-    summaries = _run_many(jobs, work)
+    summaries = _run_many(jobs, spec.specs,
+                          [out_dir / f"{spec.param}_{v}" for v in spec.values])
 
     def write(pth):
         with open(pth, "w", newline="") as fh:

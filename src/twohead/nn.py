@@ -121,9 +121,10 @@ class TwoHeadModel:
     """Shared generator feeding two classifier heads.
 
     The generator's output is L2-normalized per sample and scaled by
-    ``feature_scale`` before entering the heads (normalized-feature
+    ``FEATURE_SCALE`` before entering the heads (normalized-feature
     classifier convention); this bounds attainable confidence by the head
-    weight norms instead of the input magnitude.
+    weight norms instead of the input magnitude.  The scale is fixed, as
+    the model file has no field for it.
 
     All parameters live in one flat float64 array, ``params``, with
     ``grads`` and ``velocity`` laid out alike: each generator layer's
@@ -140,7 +141,7 @@ class TwoHeadModel:
     """
 
     def __init__(self, gen_widths: Sequence[int], head_widths: Sequence[int],
-                 feature_scale: float = FEATURE_SCALE, members: tuple[int, ...] = ()):
+                 members: tuple[int, ...] = ()):
         if gen_widths[-1] != head_widths[0]:
             raise DimensionError(f"generator output width {gen_widths[-1]} does not "
                                  f"match head input width {head_widths[0]}")
@@ -177,7 +178,6 @@ class TwoHeadModel:
         self.widths = (tuple(gen_widths), tuple(head_widths))
         self.members = members
         self.num_classes = head_widths[-1]
-        self.feature_scale = feature_scale
         # bumped on every parameter update, and gen_version on every update
         # that moves the generator; they guard stale forward caches
         self.version = 0
@@ -320,7 +320,7 @@ def forward(model: TwoHeadModel, x: np.ndarray, reuse: ForwardCache | None = Non
             )
         raw, gen_io = _run_stack(model.generator, x)
         norms = np.maximum(np.sqrt((raw * raw).sum(axis=-1, keepdims=True)), 1e-12)
-        feats = model.feature_scale * raw / norms
+        feats = FEATURE_SCALE * raw / norms
         if model.members:
             feats = feats[..., None, :, :]   # (M, 1, N, F): both heads read it
     logits, head_io = _run_stack(model.heads, feats)
@@ -370,7 +370,7 @@ def backward(model: TwoHeadModel, cache: ForwardCache, dp: np.ndarray,
     # through h -> scale * h / ||h||: project out the radial component
     unit = cache.raw_features / cache.feat_norms
     radial = (dfeat * unit).sum(axis=-1, keepdims=True)
-    draw = model.feature_scale * (dfeat - unit * radial) / cache.feat_norms
+    draw = FEATURE_SCALE * (dfeat - unit * radial) / cache.feat_norms
     _stack_backward(model.generator, cache.gen_io, draw, True, False)
 
 
@@ -444,7 +444,7 @@ def grad_check(model: TwoHeadModel, loss_fns: Sequence[LossFn], x: np.ndarray,
 
     n_fns = len(loss_fns)
     # member j of ``analytic`` holds loss j's gradient, in the model's layout
-    analytic = TwoHeadModel(*model.widths, model.feature_scale, members=(n_fns,))
+    analytic = TwoHeadModel(*model.widths, members=(n_fns,))
     _, _, cache = forward(model, x)
     for j, loss_fn in enumerate(loss_fns):
         model.zero_grads()
@@ -452,7 +452,7 @@ def grad_check(model: TwoHeadModel, loss_fns: Sequence[LossFn], x: np.ndarray,
         analytic.params[j] = model.grads
     model.zero_grads()
 
-    copies = TwoHeadModel(*model.widths, model.feature_scale, members=(2 * _FD_CELLS,))
+    copies = TwoHeadModel(*model.widths, members=(2 * _FD_CELLS,))
     worst = [0.0] * n_fns
     worst_param = [""] * n_fns
     for (name, layer), (_, stacked), (_, grads) in zip(

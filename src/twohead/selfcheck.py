@@ -167,10 +167,10 @@ _SELECTION_MAX_N = 64
 
 def check_selection_contract(n_vectors: int = 10000, seed: int = 5) -> CheckResult:
     """Random loss vectors of 1 to 64 entries: exactly ceil((1-alpha) N)
-    survivors, up to ``small_loss_select``'s float guard, and no selected
-    loss above an unselected one.  Vectors are drawn and selected one at a
-    time, and verified a block of ``_SELECTION_BLOCK`` at a time; the
-    first failing vector is reported."""
+    distinct survivors, up to ``small_loss_select``'s float guard, no index
+    listed twice, and no selected loss above an unselected one.  Vectors
+    are drawn and selected one at a time, and verified a block of
+    ``_SELECTION_BLOCK`` at a time; the first failing vector is reported."""
     rng = make_rng(seed, "selection")
     values = np.empty((_SELECTION_BLOCK, _SELECTION_MAX_N))
     chosen = np.empty((_SELECTION_BLOCK, _SELECTION_MAX_N), dtype=bool)
@@ -185,7 +185,7 @@ def check_selection_contract(n_vectors: int = 10000, seed: int = 5) -> CheckResu
             values[r, :n] = vec
             ns.append(n)
             alphas.append(alpha)
-        kept = np.array([len(sel) for sel in picks])
+        listed = np.array([len(sel) for sel in picks])
         sizes = np.array(ns)
         # ceil((1 - alpha) N), where a count within the selector's guard
         # above an integer is that integer
@@ -193,19 +193,24 @@ def check_selection_contract(n_vectors: int = 10000, seed: int = 5) -> CheckResu
                          - losses.SELECTION_GUARD).astype(np.int64)
         picked = chosen[:rows]
         picked.fill(False)
-        picked[np.repeat(np.arange(rows), kept), np.concatenate(picks)] = True
+        picked[np.repeat(np.arange(rows), listed), np.concatenate(picks)] = True
+        kept = picked.sum(axis=1)   # distinct indices
         rest = ~picked & (np.arange(_SELECTION_MAX_N) < sizes[:, None])
         top = np.where(picked, values[:rows], -np.inf).max(axis=1)
         low = np.where(rest, values[:rows], np.inf).min(axis=1)
         bad_count = kept != expect
-        bad = bad_count | (top > low)
+        repeated = kept != listed
+        bad = bad_count | repeated | (top > low)
         if bad.any():
             r = int(np.argmax(bad))
             if bad_count[r]:
-                return CheckResult("selection-contract", False, f"vector {start + r}: "
-                                   f"kept {kept[r]}, expected {expect[r]}")
+                detail = f"kept {kept[r]}, expected {expect[r]}"
+            elif repeated[r]:
+                detail = "an index listed twice"
+            else:
+                detail = "selected loss above unselected"
             return CheckResult("selection-contract", False,
-                               f"vector {start + r}: selected loss above unselected")
+                               f"vector {start + r}: {detail}")
     return CheckResult("selection-contract", True, f"{n_vectors} random vectors")
 
 

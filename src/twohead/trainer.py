@@ -164,17 +164,18 @@ def step_a1(model: TwoHeadModel, x: np.ndarray, y_obs: np.ndarray,
 
 
 def step_a2(model: TwoHeadModel, x_t: np.ndarray, sep: SeparationParams,
-            plan: VariantPlan, sgd: SgdConfig, reach: float | None = None,
-            weight: float = 1.0, epoch: int = 0) -> tuple[float, ForwardCache | None]:
+            plan: VariantPlan, sgd: SgdConfig, weight: float = 1.0,
+            epoch: int = 0) -> tuple[float, ForwardCache | None]:
     """Full-network update on the target separation hinge, weighted by
-    ``weight``.  A batch whose gradient vanishes (everything inside the
-    band) leaves the parameters untouched.  Returns the unweighted hinge
-    loss, and the forward cache of ``x_t`` when no update was applied
-    (it still matches the model), else None."""
+    ``weight``.  The hinge saturates ``sep.reach`` from delta.  A batch
+    whose gradient vanishes (everything inside the band or past the
+    saturation) leaves the parameters untouched.  Returns the unweighted
+    hinge loss, and the forward cache of ``x_t`` when no update was
+    applied (it still matches the model), else None."""
     _, _, cache = forward(model, x_t)
     hinge = losses.separation(
         cache.p, sep, use_crs=plan.sep_use_crs, use_ent=plan.sep_use_ent,
-        ent_sign=plan.sep_ent_sign, reach=reach)
+        ent_sign=plan.sep_ent_sign, reach=sep.reach)
     if not hinge.dp.any():
         _check_finite(hinge.value, "A-2", epoch)
         return hinge.value, cache
@@ -184,16 +185,17 @@ def step_a2(model: TwoHeadModel, x_t: np.ndarray, sep: SeparationParams,
 
 
 def step_b(model: TwoHeadModel, x_sel: np.ndarray, y_sel: np.ndarray,
-           x_t: np.ndarray, plan: VariantPlan, sgd: SgdConfig,
-           cap: float | None = None, weight: float = 1.0,
+           x_t: np.ndarray, sep: SeparationParams, plan: VariantPlan,
+           sgd: SgdConfig, weight: float = 1.0,
            reuse: ForwardCache | None = None, epoch: int = 0
            ) -> tuple[float, ForwardCache]:
     """Heads-only discriminator update: keep the selected source loss low
     while raising the mean target crs (``weight`` times).  The generator
     stays bit-identical, so both backward passes stop at the features.
-    Target rows whose crs already exceeds ``cap`` stop contributing
-    gradient (their rejection is decided).  ``reuse`` is an earlier
-    forward cache of ``x_t`` (A-2's, when A-2 applied no update).
+    Target rows whose crs already exceeds ``sep.cap`` (delta plus the A-2
+    saturation reach) stop contributing gradient (their rejection is
+    decided).  ``reuse`` is an earlier forward cache of ``x_t`` (A-2's,
+    when A-2 applied no update).
 
     Returns the source loss minus the mean capped target crs, the
     objective whose gradient was applied (without the weight), and the
@@ -203,7 +205,7 @@ def step_b(model: TwoHeadModel, x_sel: np.ndarray, y_sel: np.ndarray,
     backward(model, cache_s, source.dp, Scope.HEADS_ONLY)
 
     _, _, cache_t = forward(model, x_t, reuse=reuse)
-    target = losses.crs(cache_t.p, weight=-weight, cap=cap)
+    target = losses.crs(cache_t.p, weight=-weight, cap=sep.cap)
     backward(model, cache_t, target.dp, Scope.HEADS_ONLY)
 
     value = source.value - float(target.per_sample.sum() / len(target.per_sample))
@@ -285,15 +287,14 @@ def train(source: DomainDataset, target: DomainDataset, config: TrainConfig) -> 
             reuse = None
             loss_sep = 0.0
             if plan.sep_enabled:
-                loss_sep, reuse = step_a2(model, x_t, sep, plan, sgd, reach=sep.reach,
+                loss_sep, reuse = step_a2(model, x_t, sep, plan, sgd,
                                           weight=config.minimax_weight, epoch=epoch)
 
             loss_b = 0.0
             loss_c = 0.0
             if plan.minimax:
-                loss_b, reuse = step_b(model, x_s[a1.rows], y_s[a1.rows],
-                                       x_t, plan, sgd, cap=sep.cap,
-                                       weight=config.minimax_weight,
+                loss_b, reuse = step_b(model, x_s[a1.rows], y_s[a1.rows], x_t, sep,
+                                       plan, sgd, weight=config.minimax_weight,
                                        reuse=reuse, epoch=epoch)
                 c_values = step_c(model, x_t, sep, sgd, config.n_inner,
                                   reuse=reuse, epoch=epoch)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from twohead import init_model, losses
 from twohead.cli import main
 from twohead.nn import save_model_csv
-from twohead.experiment import ExperimentSpec, SweepSpec
+from twohead.experiment import ExperimentSpec, SweepSpec, run_experiment
 from twohead.errors import ConfigError
 
 FAST = {"epochs": 8, "seed": 7}
@@ -151,6 +151,20 @@ def test_ablate_covers_all_variants(tmp_path):
     # identical seeds mean identical corrupted source data everywhere
     ref = (out / "full" / "source_data.csv").read_bytes()
     assert (out / "source_only" / "source_data.csv").read_bytes() == ref
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_ablate_child_writes_what_a_direct_run_writes(tmp_path, jobs):
+    """A child writes what run_experiment writes for the spec ablate
+    gave it, in the main process and in a worker."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 2}))
+    out, direct = tmp_path / "ablate", tmp_path / "direct"
+    assert main(["ablate", "--config", str(cfg), "--out", str(out),
+                 "--jobs", jobs]) == 0
+    run_experiment(ExperimentSpec.from_dict({"epochs": 2}), direct)
+    for name in ("manifest.json", "model.csv"):
+        assert (out / "full" / name).read_bytes() == (direct / name).read_bytes()
 
 
 def test_sweep_single_value(tmp_path):

@@ -592,12 +592,12 @@ _wide_model_args = st.tuples(
 def _members(m, count, seed):
     """A model whose ``count`` members are perturbed copies of ``m``, and
     the unbatched model of each member."""
-    stacked = TwoHeadModel(*m.widths, m.feature_scale, members=(count,))
+    stacked = TwoHeadModel(*m.widths, members=(count,))
     stacked.params[:] = m.params + make_rng(seed, "members").normal(
         scale=0.3, size=stacked.params.shape)
     singles = []
     for i in range(count):
-        single = TwoHeadModel(*m.widths, m.feature_scale)
+        single = TwoHeadModel(*m.widths)
         single.params[:] = stacked.params[i]
         singles.append(single)
     return stacked, singles
@@ -643,7 +643,7 @@ def test_member_backward_and_sgd_match_each_member_alone(args, count, rows, scop
 
 def test_grad_check_takes_no_members():
     m = init_model([2, 8, 8, 8], 3, seed=4)
-    stacked = TwoHeadModel(*m.widths, m.feature_scale, members=(2,))
+    stacked = TwoHeadModel(*m.widths, members=(2,))
     with pytest.raises(UsageError, match="members"):
         grad_check(stacked, [lambda p: (0.0, np.zeros_like(p))], np.zeros((1, 2)))
 

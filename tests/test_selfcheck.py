@@ -41,9 +41,13 @@ def _per_vector_contract(n_vectors: int, seed: int = 5) -> CheckResult:
         vec = rng.normal(size=n)
         sel = losses.small_loss_select(vec, alpha)
         expect = math.ceil((1.0 - alpha) * n - losses.SELECTION_GUARD)
-        if len(sel) != expect:
+        kept = len(set(sel.tolist()))
+        if kept != expect:
             return CheckResult("selection-contract", False,
-                               f"vector {i}: kept {len(sel)}, expected {expect}")
+                               f"vector {i}: kept {kept}, expected {expect}")
+        if kept != len(sel):
+            return CheckResult("selection-contract", False,
+                               f"vector {i}: an index listed twice")
         rest = np.ones(n, dtype=bool)
         rest[sel] = False
         if rest.any() and vec[sel].max() > vec[rest].min():
@@ -83,12 +87,28 @@ def _repeat_last(vec, alpha):
     return np.concatenate([sel[1:], sel[-1:]])
 
 
+def _smallest_twice(vec, alpha):
+    """As many indices as the right selection, with its largest loss
+    dropped and its smallest listed twice."""
+    sel = _select(vec, alpha)
+    by_loss = sel[np.argsort(vec[sel], kind="stable")]
+    return np.concatenate([by_loss[:1], by_loss[:-1]])
+
+
+def _one_extra_twice(vec, alpha):
+    """The right selection, with its first index listed a second time."""
+    sel = _select(vec, alpha)
+    return np.concatenate([sel, sel[:1]])
+
+
 # name -> (selector factory, the first vector it gets wrong, or None)
 _SELECTORS = {
     "right": (lambda: _select, None),
     "largest": (lambda: _largest, 0),
     "one short": (lambda: _one_short, 0),
     "repeats the last index": (lambda: _repeat_last, 0),
+    "smallest twice, largest dropped": (lambda: _smallest_twice, 0),
+    "first index twice": (lambda: _one_extra_twice, 0),
     "one short from vector 436": (lambda: _wrong_from(436, _one_short), 436),
     "one short from vector 1030": (lambda: _wrong_from(1030, _one_short), 1030),
 }

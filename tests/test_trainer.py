@@ -177,8 +177,11 @@ def test_step_b_raises_target_divergence(toy_data):
     before = crs_rows(p1, p2).mean()
     idx = rng.integers(0, len(source.features), size=64)
     tdx = rng.integers(0, len(target.features), size=64)
+    # a cap above every target row: B runs uncapped
+    top = float(crs_rows(*forward(model, target.features[tdx])[:2]).max())
+    sep = SeparationParams(delta=top + 1.0, margin=0.0)
     step_b(model, source.features[idx], source.observed_labels[idx],
-           target.features[tdx], plan, sgd)
+           target.features[tdx], sep, plan, sgd)
     p1, p2, _ = forward(model, probe)
     after = crs_rows(p1, p2).mean()
     assert after > before
@@ -412,5 +415,6 @@ def test_step_b_reports_the_capped_objective():
     cap = float(np.median(c))
     expect = (losses.source(np.stack([ps1, ps2]), y_s, 0.1).value
               - float(np.minimum(c, cap).mean()))
-    got, _ = step_b(model, x_s, y_s, x_t, plan, SgdConfig(0.01), cap=cap, weight=0.2)
+    sep = SeparationParams(delta=cap, margin=0.0)   # sep.cap == cap
+    got, _ = step_b(model, x_s, y_s, x_t, sep, plan, SgdConfig(0.01), weight=0.2)
     assert got == expect
