@@ -44,11 +44,16 @@ def _load_spec(args) -> ExperimentSpec:
 
 
 def _parse_values(text: str) -> list[float]:
-    try:
-        vals = [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"values: {exc}") from exc
-    return [int(v) if v == int(v) else v for v in vals]
+    vals = []
+    for token in filter(None, map(str.strip, text.split(","))):
+        try:
+            v = float(token)
+        except ValueError as exc:
+            raise ConfigError(f"values: {exc}") from exc
+        if not math.isfinite(v):
+            raise ConfigError(f"values: {token!r} is not a finite number")
+        vals.append(int(v) if v == int(v) else v)
+    return vals
 
 
 def main(argv: list[str] | None = None) -> int:

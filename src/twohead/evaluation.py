@@ -8,6 +8,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -161,6 +162,12 @@ def divergence_density(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * z * z).sum(axis=1) / (values.size * h * np.sqrt(2.0 * np.pi))
 
 
+def _codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values, and each value's index among them."""
+    distinct = np.unique(values)
+    return distinct, np.searchsorted(distinct, values)
+
+
 @dataclass
 class BoundaryGrid:
     xs: np.ndarray            # (res,) cell x coordinates
@@ -172,18 +179,26 @@ class BoundaryGrid:
     delta: float
 
     def to_csv(self, path) -> None:
-        # Cells are read from python lists, not as one numpy scalar each,
-        # every field is a number, so rows are formatted without the csv
-        # module's quoting checks, and a row's y is formatted once.
-        xs = [repr(x) for x in self.xs.tolist()]
-        rows = zip(self.ys.tolist(), self.pred1.tolist(), self.pred2.tolist(),
+        # Each row is one join over C-level iterators zipped cell by cell:
+        # the column's "x,", the row's "y,", the cell's "pred1,pred2," from
+        # a table of the pairs present in the grid, repr(l_crs) and ",0\n"
+        # or ",1\n".  The repr of each l_crs is the one per-cell cost left.
+        xs = [repr(x) + "," for x in self.xs.tolist()]
+        firsts, first_idx = _codes(self.pred1)
+        seconds, second_idx = _codes(self.pred2)
+        pairs, pair_idx = _codes(first_idx * len(seconds) + second_idx)
+        firsts, seconds = firsts.tolist(), seconds.tolist()
+        pair_strs = [f"{firsts[k // len(seconds)]},{seconds[k % len(seconds)]},"
+                     for k in pairs.tolist()]
+        unknown_strs = (",0\n", ",1\n")
+        rows = zip(self.ys.tolist(), pair_idx.tolist(),
                    self.l_crs.tolist(), self.unknown.tolist())
         with open(path, "w", newline="") as fh:
             fh.write("x,y,pred1,pred2,l_crs,unknown\n")
-            for y, p1, p2, crs, unk in rows:
-                y = repr(y)
-                fh.write("".join(f"{x},{y},{a},{b},{c!r},{u:d}\n"
-                                 for x, a, b, c, u in zip(xs, p1, p2, crs, unk)))
+            for y, pair_row, crs_row, unknown_row in rows:
+                fh.write("".join(chain.from_iterable(zip(
+                    xs, repeat(repr(y) + ","), map(pair_strs.__getitem__, pair_row),
+                    map(repr, crs_row), map(unknown_strs.__getitem__, unknown_row)))))
 
 
 def boundary_grid(model: TwoHeadModel, bounds: tuple[tuple[float, float], tuple[float, float]],
@@ -253,19 +268,20 @@ def write_boundary_svg(grid: BoundaryGrid, path,
     def sy(y: float) -> float:
         return size - (y - y0) / (y1 - y0) * size
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-             f'height="{size}" viewBox="0 0 {size} {size}">']
+    header = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+              f'height="{size}" viewBox="0 0 {size} {size}">\n')
     # a cell's rect is its column's start, its row's middle and its color's
-    # tail; color k < len(_REGION_COLORS) is the class both heads agree on
+    # tail; color k < len(_REGION_COLORS) is the class both heads agree on.
+    # Each row is one join over these zipped by C-level iterators, with no
+    # per-cell formatting.
     starts = [f'<rect x="{sx(x) - cell / 2:.2f}" y="' for x in grid.xs.tolist()]
     mids = [f'{sy(y) - cell / 2:.2f}" width="{cell:.2f}" height="{cell:.2f}" fill="'
             for y in grid.ys.tolist()]
-    tails = [f'{c}"/>' for c in _REGION_COLORS + [_DISAGREE_COLOR, _UNKNOWN_COLOR]]
+    tails = [f'{c}"/>\n' for c in _REGION_COLORS + [_DISAGREE_COLOR, _UNKNOWN_COLOR]]
     color_idx = np.where(grid.pred1 == grid.pred2, grid.pred1 % len(_REGION_COLORS),
                          len(_REGION_COLORS))
     color_idx[grid.unknown] = len(_REGION_COLORS) + 1
-    for mid, row in zip(mids, color_idx.tolist()):
-        parts.extend([f"{start}{mid}{tails[k]}" for start, k in zip(starts, row)])
+    parts = []
     if source is not None and source.observed_labels is not None:
         for (px, py), lab in zip(source.features.tolist(), source.observed_labels.tolist()):
             color = _POINT_COLORS[lab % len(_POINT_COLORS)]
@@ -277,6 +293,10 @@ def write_boundary_svg(grid: BoundaryGrid, path,
                          f'fill="#ffffff" stroke="#333333" stroke-width="0.5"/>')
     parts.append("</svg>")
     with open(path, "w") as fh:
+        fh.write(header)
+        for mid, row in zip(mids, color_idx.tolist()):
+            fh.write("".join(chain.from_iterable(zip(
+                starts, repeat(mid), map(tails.__getitem__, row)))))
         fh.write("\n".join(parts))
 
 

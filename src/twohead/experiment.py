@@ -125,6 +125,10 @@ class SweepSpec:
                 f"param: must be one of {sorted(SWEEPABLE)}, got {self.param!r}")
         if not self.values:
             raise ConfigError("values: need at least one sweep value")
+        for i, v in enumerate(self.values):
+            if v in self.values[:i]:
+                # equal values would train the same run twice into one directory
+                raise ConfigError(f"values: {self.param}={v} is listed twice")
         self.specs = []
         for v in self.values:
             try:

@@ -188,6 +188,26 @@ def test_sweep_validations(tmp_path, capsys):
                  "--values", "1.5", "--out", str(tmp_path / "s3")]) == 2
 
 
+@pytest.mark.parametrize("values, named", [("0,inf", "inf"), ("0,-inf", "-inf"),
+                                           ("0,1e400", "1e400"), ("0,nan", "nan")])
+def test_sweep_rejects_non_finite_values(tmp_path, capsys, values, named):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", _write_cfg(tmp_path, {"epochs": 1}), "--param",
+                 "alpha", "--values", values, "--out", str(out)]) == 2
+    assert f"{named!r} is not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("param, values, named", [("alpha", "0.1,0.10", "alpha=0.1"),
+                                                  ("n_inner", "1,1.0", "n_inner=1")])
+def test_sweep_rejects_a_repeated_value(tmp_path, capsys, param, values, named):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", _write_cfg(tmp_path, {"epochs": 1}), "--param",
+                 param, "--values", values, "--out", str(out)]) == 2
+    assert f"{named} is listed twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_grid_rerenders_saved_model(tmp_path):
     out = tmp_path / "out"
     main(["run", "--config", _write_cfg(tmp_path), "--out", str(out)])
@@ -296,6 +316,14 @@ def test_sweep_spec_validation():
     with pytest.raises(ConfigError):
         SweepSpec(param="delta", values=[0.0], base=base)
     SweepSpec(param="n_inner", values=[1, 2, 4, 8], base=base)
+
+
+@pytest.mark.parametrize("param, values", [("alpha", [0.2, 0.1, 0.2]),
+                                           ("n_inner", [1, 2, 1.0])])
+def test_sweep_spec_rejects_values_that_compare_equal(param, values):
+    base = ExperimentSpec.from_dict(dict(FAST))
+    with pytest.raises(ConfigError, match=f"{param}={values[-1]} is listed twice"):
+        SweepSpec(param=param, values=values, base=base)
 
 
 def test_experiment_spec_rejects_non_toy():

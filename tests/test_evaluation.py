@@ -324,6 +324,20 @@ def test_boundary_writers_match_per_cell_reference(tmp_path, toy_data):
     write_boundary_svg(grid, tmp_path / "b.svg", source=source, target=target)
     assert (tmp_path / "b.svg").read_bytes() == _reference_boundary_svg(grid, source, target)
 
+    # a hand-built grid of a 3-class model may hold any int: a negative
+    # prediction and ones above the class count, in both heads
+    hand = BoundaryGrid(xs=np.array([-1.0, 0.5, 2.0]), ys=np.array([0.0, 1.5, 3.0]),
+                        pred1=np.array([[-1, 0, 3], [2, 7, -2], [12, 1, 1]]),
+                        pred2=np.array([[-1, 3, 3], [12, 7, 0], [12, -1, 1]]),
+                        l_crs=np.array([[0.1, 2.0, 0.3], [np.inf, 0.5, 1.5], [0.9, 0.2, 3.0]]),
+                        unknown=np.array([[False, True, False], [True, False, True],
+                                          [False, False, True]]),
+                        delta=1.0)
+    hand.to_csv(tmp_path / "hand.csv")
+    assert (tmp_path / "hand.csv").read_bytes() == _reference_boundary_csv(hand)
+    write_boundary_svg(hand, tmp_path / "hand.svg", source=source, target=target)
+    assert (tmp_path / "hand.svg").read_bytes() == _reference_boundary_svg(hand, source, target)
+
 
 def _random_dataset(rng, classes, labelled):
     n = int(rng.integers(0, 12))
@@ -335,14 +349,15 @@ def _random_dataset(rng, classes, labelled):
 
 
 @settings(max_examples=60, deadline=None)
-@given(res=st.integers(2, 12), classes=st.integers(1, 7), seed=st.integers(0, 2**16),
+@given(res=st.integers(2, 12), classes=st.integers(1, 12), seed=st.integers(0, 2**16),
        origin=st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
        span=st.tuples(st.floats(0.01, 100), st.floats(0.01, 100)),
        overlays=st.booleans())
 def test_boundary_writers_match_reference_on_random_grids(tmp_path_factory, res, classes,
                                                           seed, origin, span, overlays):
-    """Any grid, up to 7 classes so region colors wrap, with NaN/Inf crs,
-    unknown cells and cells where the heads disagree."""
+    """Any grid, up to 12 classes so region colors wrap and predictions
+    reach two digits, with NaN/Inf crs, unknown cells and cells where the
+    heads disagree."""
     rng = make_rng(seed, "grid-writers")
     pred1 = rng.integers(0, classes, size=(res, res))
     pred2 = np.where(rng.random((res, res)) < 0.6, pred1,
