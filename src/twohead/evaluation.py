@@ -27,6 +27,8 @@ UNKNOWN = -1
 # differently, so no block of a grid of at least this many cells is
 # shorter than this.
 GRID_BLOCK_ROWS = 1024
+DENSITY_POINTS = 256   # per group's own grid in the density curves
+SVG_SIZE = 640         # boundary.svg's width and height
 
 
 def _check_delta(delta: float) -> None:
@@ -48,8 +50,8 @@ def predict(model: TwoHeadModel, x: np.ndarray, delta: float
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise NumericError("prediction input contains NaN/Inf")
-    p1, p2, _ = forward(model, x)
-    l_crs = crs_rows(p1, p2)
+    p1, p2, cache = forward(model, x)
+    l_crs = crs_rows(cache.p)
     mean_p = 0.5 * (p1 + p2)
     labels = np.argmax(mean_p, axis=1).astype(np.int64)
     labels[l_crs > delta] = UNKNOWN
@@ -121,9 +123,9 @@ def evaluate(model: TwoHeadModel, target: DomainDataset, delta: float) -> EvalRe
     return report
 
 
-def _attach_density_curves(report: EvalReport, points: int = 256) -> None:
+def _attach_density_curves(report: EvalReport) -> None:
     """KDE curves of the common and private divergences on one grid: the
-    sorted union of a ``points``-point grid per group spanning that group
+    sorted union of a ``DENSITY_POINTS``-point grid per group spanning that group
     +- 5 of its own bandwidths, so each curve is resolved on its own scale
     however narrow it is next to the other."""
     groups = {"common": report.common_divergences,
@@ -135,7 +137,7 @@ def _attach_density_curves(report: EvalReport, points: int = 256) -> None:
 
     def own_grid(v: np.ndarray) -> np.ndarray:
         h = scott_bandwidth(v)
-        return np.linspace(float(v.min()) - 5.0 * h, float(v.max()) + 5.0 * h, points)
+        return np.linspace(float(v.min()) - 5.0 * h, float(v.max()) + 5.0 * h, DENSITY_POINTS)
 
     grid = np.unique(np.concatenate([own_grid(v) for v in usable.values()]))
     for name, v in usable.items():
@@ -229,7 +231,7 @@ def boundary_grid(model: TwoHeadModel, bounds: tuple[tuple[float, float], tuple[
         # Freeing it before this forward took 3k-88k minor page faults per
         # resolution-300 grid, by the state the heap was in; this, ~4.2k.
         p1, p2, cache = forward(model, pts[a:b])
-        l_crs[a:b] = crs_rows(p1, p2)
+        l_crs[a:b] = crs_rows(cache.p)
         pred1[a:b] = np.argmax(p1, axis=1)
         pred2[a:b] = np.argmax(p2, axis=1)
     l_crs = l_crs.reshape(resolution, resolution)
@@ -252,11 +254,11 @@ _DISAGREE_COLOR = "#ffffff"
 
 def write_boundary_svg(grid: BoundaryGrid, path,
                        source: DomainDataset | None = None,
-                       target: DomainDataset | None = None,
-                       size: int = 640) -> None:
+                       target: DomainDataset | None = None) -> None:
     """Self-contained SVG: regions colored by the class both heads agree
     on, gray where the sample would be rejected as unknown, plus optional
     dataset scatter overlays."""
+    size = SVG_SIZE
     res = len(grid.xs)
     cell = size / res
     x0, x1 = float(grid.xs[0]), float(grid.xs[-1])

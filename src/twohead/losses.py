@@ -36,8 +36,8 @@ UsageError on a stack.
 * ``crs``: mean crs over every row or over the rows below a threshold;
   B's target term (weight < 0, capped) and C's alignment.
 
-``crs_rows``, ``ent_rows`` and ``skld_rows`` give the per-sample values
-alone, for prediction and the self-checks.
+``crs_rows``, ``ent_rows`` and ``skld_rows`` are the one formula of each
+per-sample value; the objectives pass them the logs they already hold.
 """
 
 from __future__ import annotations
@@ -165,20 +165,27 @@ class SourceObjective(NamedTuple):
 
 # --- per-sample divergences ---------------------------------------------------
 
-def crs_rows(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """Per-sample pairwise cross-entropy sum H(p1,p2) + H(p2,p1)."""
-    return -(p1 * _clamped_log(p2) + p2 * _clamped_log(p1)).sum(axis=1)
+def crs_rows(p: np.ndarray, logs: np.ndarray | None = None) -> np.ndarray:
+    """Per-sample pairwise cross-entropy sum H(p1,p2) + H(p2,p1) of the
+    (..., 2, N, C) pair; ``logs`` are its clamped logs, if already taken."""
+    cross = p * _other(_clamped_log(p) if logs is None else logs)  # p1 log p2, p2 log p1
+    return -(cross[..., 0, :, :] + cross[..., 1, :, :]).sum(axis=-1)
 
 
-def ent_rows(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """Per-sample entropy sum H(p1) + H(p2)."""
-    return -(p1 * _clamped_log(p1) + p2 * _clamped_log(p2)).sum(axis=1)
+def ent_rows(p: np.ndarray, logs: np.ndarray | None = None) -> np.ndarray:
+    """Per-sample entropy sum H(p1) + H(p2); ``logs`` as for crs_rows."""
+    own = p * (_clamped_log(p) if logs is None else logs)
+    return -(own[..., 0, :, :] + own[..., 1, :, :]).sum(axis=-1)
 
 
-def skld_rows(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """Per-sample agreement divergence KL(p1||p2) + KL(p2||p1)."""
-    l1, l2 = _clamped_log(p1), _clamped_log(p2)
-    return (p1 * (l1 - l2)).sum(axis=1) + (p2 * (l2 - l1)).sum(axis=1)
+def skld_rows(p: np.ndarray, log_ratio: np.ndarray | None = None) -> np.ndarray:
+    """Per-sample agreement divergence KL(p1||p2) + KL(p2||p1);
+    ``log_ratio`` is log p - log p_other of the clamped logs, if held."""
+    if log_ratio is None:
+        logs = _clamped_log(p)
+        log_ratio = logs - _other(logs)
+    kl = (p * log_ratio).sum(axis=-1)   # KL(p1||p2), KL(p2||p1)
+    return kl[..., 0, :] + kl[..., 1, :]
 
 
 # --- small-loss selection ------------------------------------------------------
@@ -230,8 +237,7 @@ def source(p: np.ndarray, labels: np.ndarray, lam: float,
     picked = np.ascontiguousarray(logs[..., idx, labels])
     sup = -(picked[..., 0, :] + picked[..., 1, :])
     log_ratio = logs - _other(logs)
-    kl = (p * log_ratio).sum(axis=-1)   # KL(p1||p2), KL(p2||p1)
-    agreement = kl[..., 0, :] + kl[..., 1, :]
+    agreement = skld_rows(p, log_ratio)
     per = sup + lam * agreement
     # selection checks alpha and n; with alpha = 0 it keeps every row, for
     # every member of a stack alike
@@ -256,49 +262,42 @@ def source(p: np.ndarray, labels: np.ndarray, lam: float,
 
 
 def _hinge(values: np.ndarray, params: SeparationParams,
-           reach: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """Dead-band hinge rows and their derivative in ``values``."""
+           reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Dead-band hinge rows, saturated ``reach`` from delta, and their slopes."""
     diff = values - params.delta
     dist = np.abs(diff)
     active = dist > params.margin
-    value = np.where(active, -dist if reach is None else -np.minimum(dist, reach), 0.0)
-    if reach is not None:
-        active &= dist < reach
-    return value, np.where(active, -np.sign(diff), 0.0)
+    value = np.where(active, -np.minimum(dist, reach), 0.0)
+    return value, np.where(active & (dist < reach), -np.sign(diff), 0.0)
 
 
-def separation(p: np.ndarray, params: SeparationParams,
-               use_crs: bool = True, use_ent: bool = True,
-               ent_sign: float = 1.0, reach: float | None = None) -> Objective:
-    """Batch-mean dead-band hinge on per-sample crs and ent of the
-    (2, N, C) head pair.
+def separation(p: np.ndarray, params: SeparationParams, crs_weight: float = 1.0,
+               ent_weight: float = 1.0, reach: float = math.inf) -> Objective:
+    """Batch mean of ``crs_weight`` times the dead-band hinge on the
+    per-sample crs plus ``ent_weight`` times the hinge on the per-sample
+    ent of the (2, N, C) head pair.
 
     Values inside [delta - margin, delta + margin] contribute nothing;
     minimizing pushes values already outside the band further away from
-    delta.  ``ent_sign=-1`` flips the ent branch, turning the banded joint
-    divergence into the banded agreement divergence.  A finite ``reach``
-    saturates the hinge at that distance from delta, so samples already
-    far outside the band stop being pushed (keeps the optimization away
-    from the probability clamp).
+    delta.  A weight of 0 drops its branch, and ``ent_weight=-1`` turns
+    the banded joint divergence into the banded agreement divergence.  A
+    finite ``reach`` saturates the hinge at that distance from delta, so
+    samples already far outside the band stop being pushed (keeps the
+    optimization away from the probability clamp).
     """
     p = _check_stack(p)
     n = p.shape[-2]
     logs, inv = _clamped_log(p), _safe_inv(p)
     per = np.zeros(p.shape[:-3] + (n,))
     dp = np.zeros_like(p)
-    if use_crs:
-        other_logs = _other(logs)
-        cross = p * other_logs                   # p1 log p2, p2 log p1
-        value, slope = _hinge(-(cross[..., 0, :, :] + cross[..., 1, :, :]).sum(axis=-1),
-                              params, reach)
-        per += value
-        dp += slope[..., None, :, None] / n * (-other_logs - _other(p) * inv)
-    if use_ent:
-        own = p * logs
-        value, slope = _hinge(-(own[..., 0, :, :] + own[..., 1, :, :]).sum(axis=-1),
-                              params, reach)
-        per += ent_sign * value
-        dp += ent_sign * slope[..., None, :, None] / n * (-logs - p * inv)
+    if crs_weight:
+        value, slope = _hinge(crs_rows(p, logs), params, reach)
+        per += crs_weight * value
+        dp += crs_weight * slope[..., None, :, None] / n * (-_other(logs) - _other(p) * inv)
+    if ent_weight:
+        value, slope = _hinge(ent_rows(p, logs), params, reach)
+        per += ent_weight * value
+        dp += ent_weight * slope[..., None, :, None] / n * (-logs - p * inv)
     return Objective(_mean(per, slice(None), n), per, dp, np.arange(n))
 
 
@@ -319,15 +318,14 @@ def crs(p: np.ndarray, weight: float = 1.0,
     n = p.shape[-2]
     if below != math.inf:
         _one_row_set(p, "crs with a finite 'below'")
-    other_logs = _other(_clamped_log(p))
-    cross = p * other_logs
-    per = -(cross[..., 0, :, :] + cross[..., 1, :, :]).sum(axis=-1)
+    logs = _clamped_log(p)
+    per = crs_rows(p, logs)
     live = per < below
     rows = np.flatnonzero(live) if p.ndim == 3 else np.arange(n)
     k = len(rows)
     if not k:
         return Objective(0.0, per, np.zeros_like(p), rows)
-    d = -other_logs - _other(p) * _safe_inv(p)
+    d = -_other(logs) - _other(p) * _safe_inv(p)
     if cap is not None:
         d = d * (per < cap)[..., None, :, None]
         per = np.minimum(per, cap)
@@ -341,35 +339,32 @@ def crs(p: np.ndarray, weight: float = 1.0,
 
 @dataclass
 class VariantPlan:
-    """Effective objective set for one method variant."""
+    """Effective objective set for one method variant; the defaults are
+    ``full``'s.  A-2 runs when either hinge weight ``sep_*`` is non-zero."""
 
     alpha: float
     lam: float
-    sep_enabled: bool
-    sep_use_crs: bool
-    sep_use_ent: bool
-    sep_ent_sign: float
-    minimax: bool
+    sep_crs: float = 1.0
+    sep_ent: float = 1.0
+    minimax: bool = True
+
+
+# the fields each variant changes in the full plan
+_VARIANT_CHANGES = {
+    MethodVariant.FULL: {},
+    MethodVariant.SOURCE_ONLY: dict(alpha=0.0, lam=0.0, sep_crs=0.0, sep_ent=0.0,
+                                    minimax=False),   # supervised loss alone
+    MethodVariant.NO_SELECT: dict(alpha=0.0),
+    MethodVariant.NO_DIV: dict(lam=0.0),
+    MethodVariant.NO_CRS: dict(sep_crs=0.0),
+    MethodVariant.NO_ENT: dict(sep_ent=0.0),
+    MethodVariant.NO_SEP: dict(sep_crs=0.0, sep_ent=0.0),   # no A-2
+    MethodVariant.NO_MINIMAX: dict(minimax=False),          # no B, no C
+    MethodVariant.WITH_KL: dict(sep_ent=-1.0),              # hinge on crs - ent
+}
 
 
 def variant_losses(variant: MethodVariant, alpha: float, lam: float) -> VariantPlan:
-    """Resolve a variant into the objectives actually trained.
-
-    * source_only: supervised loss on the full source batch, nothing else
-    * no_select: alpha forced to 0
-    * no_div: lam forced to 0
-    * no_crs / no_ent: drop one branch of the separation hinge
-    * no_sep: the target separation step becomes a no-op
-    * no_minimax: skip the discriminator and alignment steps
-    * with_kl: separation uses crs - ent instead of crs + ent
-    """
-    v = variant
-    return VariantPlan(
-        alpha=0.0 if v in (MethodVariant.NO_SELECT, MethodVariant.SOURCE_ONLY) else alpha,
-        lam=0.0 if v in (MethodVariant.NO_DIV, MethodVariant.SOURCE_ONLY) else lam,
-        sep_enabled=v not in (MethodVariant.NO_SEP, MethodVariant.SOURCE_ONLY),
-        sep_use_crs=v is not MethodVariant.NO_CRS,
-        sep_use_ent=v is not MethodVariant.NO_ENT,
-        sep_ent_sign=-1.0 if v is MethodVariant.WITH_KL else 1.0,
-        minimax=v not in (MethodVariant.NO_MINIMAX, MethodVariant.SOURCE_ONLY),
-    )
+    """Resolve a variant into the objectives actually trained: the full
+    plan with the variant's changes applied."""
+    return VariantPlan(**{"alpha": alpha, "lam": lam, **_VARIANT_CHANGES[variant]})

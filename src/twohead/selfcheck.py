@@ -34,11 +34,10 @@ def check_loss_identities(n_pairs: int = 1000, seed: int = 2024) -> CheckResult:
         n = len(range(c - 2, n_pairs, 19))  # pairs i with 2 + i % 19 == c
         if not n:
             continue
-        p1 = rng.dirichlet(np.ones(c), size=n)
-        p2 = rng.dirichlet(np.ones(c), size=n)
-        crs, ent = losses.crs_rows(p1, p2), losses.ent_rows(p1, p2)
+        p = np.stack([rng.dirichlet(np.ones(c), size=n) for _ in range(2)])
+        crs, ent = losses.crs_rows(p), losses.ent_rows(p)
         worst_decomp = max(worst_decomp,
-                           float(np.abs(losses.skld_rows(p1, p2) - (crs - ent)).max()))
+                           float(np.abs(losses.skld_rows(p) - (crs - ent)).max()))
         if (ent > 2.0 * math.log(c) + 1e-12).any():
             return CheckResult("loss-identities", False,
                                f"ent exceeds 2 ln {c} for a {c}-class pair")
@@ -71,11 +70,8 @@ def _grad_objectives(num_classes: int, n_samples: int, seed: int,
     def supervised_only(p):
         return _value_and_grad(losses.source(p, labels, 0.0))
 
-    def separation(**switches):
-        return lambda p: _value_and_grad(losses.separation(p, sep, **switches))
-
-    def separation_off(p):
-        return 0.0, np.zeros_like(p)
+    def separation(**weights):
+        return lambda p: _value_and_grad(losses.separation(p, sep, **weights))
 
     def discriminator(p, cap=None):
         # source rows with the joint loss, target rows entering negatively
@@ -97,22 +93,22 @@ def _grad_objectives(num_classes: int, n_samples: int, seed: int,
     single = [("source-joint", source_joint),
               ("supervised-only", supervised_only),
               ("separation-joint", separation()),
-              ("separation-kl", separation(ent_sign=-1.0)),
-              ("separation-crs-only", separation(use_ent=False)),
-              ("separation-ent-only", separation(use_crs=False)),
+              ("separation-kl", separation(ent_weight=-1.0)),
+              ("separation-crs-only", separation(ent_weight=0.0)),
+              ("separation-ent-only", separation(crs_weight=0.0)),
               ("separation-saturated", separation(reach=sep.reach)),
-              ("separation-off", separation_off)]
+              ("separation-off", separation(crs_weight=0.0, ent_weight=0.0))]
     mixed = [("discriminator", discriminator),
              ("discriminator-capped", discriminator_capped),
              ("alignment", alignment)]
     return single, mixed
 
 
-def _hinge_gap(p1, p2, sep: SeparationParams) -> float:
-    """Distance of every per-sample crs/ent value from the nearest hinge
-    kink (band edge or saturation radius); finite differences need this
-    to stay clear of zero."""
-    vals = np.concatenate([losses.crs_rows(p1, p2), losses.ent_rows(p1, p2)])
+def _hinge_gap(p: np.ndarray, sep: SeparationParams) -> float:
+    """Distance of every per-sample crs/ent value of the (2, N, C) pair
+    from the nearest hinge kink (band edge or saturation radius); finite
+    differences need this to stay clear of zero."""
+    vals = np.concatenate([losses.crs_rows(p), losses.ent_rows(p)])
     dist = np.abs(vals - sep.delta)
     gap_band = np.abs(dist - sep.margin).min()
     gap_reach = np.abs(dist - sep.reach).min()
@@ -135,14 +131,14 @@ def check_gradients(seed: int = 11, tol: float = 1e-4, h: float = 1e-5
     x_tgt = rng.normal(scale=1.5, size=(n, 2)) + 2.0
     sep = SeparationParams(delta=math.log(num_classes), margin=0.35)
     model = nn.init_model([2, 8, 8, 8], num_classes, seed=seed)
-    crs_tgt = np.sort(losses.crs_rows(*nn.forward(model, x_tgt)[:2]))
+    crs_tgt = np.sort(losses.crs_rows(nn.forward(model, x_tgt)[2].p))
     split = int(np.argmax(np.diff(crs_tgt)))
     cap = float(crs_tgt[split] + crs_tgt[split + 1]) / 2.0
     single, mixed = _grad_objectives(num_classes, n, seed, sep, cap)
     batches = [(x_src, single), (np.vstack([x_src, x_tgt]), mixed)]
 
     # every row an objective sees must sit clear of the kinks
-    gap = min(min(_hinge_gap(*nn.forward(model, x)[:2], sep) for x, _ in batches),
+    gap = min(min(_hinge_gap(nn.forward(model, x)[2].p, sep) for x, _ in batches),
               float(np.abs(crs_tgt - cap).min()))
     if gap < 1e-3:
         return [CheckResult("gradient-setup", False,

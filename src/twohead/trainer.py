@@ -6,14 +6,14 @@ Per source/target batch pair the loop runs four phases in order:
   A-1  fit generator + heads on the small-loss subset of the source batch
        (supervised loss plus weighted agreement divergence)
   A-2  push per-sample crs/ent away from the threshold band on the target
-       batch (all parameters)
+       batch (all parameters), each by its hinge weight
   B    heads only: keep the source subset loss low while raising target
        crs (heads act as a discriminator, generator frozen)
   C    generator only: lower crs on the detected target-common subset,
        repeated up to n_inner times with the subset re-detected each time;
        an empty subset ends the phase
 
-Variants switch phases or terms off; see losses.variant_losses.
+Variants change fields of the full plan; see losses.variant_losses.
 
 Every step checks its objective's value and its scope's gradients before
 it applies the update, and raises NonFiniteLossError with the parameters
@@ -73,6 +73,11 @@ class TrainConfig:
     variant: MethodVariant = MethodVariant.FULL
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if not isinstance(self.variant, MethodVariant):
+            raise ConfigError(f"variant must be a MethodVariant, got {self.variant!r}")
         if not 0.0 <= self.alpha < 1.0:
             raise ConfigError(f"alpha (drop fraction) must be in [0, 1), got {self.alpha}")
         if self.lam < 0:
@@ -173,9 +178,7 @@ def step_a2(model: TwoHeadModel, x_t: np.ndarray, sep: SeparationParams,
     hinge loss, and the forward cache of ``x_t`` when no update was
     applied (it still matches the model), else None."""
     _, _, cache = forward(model, x_t)
-    hinge = losses.separation(
-        cache.p, sep, use_crs=plan.sep_use_crs, use_ent=plan.sep_use_ent,
-        ent_sign=plan.sep_ent_sign, reach=sep.reach)
+    hinge = losses.separation(cache.p, sep, plan.sep_crs, plan.sep_ent, sep.reach)
     if not hinge.dp.any():
         _check_finite(hinge.value, "A-2", epoch)
         return hinge.value, cache
@@ -286,7 +289,7 @@ def train(source: DomainDataset, target: DomainDataset, config: TrainConfig) -> 
             # left the model unchanged, then B's, whose generator C reuses
             reuse = None
             loss_sep = 0.0
-            if plan.sep_enabled:
+            if plan.sep_crs or plan.sep_ent:
                 loss_sep, reuse = step_a2(model, x_t, sep, plan, sgd,
                                           weight=config.minimax_weight, epoch=epoch)
 

@@ -176,7 +176,7 @@ def test_boundary_grid_blocks_match_one_forward(monkeypatch):
     p1, p2, _ = forward(m, np.column_stack([gx.ravel(), gy.ravel()]))
     assert np.array_equal(grid.pred1, np.argmax(p1, axis=1).reshape(res, res))
     assert np.array_equal(grid.pred2, np.argmax(p2, axis=1).reshape(res, res))
-    np.testing.assert_allclose(grid.l_crs, crs_rows(p1, p2).reshape(res, res),
+    np.testing.assert_allclose(grid.l_crs, crs_rows(np.stack([p1, p2])).reshape(res, res),
                                rtol=0, atol=1e-12)
 
 

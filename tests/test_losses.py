@@ -35,13 +35,13 @@ def _pairs(seed, label, classes, n):
 
 
 def test_kl_zero_for_identical():
-    assert skld_rows(P[None, :], P[None, :])[0] == 0.0
+    assert skld_rows(_pair(P[None, :], P[None, :]))[0] == 0.0
     assert losses.source(_pair(P[None, :], P[None, :]), [0], lam=1.0).skld == 0.0
 
 
 def test_kl_frozen_value():
     assert abs(_kl_reference(P, Q) - 0.36814) < 1e-4
-    pair = skld_rows(P[None, :], Q[None, :])[0]
+    pair = skld_rows(_pair(P[None, :], Q[None, :]))[0]
     assert abs(pair - (_kl_reference(P, Q) + _kl_reference(Q, P))) < 1e-12
     # KL(P||Q) = H(P, Q) - H(P): the cross term of crs minus P's share of ent
     h_pq = -(P * np.log(Q)).sum()
@@ -66,12 +66,12 @@ def test_kl_dimension_mismatch():
 def test_kl_nonnegative_random_pairs():
     for c in range(2, 21):
         p, q = _pairs(0, f"gibbs{c}", c, 60)
-        assert (skld_rows(p, q) >= 0.0).all()
+        assert (skld_rows(_pair(p, q)) >= 0.0).all()
 
 
 def test_skld_frozen_value():
     expected = _kl_reference(P, Q) + _kl_reference(Q, P)
-    assert abs(skld_rows(P[None, :], Q[None, :])[0] - expected) < 1e-12
+    assert abs(skld_rows(_pair(P[None, :], Q[None, :]))[0] - expected) < 1e-12
     assert abs(expected - 0.87897) < 1e-4
     with_div = losses.source(_pair(P[None, :], Q[None, :]), [0], lam=1.0)
     without = losses.source(_pair(P[None, :], Q[None, :]), [0], lam=0.0)
@@ -81,8 +81,8 @@ def test_skld_frozen_value():
 
 def test_skld_zero_and_symmetric():
     p1, p2 = _pairs(1, "sym", 4, 16)
-    assert (skld_rows(p1, p1) == 0.0).all()
-    assert np.abs(skld_rows(p1, p2) - skld_rows(p2, p1)).max() < 1e-12
+    assert (skld_rows(_pair(p1, p1)) == 0.0).all()
+    assert np.abs(skld_rows(_pair(p1, p2)) - skld_rows(_pair(p2, p1))).max() < 1e-12
 
 
 def test_skld_empty_batch():
@@ -92,14 +92,14 @@ def test_skld_empty_batch():
 
 def test_crs_ent_uniform():
     u = np.full((1, 3), 1.0 / 3.0)
-    assert abs(crs_rows(u, u)[0] - 2.0 * math.log(3)) < 1e-12
-    assert abs(ent_rows(u, u)[0] - 2.0 * math.log(3)) < 1e-12
+    assert abs(crs_rows(_pair(u, u))[0] - 2.0 * math.log(3)) < 1e-12
+    assert abs(ent_rows(_pair(u, u))[0] - 2.0 * math.log(3)) < 1e-12
     assert abs(losses.crs(_pair(u, u)).value - 2.0 * math.log(3)) < 1e-12
 
 
 def test_crs_ent_frozen_values():
-    c = crs_rows(P[None, :], Q[None, :])[0]
-    e = ent_rows(P[None, :], Q[None, :])[0]
+    c = crs_rows(_pair(P[None, :], Q[None, :]))[0]
+    e = ent_rows(_pair(P[None, :], Q[None, :]))[0]
     # entropy sum from direct evaluation, cross term via the decomposition
     h_p = -(0.9 * math.log(0.9) + 0.1 * math.log(0.1))
     h_q = math.log(2)
@@ -114,8 +114,8 @@ def test_decomposition_identity_random_pairs():
     worst = 0.0
     for c_n in range(2, 21):
         p1, p2 = _pairs(2, f"decomp{c_n}", c_n, 60)
-        c, e = crs_rows(p1, p2), ent_rows(p1, p2)
-        worst = max(worst, float(np.abs(skld_rows(p1, p2) - (c - e)).max()))
+        c, e = crs_rows(_pair(p1, p2)), ent_rows(_pair(p1, p2))
+        worst = max(worst, float(np.abs(skld_rows(_pair(p1, p2)) - (c - e)).max()))
         assert (e <= 2.0 * math.log(c_n) + 1e-12).all()
         assert (c >= e).all()
     assert worst < 1e-10
@@ -123,10 +123,11 @@ def test_decomposition_identity_random_pairs():
 
 def test_joint_divergence_values():
     u = np.full((1, 3), 1.0 / 3.0)
-    assert abs(crs_rows(u, u)[0] + ent_rows(u, u)[0] - 4.0 * math.log(3)) < 1e-12
+    assert abs(crs_rows(_pair(u, u))[0] + ent_rows(_pair(u, u))[0] - 4.0 * math.log(3)) < 1e-12
     onehot = np.array([[1.0, 0.0]])
-    assert crs_rows(onehot, onehot)[0] + ent_rows(onehot, onehot)[0] <= 1e-9
-    joint = crs_rows(P[None, :], Q[None, :])[0] + ent_rows(P[None, :], Q[None, :])[0]
+    assert crs_rows(_pair(onehot, onehot))[0] + ent_rows(_pair(onehot, onehot))[0] <= 1e-9
+    pq = _pair(P[None, :], Q[None, :])
+    joint = crs_rows(pq)[0] + ent_rows(pq)[0]
     assert abs(joint - 2.91543) < 1e-4
 
 
@@ -193,7 +194,7 @@ def test_source_trace_means_invariants():
     y = rng.integers(0, 4, size=32)
     got = losses.source(_pair(p1, p2), y, lam=0.1, alpha=0.2)
     rows = got.rows
-    c, e = crs_rows(p1, p2)[rows].mean(), ent_rows(p1, p2)[rows].mean()
+    c, e = crs_rows(_pair(p1, p2))[rows].mean(), ent_rows(_pair(p1, p2))[rows].mean()
     assert c >= e >= 0.0
     assert np.isfinite([got.value, got.sup, got.skld]).all()
     assert np.isfinite(got.per_sample).all() and got.per_sample.shape == (32,)
@@ -269,8 +270,8 @@ def test_separation_loss_dead_band_and_values():
     params = SeparationParams(delta=math.log(3), margin=1.0)
     p1, p2 = _pairs(4, "sep", 3, 32)
     # reference: hinge applied to independently computed crs/ent rows
-    c = crs_rows(p1, p2)
-    e = ent_rows(p1, p2)
+    c = crs_rows(_pair(p1, p2))
+    e = ent_rows(_pair(p1, p2))
     expect = [_hinge_reference(ci, params.delta, 1.0) + _hinge_reference(ei, params.delta, 1.0)
               for ci, ei in zip(c, e)]
     got = losses.separation(_pair(p1, p2), params)
@@ -288,12 +289,12 @@ def test_separation_loss_dead_band_and_values():
 def test_separation_grad_is_banded_subgradient():
     params = SeparationParams(delta=math.log(3), margin=0.4)
     p1, p2 = _pairs(5, "sepg", 3, 16)
-    c = crs_rows(p1, p2)
-    _, g = losses._hinge(c, params, None)
+    c = crs_rows(_pair(p1, p2))
+    _, g = losses._hinge(c, params, math.inf)
     assert set(np.unique(g)).issubset({-1.0, 0.0, 1.0})
     inside = np.abs(c - params.delta) <= params.margin
     assert np.all(g[inside] == 0.0)
-    got = losses.separation(_pair(p1, p2), params, use_ent=False)
+    got = losses.separation(_pair(p1, p2), params, ent_weight=0.0)
     assert np.all(got.dp[0][inside] == 0.0) and np.all(got.dp[1][inside] == 0.0)
 
 
@@ -303,8 +304,8 @@ def test_separation_saturation_reach():
     rng = make_rng(6, "reach")
     p1 = rng.dirichlet(np.ones(3) * 0.05, size=64)  # spiky: large crs spread
     p2 = rng.dirichlet(np.ones(3) * 0.05, size=64)
-    got = losses.separation(_pair(p1, p2), params, use_ent=False, reach=0.5)
-    c = crs_rows(p1, p2)
+    got = losses.separation(_pair(p1, p2), params, ent_weight=0.0, reach=0.5)
+    c = crs_rows(_pair(p1, p2))
     beyond = np.abs(c - params.delta) >= 0.5
     assert beyond.any()
     assert np.all(got.dp[0][beyond] == 0.0)
@@ -315,7 +316,7 @@ def test_common_mask_matches_threshold():
     params = SeparationParams(delta=3.0, margin=1.0)
     p1, p2 = _pairs(7, "mask", 3, 64)
     common = losses.crs(_pair(p1, p2), below=params.delta - params.margin)
-    c = crs_rows(p1, p2)
+    c = crs_rows(_pair(p1, p2))
     assert np.array_equal(common.rows, np.flatnonzero(c < 2.0))
     assert common.value == float(c[common.rows].mean())
     outside = np.setdiff1d(np.arange(64), common.rows)
@@ -328,7 +329,7 @@ def test_common_mask_matches_threshold():
 
 def test_crs_cap_stops_gradient_past_the_cap():
     p1, p2 = _pairs(12, "cap", 3, 64)
-    c = crs_rows(p1, p2)
+    c = crs_rows(_pair(p1, p2))
     cap = float(np.median(c))
     got = losses.crs(_pair(p1, p2), weight=-0.2, cap=cap)
     assert np.array_equal(got.per_sample, np.minimum(c, cap))
@@ -371,36 +372,48 @@ def test_variant_plans():
     full = variant_losses(MethodVariant.FULL, alpha=0.2, lam=0.1)
     no_div = variant_losses(MethodVariant.NO_DIV, alpha=0.2, lam=0.1)
     assert full.lam == 0.1 and no_div.lam == 0.0
-    assert (full.alpha, full.sep_enabled, full.minimax) == \
-        (no_div.alpha, no_div.sep_enabled, no_div.minimax)
+    assert (full.alpha, full.sep_crs, full.sep_ent, full.minimax) == \
+        (no_div.alpha, no_div.sep_crs, no_div.sep_ent, no_div.minimax)
 
     no_select = variant_losses(MethodVariant.NO_SELECT, alpha=0.2, lam=0.1)
     assert no_select.alpha == 0.0 and no_select.lam == 0.1
 
     source_only = variant_losses(MethodVariant.SOURCE_ONLY, alpha=0.2, lam=0.1)
     assert source_only.alpha == 0.0 and source_only.lam == 0.0
-    assert not source_only.sep_enabled and not source_only.minimax
+    assert source_only.sep_crs == source_only.sep_ent == 0.0 and not source_only.minimax
 
     no_sep = variant_losses(MethodVariant.NO_SEP, alpha=0.2, lam=0.1)
-    assert not no_sep.sep_enabled and no_sep.minimax
+    assert no_sep.sep_crs == no_sep.sep_ent == 0.0 and no_sep.minimax
 
     no_minimax = variant_losses(MethodVariant.NO_MINIMAX, alpha=0.2, lam=0.1)
-    assert no_minimax.sep_enabled and not no_minimax.minimax
+    assert (no_minimax.sep_crs, no_minimax.sep_ent) == (1.0, 1.0) and not no_minimax.minimax
 
-    assert variant_losses(MethodVariant.NO_CRS, 0.2, 0.1).sep_use_crs is False
-    assert variant_losses(MethodVariant.NO_ENT, 0.2, 0.1).sep_use_ent is False
-    assert variant_losses(MethodVariant.WITH_KL, 0.2, 0.1).sep_ent_sign == -1.0
+    no_crs = variant_losses(MethodVariant.NO_CRS, 0.2, 0.1)
+    assert (no_crs.sep_crs, no_crs.sep_ent) == (0.0, 1.0)
+    no_ent = variant_losses(MethodVariant.NO_ENT, 0.2, 0.1)
+    assert (no_ent.sep_crs, no_ent.sep_ent) == (1.0, 0.0)
+    with_kl = variant_losses(MethodVariant.WITH_KL, 0.2, 0.1)
+    assert (with_kl.sep_crs, with_kl.sep_ent) == (1.0, -1.0)
+
+
+def test_variant_table_has_one_entry_per_variant():
+    """Every MethodVariant has its row of changes to the full plan, and
+    nothing else does, so no value falls back to ``full``."""
+    table = losses._VARIANT_CHANGES
+    assert len(table) == len(MethodVariant) and set(table) == set(MethodVariant)
+    with pytest.raises(KeyError):
+        variant_losses("no_sep", 0.2, 0.1)
 
 
 def test_with_kl_matches_independent_form():
     """The flipped-sign separation equals banded crs minus banded ent."""
     params = SeparationParams(delta=math.log(3), margin=0.5)
     p1, p2 = _pairs(8, "klvar", 3, 48)
-    c = crs_rows(p1, p2)
-    e = ent_rows(p1, p2)
+    c = crs_rows(_pair(p1, p2))
+    e = ent_rows(_pair(p1, p2))
     banded = np.array([_hinge_reference(v, params.delta, 0.5) for v in c]).mean() \
         - np.array([_hinge_reference(v, params.delta, 0.5) for v in e]).mean()
-    got = losses.separation(_pair(p1, p2), params, ent_sign=-1.0)
+    got = losses.separation(_pair(p1, p2), params, ent_weight=-1.0)
     assert abs(got.value - banded) < 1e-12
 
 
@@ -413,7 +426,7 @@ def test_skld_grad_matches_numeric():
     for k in range(3):
         up = p1.copy(); up[0, k] += h
         dn = p1.copy(); dn[0, k] -= h
-        num = (skld_rows(up, p2)[0] - skld_rows(dn, p2)[0]) / (2 * h)
+        num = (skld_rows(_pair(up, p2))[0] - skld_rows(_pair(dn, p2))[0]) / (2 * h)
         assert abs(num - d1[0, k]) < 1e-5
 
 
@@ -430,17 +443,17 @@ def test_saturation_reach_and_cap():
 @given(seed=st.integers(0, 2**32 - 1), classes=st.integers(2, 6), n=st.integers(1, 16),
        alpha=st.floats(0.0, 0.9), lam=st.floats(0.0, 2.0))
 def test_objectives_match_the_row_functions(seed, classes, n, alpha, lam):
-    """The objectives compute their per-sample values inline; prediction
-    and the loss-identity check use ``crs_rows``/``skld_rows``.  Both must
-    give the same numbers bit for bit, one-hot rows (clamped logs)
-    included."""
+    """The objectives' per-sample values, detected rows and selected
+    means are those of ``crs_rows``/``skld_rows`` on the same stacked pair,
+    which prediction and the loss-identity check call: the same numbers
+    bit for bit, one-hot rows (clamped logs) included."""
     rng = np.random.default_rng(seed)
     p = rng.dirichlet(np.ones(classes), size=(2, n))
     onehot = rng.random((2, n)) < 0.3
     p[onehot] = np.eye(classes)[rng.integers(0, classes, size=int(onehot.sum()))]
     labels = rng.integers(0, classes, size=n)
 
-    c = crs_rows(p[0], p[1])
+    c = crs_rows(p)
     assert losses.crs(p).per_sample.tobytes() == c.tobytes()
     # a threshold at one row's own crs: strictly below excludes that row
     t = c[rng.integers(n)]
@@ -448,7 +461,7 @@ def test_objectives_match_the_row_functions(seed, classes, n, alpha, lam):
 
     src = losses.source(p, labels, lam, alpha)
     k = len(src.rows)
-    assert src.skld == float(skld_rows(p[0], p[1])[src.rows].sum() / k)
+    assert src.skld == float(skld_rows(p)[src.rows].sum() / k)
 
 
 # --- every objective's gradient against central differences of its value ---
@@ -465,9 +478,9 @@ def _objective_cases(labels, sep):
         "separation": (lambda p: losses.separation(p, sep, reach=reach),
                        (sep.delta - reach, sep.delta - sep.margin,
                         sep.delta + sep.margin, sep.delta + reach)),
-        "separation-kl": (lambda p: losses.separation(p, sep, ent_sign=-1.0),
+        "separation-kl": (lambda p: losses.separation(p, sep, ent_weight=-1.0),
                           (sep.delta - sep.margin, sep.delta + sep.margin)),
-        "separation-crs-only": (lambda p: losses.separation(p, sep, use_ent=False),
+        "separation-crs-only": (lambda p: losses.separation(p, sep, ent_weight=0.0),
                                 (sep.delta - sep.margin, sep.delta + sep.margin)),
         "crs-capped": (lambda p: losses.crs(p, weight=-0.2, cap=cap), (cap,)),
         "crs-below": (lambda p: losses.crs(p, below=sep.delta), (sep.delta,)),
@@ -491,7 +504,7 @@ def test_objective_gradients_match_central_differences(name, seed, classes, n, m
     # keep every row's crs and ent off the hinge kinks, the cap and the
     # detection gate, and the selection off ties, so +-FD_STEP moves no
     # row across a kink
-    values = np.concatenate([crs_rows(p[0], p[1]), ent_rows(p[0], p[1])])
+    values = np.concatenate([crs_rows(p), ent_rows(p)])
     for kink in kinks:
         assume(np.abs(values - kink).min() > KINK_GAP)
     got = fn(p)
@@ -550,16 +563,16 @@ def test_source_on_members_matches_each_member(seed, members, classes, n, lam):
 
 
 @settings(max_examples=60, deadline=None)
-@given(**_member_draw, use_crs=st.booleans(), use_ent=st.booleans(),
-       ent_sign=st.sampled_from([1.0, -1.0]), saturate=st.booleans())
-def test_separation_on_members_matches_each_member(seed, members, classes, n, use_crs,
-                                                   use_ent, ent_sign, saturate):
+@given(**_member_draw, crs_weight=st.sampled_from([0.0, 1.0]),
+       ent_weight=st.sampled_from([0.0, 1.0, -1.0]), saturate=st.booleans())
+def test_separation_on_members_matches_each_member(seed, members, classes, n, crs_weight,
+                                                   ent_weight, saturate):
     p, _ = _member_stack(seed, members, classes, n)
     sep = SeparationParams(delta=math.log(classes), margin=0.3)
-    switches = dict(use_crs=use_crs, use_ent=use_ent, ent_sign=ent_sign,
-                    reach=sep.reach if saturate else None)
-    _assert_members_match(losses.separation(p, sep, **switches),
-                          [losses.separation(p[i], sep, **switches)
+    weights = dict(crs_weight=crs_weight, ent_weight=ent_weight,
+                   reach=sep.reach if saturate else math.inf)
+    _assert_members_match(losses.separation(p, sep, **weights),
+                          [losses.separation(p[i], sep, **weights)
                            for i in range(members)])
 
 

@@ -735,7 +735,7 @@ def test_multi_objective_grad_check_matches_one_objective_at_a_time(seed):
         return loss_fn
 
     loss_fns = [objective(lambda p: losses.source(p, labels, 0.1)),
-                objective(lambda p: losses.separation(p, sep, ent_sign=-1.0)),
+                objective(lambda p: losses.separation(p, sep, ent_weight=-1.0)),
                 objective(lambda p: losses.crs(p, weight=-1.0)),
                 lambda p: (1.0, np.zeros_like(p))]
     reports = grad_check(m, loss_fns, x)

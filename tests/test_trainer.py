@@ -46,6 +46,33 @@ def test_train_config_validation():
         TrainConfig(batch_size=1)
 
 
+# every field annotated as a float, delta's ``float | None`` included
+_FLOAT_FIELDS = ["alpha", "lam", "delta", "margin", "learning_rate", "momentum",
+                 "weight_decay", "minimax_weight"]
+
+
+def test_float_fields_are_the_annotated_ones():
+    annotated = [f.name for f in dataclasses.fields(TrainConfig) if "float" in str(f.type)]
+    assert _FLOAT_FIELDS == annotated
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", _FLOAT_FIELDS)
+def test_train_config_rejects_non_finite_floats(name, value):
+    """margin=inf would train with loss_sep and loss_c both 0 (no A-2, no
+    C), and delta=inf would train every epoch before evaluate raised."""
+    with pytest.raises(ConfigError, match=name):
+        TrainConfig(**{name: value})
+
+
+@pytest.mark.parametrize("variant", ["no_sep", "full", None, 0])
+def test_train_config_rejects_a_variant_that_is_not_a_method_variant(variant):
+    """A string equal to a variant's value is not that variant: it used to
+    fall through variant_losses' checks and train ``full``."""
+    with pytest.raises(ConfigError, match="variant"):
+        TrainConfig(variant=variant)
+
+
 def _observed_iterations(observe_steps, source, target, config):
     """Train recording (step, model.version) after every step and split
     the records into batch iterations, each starting at A-1."""
@@ -131,7 +158,7 @@ def test_step_a2_noop_inside_band(toy_data):
     model = init_model([2, 8, 8, 8], 3, seed=1)
     x = make_rng(0, "a2").normal(size=(8, 2))
     p1, p2, _ = forward(model, x)
-    vals = np.concatenate([crs_rows(p1, p2),
+    vals = np.concatenate([crs_rows(np.stack([p1, p2])),
                            -(p1 * np.log(p1) + p2 * np.log(p2)).sum(1)])
     sep = SeparationParams(delta=float(np.mean(vals)),
                            margin=float(np.ptp(vals)) + 1.0)
@@ -174,16 +201,16 @@ def test_step_b_raises_target_divergence(toy_data):
 
     probe = target.features[:256]
     p1, p2, _ = forward(model, probe)
-    before = crs_rows(p1, p2).mean()
+    before = crs_rows(np.stack([p1, p2])).mean()
     idx = rng.integers(0, len(source.features), size=64)
     tdx = rng.integers(0, len(target.features), size=64)
     # a cap above every target row: B runs uncapped
-    top = float(crs_rows(*forward(model, target.features[tdx])[:2]).max())
+    top = float(crs_rows(forward(model, target.features[tdx])[2].p).max())
     sep = SeparationParams(delta=top + 1.0, margin=0.0)
     step_b(model, source.features[idx], source.observed_labels[idx],
            target.features[tdx], sep, plan, sgd)
     p1, p2, _ = forward(model, probe)
-    after = crs_rows(p1, p2).mean()
+    after = crs_rows(np.stack([p1, p2])).mean()
     assert after > before
 
 
@@ -411,7 +438,7 @@ def test_step_b_reports_the_capped_objective():
     plan = variant_losses(MethodVariant.FULL, 0.2, 0.1)
     ps1, ps2, _ = forward(model, x_s)
     pt1, pt2, _ = forward(model, x_t)
-    c = crs_rows(pt1, pt2)
+    c = crs_rows(np.stack([pt1, pt2]))
     cap = float(np.median(c))
     expect = (losses.source(np.stack([ps1, ps2]), y_s, 0.1).value
               - float(np.minimum(c, cap).mean()))
