@@ -178,7 +178,6 @@ class BoundaryGrid:
     pred2: np.ndarray         # (res, res) head-2 argmax
     l_crs: np.ndarray         # (res, res)
     unknown: np.ndarray       # (res, res) bool, l_crs > delta
-    delta: float
 
     def to_csv(self, path) -> None:
         # Each row is one join over C-level iterators zipped cell by cell:
@@ -241,7 +240,6 @@ def boundary_grid(model: TwoHeadModel, bounds: tuple[tuple[float, float], tuple[
         pred2=pred2.reshape(resolution, resolution),
         l_crs=l_crs,
         unknown=l_crs > delta,
-        delta=delta,
     )
 
 

@@ -154,13 +154,12 @@ class RunSummary:
     avg_accuracy: float
     common_accuracy: float
     unknown_recall: float
-    out_dir: str
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: Path) -> RunSummary:
-    """Generate data, train, evaluate, and write all artifacts."""
+    """Generate data, train, evaluate, and write all artifacts; the output
+    directory is made only for the writes, so a failed run leaves none."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     noise = NoiseSpec(spec.noise_kind, spec.noise_rate)
     source, target = build_toy_scenario(
         spec.train.seed, noise=noise,
@@ -170,6 +169,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> RunSummary:
     report = evaluate(state.model, target, state.delta)
     grid = boundary_grid(state.model, TOY_BOUNDS, DEFAULT_GRID_RESOLUTION, state.delta)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write(out_dir / "loss_trace.csv", state.trace_to_csv)
     atomic_write(out_dir / "eval_report.csv", report.to_csv)
     atomic_write(out_dir / "density.csv", lambda p: density_to_csv(report, p))
@@ -187,8 +187,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> RunSummary:
     return RunSummary(variant=spec.train.variant.value,
                       avg_accuracy=report.average_accuracy,
                       common_accuracy=report.common_accuracy,
-                      unknown_recall=report.unknown_recall,
-                      out_dir=str(out_dir))
+                      unknown_recall=report.unknown_recall)
 
 
 def _run_many(jobs: int, specs: list[ExperimentSpec], out_dirs: list[Path]
@@ -199,39 +198,34 @@ def _run_many(jobs: int, specs: list[ExperimentSpec], out_dirs: list[Path]
         return list(pool.map(run_experiment, specs, out_dirs))
 
 
+def _write_table(path: Path, rows: list[list]) -> None:
+    """``rows``, the header first, as a CSV file, written atomically."""
+    def write(pth):
+        with open(pth, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+
+    atomic_write(path, write)
+
+
 def ablate(base: ExperimentSpec, out_dir: Path, jobs: int = 1) -> list[RunSummary]:
     """Run every method variant on identical data and seed."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     summaries = _run_many(jobs, [replace(base, train=replace(base.train, variant=v))
                                  for v in MethodVariant],
                           [out_dir / v.value for v in MethodVariant])
-
-    def write(pth):
-        with open(pth, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["variant", "avg_accuracy", "common_acc", "unknown_recall"])
-            for s in summaries:
-                writer.writerow([s.variant, repr(s.avg_accuracy),
-                                 repr(s.common_accuracy), repr(s.unknown_recall)])
-
-    atomic_write(out_dir / "ablation.csv", write)
+    _write_table(out_dir / "ablation.csv",
+                 [["variant", "avg_accuracy", "common_acc", "unknown_recall"]]
+                 + [[s.variant, repr(s.avg_accuracy), repr(s.common_accuracy),
+                     repr(s.unknown_recall)] for s in summaries])
     return summaries
 
 
 def sweep(spec: SweepSpec, out_dir: Path, jobs: int = 1) -> list[RunSummary]:
     """One full run per swept value; everything else fixed."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     summaries = _run_many(jobs, spec.specs,
                           [out_dir / f"{spec.param}_{v}" for v in spec.values])
-
-    def write(pth):
-        with open(pth, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["param", "value", "avg_accuracy"])
-            for v, s in zip(spec.values, summaries):
-                writer.writerow([spec.param, v, repr(s.avg_accuracy)])
-
-    atomic_write(out_dir / "sweep.csv", write)
+    _write_table(out_dir / "sweep.csv", [["param", "value", "avg_accuracy"]]
+                 + [[spec.param, v, repr(s.avg_accuracy)]
+                    for v, s in zip(spec.values, summaries)])
     return summaries

@@ -30,6 +30,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -508,16 +509,15 @@ def save_model_csv(model: TwoHeadModel, path) -> None:
 
 
 def load_model_csv(path) -> TwoHeadModel:
-    """Rebuild a model from ``save_model_csv`` output.  Layer roles and
-    activations are implied by the layer names and positions.  The file
-    must start with the header ``layer,row,col,value``, every layer name
-    must be ``gen``, ``head1`` or ``head2`` and an integral index, the
-    indices of each prefix must run 0, 1, ... without a gap, and each
-    layer must list every weight and bias cell of its shape exactly once
-    with an integral row and column and a finite value.  Each layer's input
-    width must match the previous layer's output width, and the two heads
-    must have the same shapes, since they share one stacked buffer.  A file
-    that cannot be read or breaks any of these raises ConfigError."""
+    """Rebuild a model from ``save_model_csv`` output.  The file must start
+    with the header ``layer,row,col,value``, and each row names a layer
+    ``gen.<i>``, ``head1.<i>`` or ``head2.<i>`` and gives one cell, not
+    listed before, an integral row and column and a finite value.  Its
+    widths (1 + the largest column of ``gen.0``, then 1 + the largest row
+    of each ``gen.<i>`` and ``head1.<i>`` up to the first missing index)
+    describe a ``TwoHeadModel``: the file must list exactly that model's
+    layers and exactly the weight and bias cells of each.  A file that
+    cannot be read or breaks this raises ConfigError naming the layer."""
     entries: dict[str, dict[tuple[int, int], float]] = {}
     try:
         with open(path, newline="") as fh:
@@ -549,45 +549,44 @@ def load_model_csv(path) -> TwoHeadModel:
             raise ConfigError(f"model file layer '{name}' lists cell ({r}, {c}) twice")
         cells[key] = value
 
-    def shape_table(prefix: str) -> tuple[list[str], list[int]]:
-        names = sorted((n for n in entries if n.startswith(prefix + ".")),
-                        key=lambda n: int(n.split(".")[1]))
-        if not names:
-            raise ConfigError(f"model file has no '{prefix}' layers")
-        # sorted by index, so the first name out of place marks the gap
-        for i, n in enumerate(names):
-            if n != f"{prefix}.{i}":
-                raise ConfigError(f"model file has no '{prefix}.{i}' layer "
-                                  f"but lists '{n}': '{prefix}' indices must run 0, 1, ...")
-        dims = [(1 + max(r for r, _ in entries[n]), 1 + max(c for _, c in entries[n]))
-                for n in names]
-        for n, (rows, cols) in zip(names, dims):
-            # cells are unique (row, col) keys with row in [0, rows) and col
-            # in [-1, cols), so the right count means none is missing
-            if (len(entries[n]) != rows * cols + rows
-                    or min(r for r, _ in entries[n]) < 0
-                    or min(c for _, c in entries[n]) < -1):
-                raise ConfigError(
-                    f"model file layer '{n}' has {len(entries[n])} cells, expected "
-                    f"{rows * cols + rows} for a ({rows}, {cols}) weight and its bias")
-        widths = [dims[0][1]] + [rows for rows, _ in dims]
-        if any(cols != widths[i] for i, (_, cols) in enumerate(dims)):
-            raise ConfigError(f"model file '{prefix}' layer shapes do not chain: {dims}")
-        return names, widths
+    for name in ("gen.0", "head1.0"):
+        if name not in entries:
+            raise ConfigError(f"model file has no '{name}' layer")
 
-    gen_names, gen_widths = shape_table("gen")
-    h1_names, head_widths = shape_table("head1")
-    h2_names, h2_widths = shape_table("head2")
-    if h2_widths != head_widths or head_widths[0] != gen_widths[-1]:
-        raise ConfigError(f"model file head widths {head_widths} / {h2_widths} do not "
-                          f"match each other and the generator output {gen_widths[-1]}")
-    model = TwoHeadModel(gen_widths, head_widths)
-    for names, layers in ((gen_names, model.generator), (h1_names, model.head1),
-                          (h2_names, model.head2)):
-        for name, layer in zip(names, layers):
-            for (r, c), v in entries[name].items():
-                if c < 0:
-                    layer.bias[r] = v
-                else:
-                    layer.weight[r, c] = v
+    def widths(prefix: str, first: int) -> list[int]:
+        out = [first]
+        while (cells := entries.get(f"{prefix}.{len(out) - 1}")) is not None:
+            out.append(1 + max(cells)[0])   # the largest (row, col) key has the largest row
+        return out
+
+    gen_widths = widths("gen", 1 + max(c for _, c in entries["gen.0"]))
+    model = TwoHeadModel(gen_widths, widths("head1", gen_widths[-1]))
+    layers = dict(model.named_layers())
+    for name in entries:
+        if name not in layers:
+            prefix = name.split(".")[0]
+            depth = sum(n.startswith(prefix + ".") for n in layers)
+            if f"{prefix}.{depth}" in entries:
+                # only head2 gets here: gen and head1 end at their first gap
+                raise ConfigError(f"model file lists '{prefix}.{depth}' but no "
+                                  f"'head1.{depth}': both heads must have the same depth")
+            raise ConfigError(f"model file has no '{prefix}.{depth}' layer but lists "
+                              f"'{name}': '{prefix}' indices must run 0, 1, ...")
+    for name, layer in layers.items():
+        cells = entries.get(name)
+        if cells is None:
+            raise ConfigError(f"model file has no '{name}' layer")
+        out, n_in = layer.weight.shape
+        keys = list(product(range(out), range(-1, n_in)))
+        try:
+            values = np.fromiter(map(cells.__getitem__, keys), np.float64, len(keys))
+        except KeyError as exc:
+            raise ConfigError(f"model file layer '{name}' has no cell {exc.args[0]} "
+                              f"of its ({out}, {n_in}) weight and bias") from None
+        if len(cells) > len(keys):
+            raise ConfigError(f"model file layer '{name}' lists cell "
+                              f"{min(cells.keys() - set(keys))} outside its "
+                              f"({out}, {n_in}) weight and bias")
+        values = values.reshape(out, n_in + 1)   # column 0 is the bias
+        layer.bias[...], layer.weight[...] = values[:, 0], values[:, 1:]
     return model

@@ -56,6 +56,8 @@ class TrainConfig:
 
     ``delta`` defaults to ln(num classes) when left as None; ``alpha`` is
     the fraction of each source batch dropped by small-loss selection.
+    ``margin`` must lie in (0, delta): at or above delta, C's subset
+    (crs < delta - margin) is empty; at 0, so is A-2's hinge window.
     """
 
     alpha: float = 0.2
@@ -84,8 +86,9 @@ class TrainConfig:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
         if self.delta is not None and self.delta <= 0:
             raise ConfigError(f"delta must be > 0, got {self.delta}")
-        if self.margin < 0:
-            raise ConfigError(f"margin must be >= 0, got {self.margin}")
+        if not 0 < self.margin < (self.delta or math.inf):
+            raise ConfigError(
+                f"margin must be in (0, delta), got {self.margin}, delta {self.delta}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.minimax_weight <= 0:
@@ -262,6 +265,8 @@ def train(source: DomainDataset, target: DomainDataset, config: TrainConfig) -> 
     if n_classes < 2:
         raise ConfigError(f"need >= 2 source classes, got {n_classes}")
     delta = config.resolved_delta(n_classes)
+    if config.margin >= delta:
+        raise ConfigError(f"margin must be in (0, delta), got {config.margin}, delta {delta}")
     sep = SeparationParams(delta=delta, margin=config.margin)
     plan = losses.variant_losses(config.variant, config.alpha, config.lam)
     sgd = SgdConfig(learning_rate=config.learning_rate, momentum=config.momentum,

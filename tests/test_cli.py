@@ -106,7 +106,7 @@ def test_dataset_smaller_than_a_batch_rejected(tmp_path, capsys):
                "--out", str(out)])
     assert rc == 2
     assert "batch_size" in capsys.readouterr().err
-    assert not (out / "model.csv").exists()
+    assert not out.exists()
 
 
 def test_nonfinite_loss_exits_3(tmp_path, capsys, monkeypatch):
@@ -121,7 +121,20 @@ def test_nonfinite_loss_exits_3(tmp_path, capsys, monkeypatch):
     assert rc == 3
     err = capsys.readouterr().err
     assert "step A-1 at epoch 0" in err
-    assert not (out / "model.csv").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [
+    {"learning_rate": 0}, {"momentum": 1.0}, {"noise_rate": 1.5}, {"samples_per_class": 0},
+    {"stddev": 0}, {"margin": 0}, {"delta": 1.0, "margin": 1.0}, {"margin": 1.2},
+])
+def test_a_run_that_fails_writes_nothing(tmp_path, bad):
+    """Each fails after ``--out`` used to be made; margin 1.2 >= ln(3) is
+    found only when training starts."""
+    out = tmp_path / "out"
+    rc = main(["run", "--config", _write_cfg(tmp_path, bad), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
@@ -206,6 +219,18 @@ def test_sweep_rejects_a_repeated_value(tmp_path, capsys, param, values, named):
                  param, "--values", values, "--out", str(out)]) == 2
     assert f"{named} is listed twice" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("delta", [None, 1.0])
+def test_margin_sweep_rejects_a_margin_at_or_above_delta(tmp_path, capsys, delta):
+    """With delta set, SweepSpec rejects margin 1.2 before any run; with
+    delta null (ln 3 = 1.0986) only its own run finds it, after 0.5 ran."""
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", _write_cfg(tmp_path, {"epochs": 1, "delta": delta}),
+                 "--param", "margin", "--values", "0.5,1.2", "--out", str(out)]) == 2
+    assert "margin" in capsys.readouterr().err
+    assert (out / "margin_0.5" / "model.csv").exists() == (delta is None)
+    assert not (out / "margin_1.2").exists() and not (out / "sweep.csv").exists()
 
 
 def test_grid_rerenders_saved_model(tmp_path):

@@ -331,8 +331,7 @@ def test_boundary_writers_match_per_cell_reference(tmp_path, toy_data):
                         pred2=np.array([[-1, 3, 3], [12, 7, 0], [12, -1, 1]]),
                         l_crs=np.array([[0.1, 2.0, 0.3], [np.inf, 0.5, 1.5], [0.9, 0.2, 3.0]]),
                         unknown=np.array([[False, True, False], [True, False, True],
-                                          [False, False, True]]),
-                        delta=1.0)
+                                          [False, False, True]]))
     hand.to_csv(tmp_path / "hand.csv")
     assert (tmp_path / "hand.csv").read_bytes() == _reference_boundary_csv(hand)
     write_boundary_svg(hand, tmp_path / "hand.svg", source=source, target=target)
@@ -369,7 +368,7 @@ def test_boundary_writers_match_reference_on_random_grids(tmp_path_factory, res,
     grid = BoundaryGrid(xs=np.linspace(origin[0], origin[0] + span[0], res),
                         ys=np.linspace(origin[1], origin[1] + span[1], res),
                         pred1=pred1, pred2=pred2, l_crs=l_crs,
-                        unknown=rng.random((res, res)) < 0.3, delta=1.0)
+                        unknown=rng.random((res, res)) < 0.3)
     source = _random_dataset(rng, classes, labelled=True) if overlays else None
     target = _random_dataset(rng, classes, labelled=False) if overlays else None
 

@@ -245,10 +245,11 @@ def test_model_csv_roundtrip(tmp_path):
 
 
 
-@pytest.mark.parametrize("drop", ["head2.0", "gen.1"])
+@pytest.mark.parametrize("drop", ["head2.0", "gen.1", "head1.0"])
 def test_model_csv_rejects_shapes_that_do_not_fit(tmp_path, drop):
-    """A head whose shapes differ from the other head's, or a generator
-    whose layers do not chain, cannot share the stacked buffer."""
+    """A head whose shapes differ from the other head's, a generator whose
+    layers do not chain, or heads that do not take the generator's output
+    cannot share the stacked buffer."""
     m = init_model([2, 8, 8, 8], 3, seed=11)
     path = tmp_path / "model.csv"
     save_model_csv(m, path)
@@ -436,25 +437,53 @@ def test_model_csv_matches_ndenumerate_reference(tmp_path_factory, args):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(2, 5), min_size=1, max_size=3), st.integers(2, 4),
        st.integers(0, 2**16), st.integers(0, 10**6),
-       st.sampled_from(["abc", "nan", "inf", "-inf", "", "missing", "duplicate"]))
+       st.sampled_from(["abc", "nan", "inf", "-inf", "", "missing", "duplicate",
+                        "row out", "row -1", "col -2", "gen past the end",
+                        "head2 past the end", "head1 deeper"]))
 def test_model_csv_rejects_one_corrupted_cell(tmp_path_factory, hidden, classes, seed,
                                               pick, corruption):
-    """A non-numeric, NaN, infinite, missing or duplicated cell anywhere in
-    the file raises ConfigError naming its layer."""
+    """A non-numeric, NaN, infinite, missing, duplicated or out-of-shape
+    cell anywhere in the file raises ConfigError naming its layer; so does
+    a layer past the last index, or a head1 deeper than head2."""
     path = tmp_path_factory.mktemp("model") / "model.csv"
     save_model_csv(init_model([2] + hidden, classes, seed=seed), path)
     header, *rows = path.read_text().splitlines(keepends=True)
     i = pick % len(rows)
     layer, r, c, _ = rows[i].rstrip("\n").split(",")
+    out = 1 + max(int(row.split(",")[1]) for row in rows if row.startswith(layer + ","))
+    depth = len(hidden)   # of the generator and of each head
     if corruption == "missing":
         del rows[i]
-    elif corruption == "duplicate":
+    elif corruption in ("duplicate", "row out", "row -1", "col -2"):
+        r, c = {"duplicate": (r, c), "row out": (out, c), "row -1": (-1, c),
+                "col -2": (r, -2)}[corruption]
         rows.append(f"{layer},{r},{c},0.5\n")
+    elif corruption.endswith("past the end"):
+        layer = f"{corruption.split()[0]}.{depth}"
+        rows.append(f"{layer},{r},{c},0.5\n")
+    elif corruption == "head1 deeper":
+        layer = f"head2.{depth - 1}"
+        rows = [row for row in rows if not row.startswith(layer + ",")]
     else:
         rows[i] = f"{layer},{r},{c},{corruption}\n"
     path.write_text(header + "".join(rows))
     with pytest.raises(ConfigError, match=re.escape(f"'{layer}'")):
         load_model_csv(path)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_model_args, st.integers(0, 2**16))
+def test_model_csv_loads_rows_in_any_order(tmp_path_factory, args, shuffle):
+    """Cells are found by layer, row and column, not by their place in the
+    file."""
+    m = _model(args)
+    m.params += make_rng(args[2], "load").normal(size=m.params.size)
+    path = tmp_path_factory.mktemp("model") / "model.csv"
+    save_model_csv(m, path)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    order = make_rng(shuffle, "shuffle").permutation(len(rows))
+    path.write_text(header + "".join(rows[i] for i in order))
+    assert load_model_csv(path).parameters_blob() == m.parameters_blob()
 
 
 def _reference_sgd(layers, cfg):

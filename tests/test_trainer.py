@@ -65,6 +65,27 @@ def test_train_config_rejects_non_finite_floats(name, value):
         TrainConfig(**{name: value})
 
 
+@pytest.mark.parametrize("kwargs", [dict(margin=0.0), dict(margin=-0.5),
+                                    dict(delta=1.0, margin=1.0), dict(delta=1.0, margin=1.2)])
+def test_train_config_rejects_a_margin_outside_zero_to_delta(kwargs):
+    """At margin >= delta, C's subset (crs < delta - margin) is empty and C
+    never updates; at margin 0, A-2's hinge saturates where it starts, and
+    A-2 never updates."""
+    with pytest.raises(ConfigError, match="margin"):
+        TrainConfig(**kwargs)
+
+
+def test_train_rejects_a_margin_at_or_above_the_default_delta(toy_data, observe_steps):
+    """With delta None, margin is checked against ln(3) = 1.0986 before the
+    first step, not after a run in which C never updated."""
+    source, target = toy_data
+    steps = []
+    observe_steps(lambda step, epoch, model: steps.append(step))
+    with pytest.raises(ConfigError, match="margin"):
+        train(source, target, TrainConfig(margin=1.2, **SHORT))
+    assert steps == []
+
+
 @pytest.mark.parametrize("variant", ["no_sep", "full", None, 0])
 def test_train_config_rejects_a_variant_that_is_not_a_method_variant(variant):
     """A string equal to a variant's value is not that variant: it used to
