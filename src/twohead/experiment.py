@@ -157,8 +157,7 @@ class RunSummary:
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: Path) -> RunSummary:
-    """Generate data, train, evaluate, and write all artifacts; the output
-    directory is made only for the writes, so a failed run leaves none."""
+    """Generate data, train, evaluate, then make ``out_dir`` and write all artifacts."""
     out_dir = Path(out_dir)
     noise = NoiseSpec(spec.noise_kind, spec.noise_rate)
     source, target = build_toy_scenario(
@@ -203,7 +202,6 @@ def _write_table(path: Path, rows: list[list]) -> None:
     def write(pth):
         with open(pth, "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
-
     atomic_write(path, write)
 
 

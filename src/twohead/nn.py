@@ -555,13 +555,20 @@ def load_model_csv(path) -> TwoHeadModel:
 
     def widths(prefix: str, first: int) -> list[int]:
         out = [first]
-        while (cells := entries.get(f"{prefix}.{len(out) - 1}")) is not None:
-            out.append(1 + max(cells)[0])   # the largest (row, col) key has the largest row
+        while (cells := entries.get(name := f"{prefix}.{len(out) - 1}")) is not None:
+            rows = 1 + max(cells)[0]   # the largest (row, col) key has the largest row
+            # fail before a corrupted index can size the model's buffers
+            if min(rows, out[-1] + 1) < 1 or rows * (out[-1] + 1) > len(cells):
+                raise ConfigError(f"model file layer '{name}' lists {len(cells)} cells, "
+                                  f"which cannot fill a ({rows}, {out[-1]}) weight and bias")
+            out.append(rows)
         return out
 
     gen_widths = widths("gen", 1 + max(c for _, c in entries["gen.0"]))
     model = TwoHeadModel(gen_widths, widths("head1", gen_widths[-1]))
     layers = dict(model.named_layers())
+    if missing := next((name for name in layers if name not in entries), None):
+        raise ConfigError(f"model file has no '{missing}' layer")
     for name in entries:
         if name not in layers:
             prefix = name.split(".")[0]
@@ -573,9 +580,7 @@ def load_model_csv(path) -> TwoHeadModel:
             raise ConfigError(f"model file has no '{prefix}.{depth}' layer but lists "
                               f"'{name}': '{prefix}' indices must run 0, 1, ...")
     for name, layer in layers.items():
-        cells = entries.get(name)
-        if cells is None:
-            raise ConfigError(f"model file has no '{name}' layer")
+        cells = entries[name]
         out, n_in = layer.weight.shape
         keys = list(product(range(out), range(-1, n_in)))
         try:

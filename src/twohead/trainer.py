@@ -87,8 +87,7 @@ class TrainConfig:
         if self.delta is not None and self.delta <= 0:
             raise ConfigError(f"delta must be > 0, got {self.delta}")
         if not 0 < self.margin < (self.delta or math.inf):
-            raise ConfigError(
-                f"margin must be in (0, delta), got {self.margin}, delta {self.delta}")
+            raise ConfigError(f"margin must be in (0, delta), got {self.margin}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.minimax_weight <= 0:

@@ -314,7 +314,7 @@ def test_model_csv_rejects_a_layer_index_that_is_not_an_integer(tmp_path):
 
 
 @pytest.mark.parametrize("rename, missing", [("gen.2,", "gen.2"), ("gen.0,", "gen.0"),
-                                             ("head1.1,", "head1.1")])
+                                             ("head1.1,", "head1.1"), ("head2.1,", "head2.1")])
 def test_model_csv_rejects_a_gap_in_layer_indices(tmp_path, rename, missing):
     """A layer renamed past the last index would load as a shallower
     network, its layers renumbered."""
@@ -438,13 +438,16 @@ def test_model_csv_matches_ndenumerate_reference(tmp_path_factory, args):
 @given(st.lists(st.integers(2, 5), min_size=1, max_size=3), st.integers(2, 4),
        st.integers(0, 2**16), st.integers(0, 10**6),
        st.sampled_from(["abc", "nan", "inf", "-inf", "", "missing", "duplicate",
-                        "row out", "row -1", "col -2", "gen past the end",
+                        "row out", "row -1", "col -2", "huge row", "huge col",
+                        "rows below 0", "cols below -1", "gen past the end",
                         "head2 past the end", "head1 deeper"]))
 def test_model_csv_rejects_one_corrupted_cell(tmp_path_factory, hidden, classes, seed,
                                               pick, corruption):
     """A non-numeric, NaN, infinite, missing, duplicated or out-of-shape
     cell anywhere in the file raises ConfigError naming its layer; so does
-    a layer past the last index, or a head1 deeper than head2."""
+    a layer past the last index, or a head1 deeper than head2.  An index
+    far out of shape, or a layer all of whose rows or columns are below
+    range, is rejected before any buffer is sized from it."""
     path = tmp_path_factory.mktemp("model") / "model.csv"
     save_model_csv(init_model([2] + hidden, classes, seed=seed), path)
     header, *rows = path.read_text().splitlines(keepends=True)
@@ -454,10 +457,20 @@ def test_model_csv_rejects_one_corrupted_cell(tmp_path_factory, hidden, classes,
     depth = len(hidden)   # of the generator and of each head
     if corruption == "missing":
         del rows[i]
-    elif corruption in ("duplicate", "row out", "row -1", "col -2"):
+    elif corruption in ("duplicate", "row out", "row -1", "col -2", "huge row", "huge col"):
         r, c = {"duplicate": (r, c), "row out": (out, c), "row -1": (-1, c),
-                "col -2": (r, -2)}[corruption]
+                "col -2": (r, -2), "huge row": (10**12, c),
+                "huge col": (r, 10**12)}[corruption]
         rows.append(f"{layer},{r},{c},0.5\n")
+    elif corruption in ("rows below 0", "cols below -1"):
+        field = 1 if corruption == "rows below 0" else 2
+
+        def shift(row):
+            parts = row.split(",")
+            if parts[0] == layer:
+                parts[field] = str(int(parts[field]) - 10**6)
+            return ",".join(parts)
+        rows = [shift(row) for row in rows]
     elif corruption.endswith("past the end"):
         layer = f"{corruption.split()[0]}.{depth}"
         rows.append(f"{layer},{r},{c},0.5\n")
