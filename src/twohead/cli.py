@@ -62,20 +62,19 @@ def main(argv: list[str] | None = None) -> int:
         description="Two-head divergence training experiments on toy domain pairs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, jobs=False):
+    p_run = sub.add_parser("run", help="run one experiment")
+    p_ablate = sub.add_parser("ablate", help="run every method variant")
+    p_sweep = sub.add_parser("sweep", help="sweep one hyperparameter")
+    for p in (p_run, p_ablate, p_sweep):
         p.add_argument("--config", help="JSON config file (defaults apply otherwise)")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, help="override the master seed")
+    for p in (p_run, p_sweep):
         p.add_argument("--variant", choices=[v.value for v in MethodVariant],
                        help="override the method variant")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1,
-                           help="parallel child experiments")
-
-    common(sub.add_parser("run", help="run one experiment"))
-    common(sub.add_parser("ablate", help="run every method variant"), jobs=True)
-    p_sweep = sub.add_parser("sweep", help="sweep one hyperparameter")
-    common(p_sweep, jobs=True)
+    for p in (p_ablate, p_sweep):
+        p.add_argument("--jobs", type=int, default=1,
+                       help="parallel child experiments, at least 1")
     p_sweep.add_argument("--param", required=True, help=" | ".join(SWEEPABLE))
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values, e.g. 0,0.1,0.2")

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from . import __version__
-from .data import NoiseKind, NoiseSpec, build_toy_scenario, dataset_to_csv
+from .data import TOY_SOURCE_CENTERS, NoiseKind, NoiseSpec, build_toy_scenario, dataset_to_csv
 from .errors import ConfigError
 from .evaluation import boundary_grid, density_to_csv, evaluate, write_boundary_svg
 from .losses import MethodVariant
@@ -82,6 +82,10 @@ class ExperimentSpec:
             raise ConfigError(f"preset: only 'toy' is supported, got {self.preset!r}")
         if self.train is None:
             self.train = TrainConfig()
+        # the toy source has one class per center, so delta is known before a run
+        delta = self.train.resolved_delta(len(TOY_SOURCE_CENTERS))
+        if self.train.margin >= delta:
+            raise ConfigError(f"margin must be below delta {delta}, got {self.train.margin}")
 
     def to_dict(self) -> dict:
         out = {}
@@ -191,7 +195,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> RunSummary:
 
 def _run_many(jobs: int, specs: list[ExperimentSpec], out_dirs: list[Path]
               ) -> list[RunSummary]:
-    if jobs <= 1 or len(specs) <= 1:
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1 or len(specs) <= 1:
         return list(map(run_experiment, specs, out_dirs))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(run_experiment, specs, out_dirs))

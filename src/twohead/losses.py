@@ -199,7 +199,8 @@ def small_loss_select(per_sample_losses: np.ndarray, alpha: float) -> np.ndarray
     ``alpha`` is the dropped fraction: alpha = 0 keeps everything.  An
     alpha * N within ``SELECTION_GUARD`` below an integer counts as that
     integer, so alpha = 0.7 keeps 3 of 10 although 1 - 0.7 is a float
-    above 0.3.  Ties break toward the lower index; the result is sorted
+    above 0.3; an alpha so close to 1 that it keeps no row raises
+    ConfigError.  Ties break toward the lower index; the result is sorted
     ascending.
     """
     losses = np.asarray(per_sample_losses, dtype=np.float64)
@@ -210,6 +211,8 @@ def small_loss_select(per_sample_losses: np.ndarray, alpha: float) -> np.ndarray
     n = losses.size
     # guard float drift: N - floor(alpha*N) == ceil((1-alpha)*N) for integer N
     k = n - int(math.floor(alpha * n + SELECTION_GUARD))
+    if k == 0:
+        raise ConfigError(f"alpha {alpha} keeps no row of a batch of {n}")
     if k == n:
         return np.arange(n)
     order = np.argsort(losses, kind="stable")

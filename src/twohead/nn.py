@@ -6,15 +6,15 @@ is one shared feature generator feeding two independently initialized
 classifier heads, with all parameters in one flat buffer per kind (see
 ``TwoHeadModel``).
 
-``forward`` returns the two heads' probabilities and a ``ForwardCache``
-whose ``p`` is the stacked (2, N, C) pair; the objectives in ``losses``
-take that pair and return one (2, N, C) gradient, which ``backward`` takes
-as it is.  ``forward(..., reuse=cache)`` reuses an earlier cache of the
-same batch: all of it when no parameter has changed since, or its
-generator activations when only the heads have.  ``sgd_step`` bumps
+``forward`` returns a ``ForwardCache`` whose ``p`` is the stacked
+(2, N, C) pair of the two heads' probabilities; the objectives in
+``losses`` take that pair and return one (2, N, C) gradient, which
+``backward`` takes as it is.  ``forward(..., reuse=cache)`` takes what of
+an earlier cache of the same batch still matches the model: all of it
+when no parameter has changed since, its generator activations when only
+the heads have, and nothing otherwise.  ``sgd_step`` bumps
 ``model.version`` on every update and ``model.gen_version`` when the
-generator moves, and a cache with a stale generator or of another batch is
-refused with UsageError.
+generator moves; a cache of another batch is refused with UsageError.
 
 A model built with ``members=(M,)`` holds M copies of its parameters, and
 ``forward``, ``backward`` and ``sgd_step`` run all of them at once, each
@@ -101,19 +101,6 @@ class DenseLayer:
                           (self.vel_weight[..., k, :, :], self.vel_bias[..., k, :]),
                           self.activation)
 
-    def backward(self, x: np.ndarray, z: np.ndarray, dout: np.ndarray,
-                 param_grads: bool = True, input_grad: bool = True) -> np.ndarray | None:
-        """Accumulate parameter grads for upstream dout (if ``param_grads``);
-        return dX (if ``input_grad``, else None)."""
-        if self.activation is Activation.RELU:
-            dz = dout * (z > 0.0)
-        else:
-            dz = dout
-        if param_grads:
-            self.grad_weight += dz.swapaxes(-1, -2) @ x
-            self.grad_bias += dz.sum(axis=-2)
-        return dz @ self.weight if input_grad else None
-
 
 FEATURE_SCALE = 10.0  # inverse temperature applied to the unit-norm features
 
@@ -180,7 +167,7 @@ class TwoHeadModel:
         self.members = members
         self.num_classes = head_widths[-1]
         # bumped on every parameter update, and gen_version on every update
-        # that moves the generator; they guard stale forward caches
+        # that moves the generator; they tell what of a forward cache holds
         self.version = 0
         self.gen_version = 0
 
@@ -221,6 +208,10 @@ class ForwardCache:
     feat_norms: np.ndarray
     head_io: list[tuple[np.ndarray, np.ndarray]]  # per depth, both heads stacked
     p: np.ndarray                                 # (2, N, C): p1 and p2, or (M, 2, N, C)
+
+    def __iter__(self):
+        # perfbench/test_checks.py unpacks forward()'s result as (p1, p2, cache)
+        return iter((self.p[..., 0, :, :], self.p[..., 1, :, :], self))
 
 
 def _glorot(rng, weight: np.ndarray) -> None:
@@ -284,34 +275,33 @@ def _run_stack(layers: list[DenseLayer], x: np.ndarray):
 
 
 def forward(model: TwoHeadModel, x: np.ndarray, reuse: ForwardCache | None = None
-            ) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
-    """Run both heads on a batch; returns the class probabilities of each
-    head and a cache for ``backward``, whose ``p`` is the stacked
-    (2, N, C) pair.  The input is not checked for NaN/Inf here: callers
-    that take data from outside (training, prediction, grids) check it
-    once at their boundary.
+            ) -> ForwardCache:
+    """Run both heads on a batch; returns a cache for ``backward`` whose
+    ``p`` is the stacked (2, N, C) class probabilities, head 1's then head
+    2's.  The input is not checked for NaN/Inf here: callers that take data
+    from outside (training, prediction, grids) check it once at their
+    boundary.
 
     A model with members (see ``TwoHeadModel``) runs each member on the
     same (N, in) batch, and ``p`` is (M, 2, N, C); member i is bit for bit
     the forward of a model holding member i's parameters alone.
 
-    ``reuse`` is an earlier cache of the same batch.  Its generator
-    activations are taken as they are, and only the heads run again; if
-    no parameter has changed since, the cache itself is returned.  The
-    result is bit-identical to a fresh forward.  A cache whose generator
-    is stale (``sgd_step`` moved it since) or whose input is another
-    batch raises UsageError.  Parameters edited in place, not through
-    ``sgd_step``, are not tracked.
+    ``reuse`` is an earlier cache of the same batch; one of another batch
+    raises UsageError.  If no parameter has changed since it was made, it
+    is returned itself; if only the heads have (the generator's
+    ``gen_version`` is unchanged), its generator activations are taken and
+    only the heads run again; otherwise the forward runs afresh.  The
+    result is bit-identical to a fresh forward.  Parameters edited in
+    place, not through ``sgd_step``, are not tracked.
     """
     x = np.asarray(x, dtype=np.float64)
     if reuse is not None:
-        if reuse.gen_version != model.gen_version:
-            raise UsageError("stale forward cache: the generator changed since forward()")
         seen = reuse.gen_io[0][0]
         if x is not seen and not np.array_equal(x, seen):
             raise UsageError("forward cache is for another batch")
         if reuse.version == model.version:
-            return reuse.p[..., 0, :, :], reuse.p[..., 1, :, :], reuse
+            return reuse
+    if reuse is not None and reuse.gen_version == model.gen_version:
         gen_io, raw, norms = reuse.gen_io, reuse.raw_features, reuse.feat_norms
         feats = reuse.head_io[0][0]
     else:
@@ -325,9 +315,8 @@ def forward(model: TwoHeadModel, x: np.ndarray, reuse: ForwardCache | None = Non
         if model.members:
             feats = feats[..., None, :, :]   # (M, 1, N, F): both heads read it
     logits, head_io = _run_stack(model.heads, feats)
-    p = softmax_rows(logits)
-    cache = ForwardCache(model.version, model.gen_version, gen_io, raw, norms, head_io, p)
-    return p[..., 0, :, :], p[..., 1, :, :], cache
+    return ForwardCache(model.version, model.gen_version, gen_io, raw, norms, head_io,
+                        softmax_rows(logits))
 
 
 def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
@@ -337,11 +326,18 @@ def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
 
 def _stack_backward(layers: list[DenseLayer], io, dout: np.ndarray,
                     param_grads: bool, input_grad: bool) -> np.ndarray | None:
-    """Backpropagate through ``layers``; the gradient with respect to the
-    stack's input is computed only if ``input_grad``."""
+    """Backpropagate through ``layers``, given ``_run_stack``'s ``io``:
+    accumulate the parameter grads if ``param_grads``, and return the
+    gradient with respect to the stack's input if ``input_grad``."""
     for i in reversed(range(len(layers))):
-        x_in, z = io[i]
-        dout = layers[i].backward(x_in, z, dout, param_grads, input_grad or i > 0)
+        layer, (x_in, z) = layers[i], io[i]
+        dz = dout * (z > 0.0) if layer.activation is Activation.RELU else dout
+        if param_grads:
+            layer.grad_weight += dz.swapaxes(-1, -2) @ x_in
+            layer.grad_bias += dz.sum(axis=-2)
+        if i == 0 and not input_grad:
+            return None
+        dout = dz @ layer.weight
     return dout
 
 
@@ -446,7 +442,7 @@ def grad_check(model: TwoHeadModel, loss_fns: Sequence[LossFn], x: np.ndarray,
     n_fns = len(loss_fns)
     # member j of ``analytic`` holds loss j's gradient, in the model's layout
     analytic = TwoHeadModel(*model.widths, members=(n_fns,))
-    _, _, cache = forward(model, x)
+    cache = forward(model, x)
     for j, loss_fn in enumerate(loss_fns):
         model.zero_grads()
         backward(model, cache, loss_fn(cache.p)[1])
@@ -470,7 +466,7 @@ def grad_check(model: TwoHeadModel, loss_fns: Sequence[LossFn], x: np.ndarray,
                 copies.params[:] = model.params
                 cells[(k, *cell)] = orig[idx] + h
                 cells[(_FD_CELLS + k, *cell)] = orig[idx] - h
-                p = forward(copies, x)[2].p
+                p = forward(copies, x).p
                 for j, loss_fn in enumerate(loss_fns):
                     value = np.broadcast_to(loss_fn(p)[0], (2 * _FD_CELLS,))
                     numeric[j, idx] = (value[k] - value[_FD_CELLS + k]) / (2.0 * h)

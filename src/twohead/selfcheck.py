@@ -131,14 +131,14 @@ def check_gradients(seed: int = 11, tol: float = 1e-4, h: float = 1e-5
     x_tgt = rng.normal(scale=1.5, size=(n, 2)) + 2.0
     sep = SeparationParams(delta=math.log(num_classes), margin=0.35)
     model = nn.init_model([2, 8, 8, 8], num_classes, seed=seed)
-    crs_tgt = np.sort(losses.crs_rows(nn.forward(model, x_tgt)[2].p))
+    crs_tgt = np.sort(losses.crs_rows(nn.forward(model, x_tgt).p))
     split = int(np.argmax(np.diff(crs_tgt)))
     cap = float(crs_tgt[split] + crs_tgt[split + 1]) / 2.0
     single, mixed = _grad_objectives(num_classes, n, seed, sep, cap)
     batches = [(x_src, single), (np.vstack([x_src, x_tgt]), mixed)]
 
     # every row an objective sees must sit clear of the kinks
-    gap = min(min(_hinge_gap(nn.forward(model, x)[2].p, sep) for x, _ in batches),
+    gap = min(min(_hinge_gap(nn.forward(model, x).p, sep) for x, _ in batches),
               float(np.abs(crs_tgt - cap).min()))
     if gap < 1e-3:
         return [CheckResult("gradient-setup", False,

@@ -17,10 +17,9 @@ Variants change fields of the full plan; see losses.variant_losses.
 
 Every step checks its objective's value and its scope's gradients before
 it applies the update, and raises NonFiniteLossError with the parameters
-untouched.  The three target-batch forwards of a batch step share work
-exactly: B's target term reuses A-2's whole forward when A-2 applied no
-update, and C's first repeat reuses the generator activations of B's
-target forward (B moves only the heads) and runs only the heads again.
+untouched.  Each target-batch step hands its forward of the batch on (A-2
+to B to each C repeat), and ``forward`` takes what of it still holds: all
+of A-2's when A-2 applied no update, and B's generator activations.
 
 Two stabilizers keep the mini-max game away from degenerate saturation
 when training small networks from scratch: the divergence-raising flows
@@ -163,7 +162,7 @@ def step_a1(model: TwoHeadModel, x: np.ndarray, y_obs: np.ndarray,
             plan: VariantPlan, sgd: SgdConfig, epoch: int = 0) -> losses.SourceObjective:
     """Small-loss selection plus one full-network update on the selected
     subset (``rows`` of the result)."""
-    _, _, cache = forward(model, x)
+    cache = forward(model, x)
     source = losses.source(cache.p, y_obs, plan.lam, plan.alpha)
     backward(model, cache, source.dp)
     _update(model, sgd, Scope.ALL, source.value, "A-1", epoch)
@@ -172,21 +171,20 @@ def step_a1(model: TwoHeadModel, x: np.ndarray, y_obs: np.ndarray,
 
 def step_a2(model: TwoHeadModel, x_t: np.ndarray, sep: SeparationParams,
             plan: VariantPlan, sgd: SgdConfig, weight: float = 1.0,
-            epoch: int = 0) -> tuple[float, ForwardCache | None]:
+            epoch: int = 0) -> tuple[float, ForwardCache]:
     """Full-network update on the target separation hinge, weighted by
     ``weight``.  The hinge saturates ``sep.reach`` from delta.  A batch
     whose gradient vanishes (everything inside the band or past the
     saturation) leaves the parameters untouched.  Returns the unweighted
-    hinge loss, and the forward cache of ``x_t`` when no update was
-    applied (it still matches the model), else None."""
-    _, _, cache = forward(model, x_t)
+    hinge loss and the forward of ``x_t``."""
+    cache = forward(model, x_t)
     hinge = losses.separation(cache.p, sep, plan.sep_crs, plan.sep_ent, sep.reach)
     if not hinge.dp.any():
         _check_finite(hinge.value, "A-2", epoch)
         return hinge.value, cache
     backward(model, cache, weight * hinge.dp)
     _update(model, sgd, Scope.ALL, hinge.value, "A-2", epoch)
-    return hinge.value, None
+    return hinge.value, cache
 
 
 def step_b(model: TwoHeadModel, x_sel: np.ndarray, y_sel: np.ndarray,
@@ -199,17 +197,17 @@ def step_b(model: TwoHeadModel, x_sel: np.ndarray, y_sel: np.ndarray,
     stays bit-identical, so both backward passes stop at the features.
     Target rows whose crs already exceeds ``sep.cap`` (delta plus the A-2
     saturation reach) stop contributing gradient (their rejection is
-    decided).  ``reuse`` is an earlier forward cache of ``x_t`` (A-2's,
-    when A-2 applied no update).
+    decided).  ``reuse`` is an earlier forward of ``x_t`` (A-2's), passed
+    on to ``forward``.
 
     Returns the source loss minus the mean capped target crs, the
     objective whose gradient was applied (without the weight), and the
-    target forward cache, whose generator part stays valid for C."""
-    _, _, cache_s = forward(model, x_sel)
+    forward of ``x_t``."""
+    cache_s = forward(model, x_sel)
     source = losses.source(cache_s.p, y_sel, plan.lam)
     backward(model, cache_s, source.dp, Scope.HEADS_ONLY)
 
-    _, _, cache_t = forward(model, x_t, reuse=reuse)
+    cache_t = forward(model, x_t, reuse=reuse)
     target = losses.crs(cache_t.p, weight=-weight, cap=sep.cap)
     backward(model, cache_t, target.dp, Scope.HEADS_ONLY)
 
@@ -225,17 +223,16 @@ def step_c(model: TwoHeadModel, x_t: np.ndarray, sep: SeparationParams,
     target-common subset (crs < delta - margin).  Repeated up to n_inner
     times, re-detecting the subset each time.  An empty subset ends the
     loop: no update was applied, so every later repeat would detect the
-    same empty subset.  The first repeat reuses the generator activations
-    of ``reuse``, an earlier forward cache of ``x_t`` (B's), and runs only
-    the heads.  Returns one value per applied update."""
+    same empty subset.  ``reuse`` is an earlier forward of ``x_t`` (B's),
+    passed on to the first repeat's ``forward``, and each repeat passes its
+    forward on to the next.  Returns one value per applied update."""
     out = []
     for _ in range(n_inner):
-        _, _, cache = forward(model, x_t, reuse=reuse)
-        reuse = None
-        common = losses.crs(cache.p, below=sep.delta - sep.margin)
+        reuse = forward(model, x_t, reuse=reuse)
+        common = losses.crs(reuse.p, below=sep.delta - sep.margin)
         if not common.rows.size:
             break
-        backward(model, cache, common.dp, Scope.GENERATOR_ONLY)
+        backward(model, reuse, common.dp, Scope.GENERATOR_ONLY)
         _update(model, sgd, Scope.GENERATOR_ONLY, common.value, "C", epoch)
         out.append(common.value)
     return out
@@ -289,22 +286,19 @@ def train(source: DomainDataset, target: DomainDataset, config: TrainConfig) -> 
 
             a1 = step_a1(model, x_s, y_s, plan, sgd, epoch=epoch)
 
-            # a forward cache of x_t that is still valid: A-2's when A-2
-            # left the model unchanged, then B's, whose generator C reuses
-            reuse = None
-            loss_sep = 0.0
+            loss_sep, cache_t = 0.0, None
             if plan.sep_crs or plan.sep_ent:
-                loss_sep, reuse = step_a2(model, x_t, sep, plan, sgd,
-                                          weight=config.minimax_weight, epoch=epoch)
+                loss_sep, cache_t = step_a2(model, x_t, sep, plan, sgd,
+                                            weight=config.minimax_weight, epoch=epoch)
 
             loss_b = 0.0
             loss_c = 0.0
             if plan.minimax:
-                loss_b, reuse = step_b(model, x_s[a1.rows], y_s[a1.rows], x_t, sep,
-                                       plan, sgd, weight=config.minimax_weight,
-                                       reuse=reuse, epoch=epoch)
+                loss_b, cache_t = step_b(model, x_s[a1.rows], y_s[a1.rows], x_t, sep,
+                                         plan, sgd, weight=config.minimax_weight,
+                                         reuse=cache_t, epoch=epoch)
                 c_values = step_c(model, x_t, sep, sgd, config.n_inner,
-                                  reuse=reuse, epoch=epoch)
+                                  reuse=cache_t, epoch=epoch)
                 loss_c = float(np.mean(c_values)) if c_values else 0.0
 
             clean_frac = float(clean[src_idx][a1.rows].mean())

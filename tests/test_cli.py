@@ -127,10 +127,12 @@ def test_nonfinite_loss_exits_3(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("bad", [
     {"learning_rate": 0}, {"momentum": 1.0}, {"noise_rate": 1.5}, {"samples_per_class": 0},
     {"stddev": 0}, {"margin": 0}, {"delta": 1.0, "margin": 1.0}, {"margin": 1.2},
+    {"alpha": 0.999999999999},
 ])
 def test_a_run_that_fails_writes_nothing(tmp_path, bad):
-    """Each fails after ``--out`` used to be made; margin 1.2 >= ln(3) is
-    found only when training starts."""
+    """Each exits 2 before anything is written: margin 1.2 >= ln(3) when
+    the config is read, and an alpha within 1e-9/N of 1 when the first
+    A-1 step would keep no row of its batch."""
     out = tmp_path / "out"
     rc = main(["run", "--config", _write_cfg(tmp_path, bad), "--out", str(out)])
     assert rc == 2
@@ -223,14 +225,35 @@ def test_sweep_rejects_a_repeated_value(tmp_path, capsys, param, values, named):
 
 @pytest.mark.parametrize("delta", [None, 1.0])
 def test_margin_sweep_rejects_a_margin_at_or_above_delta(tmp_path, capsys, delta):
-    """With delta set, SweepSpec rejects margin 1.2 before any run; with
-    delta null (ln 3 = 1.0986) only its own run finds it, after 0.5 ran."""
+    """SweepSpec rejects margin 1.2 before any run, with delta set and
+    with delta null (ln 3 = 1.0986: the toy source has 3 classes)."""
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", _write_cfg(tmp_path, {"epochs": 1, "delta": delta}),
                  "--param", "margin", "--values", "0.5,1.2", "--out", str(out)]) == 2
     assert "margin" in capsys.readouterr().err
-    assert (out / "margin_0.5" / "model.csv").exists() == (delta is None)
-    assert not (out / "margin_1.2").exists() and not (out / "sweep.csv").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ablate", "--jobs", "0"], ["ablate", "--jobs", "-1"],
+    ["sweep", "--param", "alpha", "--values", "0.1,0.2", "--jobs", "0"],
+])
+def test_jobs_below_one_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    rc = main(argv + ["--config", _write_cfg(tmp_path, {"epochs": 1}), "--out", str(out)])
+    assert rc == 2
+    assert f"jobs must be >= 1, got {argv[argv.index('--jobs') + 1]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ablate_takes_no_variant(tmp_path, capsys):
+    """ablate runs every variant, so a --variant would be ignored."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", "--variant", "no_div", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--variant" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_grid_rerenders_saved_model(tmp_path):

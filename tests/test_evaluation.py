@@ -173,7 +173,7 @@ def test_boundary_grid_blocks_match_one_forward(monkeypatch):
     monkeypatch.setattr(evaluation, "GRID_BLOCK_ROWS", 7)
     grid = boundary_grid(m, bounds, res, 1.0)
     gx, gy = np.meshgrid(grid.xs, grid.ys)
-    p1, p2, _ = forward(m, np.column_stack([gx.ravel(), gy.ravel()]))
+    p1, p2 = forward(m, np.column_stack([gx.ravel(), gy.ravel()])).p
     assert np.array_equal(grid.pred1, np.argmax(p1, axis=1).reshape(res, res))
     assert np.array_equal(grid.pred2, np.argmax(p2, axis=1).reshape(res, res))
     np.testing.assert_allclose(grid.l_crs, crs_rows(np.stack([p1, p2])).reshape(res, res),

@@ -254,6 +254,13 @@ def test_small_loss_select_validation():
         small_loss_select(np.array([]), 0.2)
     with pytest.raises(ConfigError):
         small_loss_select(np.array([1.0]), 1.0)
+    # alpha * N within the guard below N keeps no row; a little further
+    # from 1, one row is kept
+    for n in (1, 10, 64):
+        with pytest.raises(ConfigError,
+                           match=f"alpha 0.999999999999 keeps no row of a batch of {n}$"):
+            small_loss_select(np.zeros(n), 0.999999999999)
+        assert list(small_loss_select(np.arange(n, 0.0, -1.0), 1.0 - 2e-9)) == [n - 1]
 
 
 def _hinge_reference(x, delta, m):
@@ -609,7 +616,7 @@ def test_capped_crs_gradient_matches_finite_differences_across_the_cap():
     and the oracle sees it (the uncapped gradient fails it)."""
     model = init_model([2, 8, 8, 8], 3, seed=5)
     x = make_rng(5, "cap-batch").normal(scale=3.0, size=(12, 2))
-    _, _, cache = forward(model, x)
+    cache = forward(model, x)
     c = np.sort(losses.crs(cache.p).per_sample)
     split = int(np.argmax(np.diff(c)))          # the widest gap between rows
     cap = float(c[split] + c[split + 1]) / 2.0

@@ -79,7 +79,7 @@ def test_forward_zero_weight_model_is_uniform():
     for _, layer in m.named_layers():
         layer.weight[:] = 0.0
         layer.bias[:] = 0.0
-    p1, p2, _ = forward(m, np.array([[1.0, -2.0], [0.5, 3.0]]))
+    p1, p2 = forward(m, np.array([[1.0, -2.0], [0.5, 3.0]])).p
     assert np.allclose(p1, 0.25, atol=1e-15)
     assert np.allclose(p2, 0.25, atol=1e-15)
 
@@ -87,7 +87,7 @@ def test_forward_zero_weight_model_is_uniform():
 def test_forward_rows_sum_to_one():
     m = init_model([2, 8, 8, 8], 3, seed=3)
     x = make_rng(0, "x").normal(size=(17, 2))
-    p1, p2, _ = forward(m, x)
+    p1, p2 = forward(m, x).p
     assert np.abs(p1.sum(axis=1) - 1.0).max() < 1e-12
     assert np.abs(p2.sum(axis=1) - 1.0).max() < 1e-12
     assert p1.min() > 0 and p1.max() < 1
@@ -96,8 +96,8 @@ def test_forward_rows_sum_to_one():
 def test_forward_is_pure():
     m = init_model([2, 8, 8, 8], 3, seed=3)
     x = np.array([[0.1, 0.2], [3.0, -1.0]])
-    a1, a2, _ = forward(m, x)
-    b1, b2, _ = forward(m, x)
+    a1, a2 = forward(m, x).p
+    b1, b2 = forward(m, x).p
     assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
 
 
@@ -110,7 +110,7 @@ def test_forward_shape_mismatch():
 def test_backward_zero_upstream_gives_zero_grads():
     m = init_model([2, 8, 8, 8], 3, seed=3)
     x = np.array([[0.1, 0.2], [3.0, -1.0]])
-    _, _, cache = forward(m, x)
+    cache = forward(m, x)
     backward(m, cache, np.zeros_like(cache.p))
     for _, layer in m.named_layers():
         assert np.all(layer.grad_weight == 0.0)
@@ -123,13 +123,13 @@ def test_backward_is_linear_over_batch():
     x = rng.normal(size=(4, 2))
     dp = np.stack([rng.normal(size=(4, 3)), rng.normal(size=(4, 3))])
 
-    _, _, cache = forward(m, x)
+    cache = forward(m, x)
     backward(m, cache, dp)
     full = [layer.grad_weight.copy() for _, layer in m.named_layers()]
     m.zero_grads()
 
     # same upstream applied sample by sample, accumulated
-    _, _, cache = forward(m, x)
+    cache = forward(m, x)
     for i in range(4):
         d = np.zeros_like(dp)
         d[:, i] = dp[:, i]
@@ -143,7 +143,7 @@ def test_backward_is_linear_over_batch():
 def test_backward_rejects_stale_cache():
     m = init_model([2, 8, 8, 8], 3, seed=3)
     x = np.array([[0.1, 0.2]])
-    _, _, cache = forward(m, x)
+    cache = forward(m, x)
     backward(m, cache, np.zeros_like(cache.p))
     sgd_step(m, SgdConfig(learning_rate=0.1))
     with pytest.raises(UsageError):
@@ -161,7 +161,8 @@ def _blob(layers):
 def test_sgd_scope_freezes_complement(scope, frozen):
     m = init_model([2, 8, 8, 8], 3, seed=9)
     x = np.array([[0.4, -0.2], [1.0, 2.0]])
-    p1, p2, cache = forward(m, x)
+    cache = forward(m, x)
+    p1, p2 = cache.p
     rng = make_rng(2, "up")
     backward(m, cache, np.stack([rng.normal(size=p1.shape), rng.normal(size=p2.shape)]))
 
@@ -179,7 +180,7 @@ def test_sgd_scope_freezes_complement(scope, frozen):
 def test_sgd_zeroes_gradients():
     m = init_model([2, 8, 8, 8], 3, seed=9)
     x = np.array([[0.4, -0.2]])
-    _, _, cache = forward(m, x)
+    cache = forward(m, x)
     backward(m, cache, np.ones_like(cache.p))
     sgd_step(m, SgdConfig(learning_rate=0.01))
     for _, layer in m.named_layers():
@@ -239,8 +240,8 @@ def test_model_csv_roundtrip(tmp_path):
     assert loaded.num_classes == 3
     assert loaded.parameters_blob() == m.parameters_blob()
     x = make_rng(3, "check").normal(size=(5, 2))
-    a1, a2, _ = forward(m, x)
-    b1, b2, _ = forward(loaded, x)
+    a1, a2 = forward(m, x).p
+    b1, b2 = forward(loaded, x).p
     assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
 
 
@@ -373,7 +374,7 @@ def test_scoped_backward_fills_only_its_slice(args, rows, scope):
     x = rng.normal(size=(rows, 2))
     dp = np.stack([rng.normal(size=(rows, m.num_classes)),
                    rng.normal(size=(rows, m.num_classes))])
-    _, _, cache = forward(m, x)
+    cache = forward(m, x)
     backward(m, cache, dp)
     full = m.grads.copy()
     m.zero_grads()
@@ -555,7 +556,8 @@ def _reference_head(layers, feats):
 def test_stacked_heads_match_separate_heads(args, rows):
     m = _model(args)
     x = make_rng(args[2], "stacked").normal(size=(rows, 2))
-    p1, p2, cache = forward(m, x)
+    cache = forward(m, x)
+    p1, p2 = cache.p
     feats = cache.head_io[0][0]
     assert p1.tobytes() == _reference_head(m.head1, feats).tobytes()
     assert p2.tobytes() == _reference_head(m.head2, feats).tobytes()
@@ -565,7 +567,7 @@ def test_stacked_heads_match_separate_heads(args, rows):
 
 def _stepped(m, x, scope):
     """One SGD step on ``scope`` from a random upstream gradient."""
-    _, _, cache = forward(m, x)
+    cache = forward(m, x)
     backward(m, cache, make_rng(len(x), "reuse-step").normal(size=cache.p.shape), scope)
     sgd_step(m, SgdConfig(learning_rate=0.05, momentum=0.9), scope)
 
@@ -578,13 +580,15 @@ def test_forward_reuse_after_heads_step_matches_fresh(args, rows, copy_input):
     (as B reuses A-2's), the cache itself comes back."""
     m = _model(args)
     x = make_rng(args[2], "reuse").normal(size=(rows, 2))
-    _, _, cache = forward(m, x)
+    cache = forward(m, x)
     again = x.copy() if copy_input else x
-    assert forward(m, again, reuse=cache)[2] is cache
+    assert forward(m, again, reuse=cache) is cache
 
     _stepped(m, x, Scope.HEADS_ONLY)
-    r1, r2, reused = forward(m, again, reuse=cache)
-    f1, f2, fresh = forward(m, x)
+    reused = forward(m, again, reuse=cache)
+    r1, r2 = reused.p
+    fresh = forward(m, x)
+    f1, f2 = fresh.p
     assert reused is not cache
     assert reused.version == fresh.version and reused.gen_version == fresh.gen_version
     assert r1.tobytes() == f1.tobytes() and r2.tobytes() == f2.tobytes()
@@ -600,25 +604,37 @@ def test_forward_reuse_after_heads_step_matches_fresh(args, rows, copy_input):
 
 
 @pytest.mark.parametrize("scope", [Scope.ALL, Scope.GENERATOR_ONLY])
-def test_forward_reuse_rejects_stale_generator(scope):
+def test_forward_reuse_after_a_generator_step_runs_afresh(scope):
+    """A cache whose generator has moved since (as A-2's after an update,
+    handed to B) gives a fresh forward, bit for bit."""
     m = init_model([2, 8, 8, 8], 3, seed=3)
     x = make_rng(3, "stale").normal(size=(5, 2))
-    _, _, cache = forward(m, x)
+    cache = forward(m, x)
     _stepped(m, x, scope)
-    with pytest.raises(UsageError, match="generator"):
-        forward(m, x, reuse=cache)
+    again = forward(m, x, reuse=cache)
+    fresh = forward(m, x)
+    assert again is not cache
+    assert again.version == fresh.version and again.gen_version == fresh.gen_version
+    assert again.p.tobytes() == fresh.p.tobytes()
+    for (a_in, a_z), (b_in, b_z) in zip(again.gen_io + again.head_io,
+                                        fresh.gen_io + fresh.head_io):
+        assert a_in.tobytes() == b_in.tobytes() and a_z.tobytes() == b_z.tobytes()
 
 
 def test_forward_reuse_rejects_another_batch():
+    """Whatever moved since the cache was made, or nothing, a cache of
+    another batch is refused."""
     m = init_model([2, 8, 8, 8], 3, seed=3)
     x = make_rng(3, "batch").normal(size=(5, 2))
-    _, _, cache = forward(m, x)
-    _stepped(m, x, Scope.HEADS_ONLY)
     other = x.copy()
     other[4, 1] += 1e-9
-    for batch in (other, x[:4], np.zeros((0, 2))):
-        with pytest.raises(UsageError, match="another batch"):
-            forward(m, batch, reuse=cache)
+    for scope in (None, *Scope):
+        cache = forward(m, x)
+        if scope is not None:
+            _stepped(m, x, scope)
+        for batch in (other, x[:4], np.zeros((0, 2))):
+            with pytest.raises(UsageError, match="another batch"):
+                forward(m, batch, reuse=cache)
 
 
 # --- member axis ---------------------------------------------------------------
@@ -654,10 +670,12 @@ def test_member_forward_matches_each_member_alone(args, count, rows):
     assert stacked.heads[0].weight.shape == (count, 2) + m.heads[0].weight.shape[1:]
     assert stacked.head2[-1].bias.shape == (count, m.num_classes)
     x = make_rng(args[2], "member-x").normal(size=(rows, 2))
-    q1, q2, cache = forward(stacked, x)
+    cache = forward(stacked, x)
+    q1, q2 = cache.p[:, 0], cache.p[:, 1]
     assert cache.p.shape == (count, 2, rows, m.num_classes)
     for i, single in enumerate(singles):
-        p1, p2, one = forward(single, x)
+        one = forward(single, x)
+        p1, p2 = one.p
         assert cache.p[i].tobytes() == one.p.tobytes()
         assert q1[i].tobytes() == p1.tobytes() and q2[i].tobytes() == p2.tobytes()
 
@@ -670,13 +688,13 @@ def test_member_backward_and_sgd_match_each_member_alone(args, count, rows, scop
     rng = make_rng(args[2], "member-dp")
     x = rng.normal(size=(rows, 2))
     dp = rng.normal(size=(count, 2, rows, m.num_classes))
-    _, _, cache = forward(stacked, x)
+    cache = forward(stacked, x)
     backward(stacked, cache, dp, scope)
     cfg = SgdConfig(learning_rate=0.05, momentum=0.9, weight_decay=5e-4)
     grads = stacked.grads.copy()
     sgd_step(stacked, cfg, scope)
     for i, single in enumerate(singles):
-        _, _, one = forward(single, x)
+        one = forward(single, x)
         backward(single, one, dp[i], scope)
         assert single.grads.tobytes() == grads[i].tobytes()
         sgd_step(single, cfg, scope)
@@ -712,7 +730,7 @@ def _loop_grad_check(model, loss_fn, x, h=1e-5):
     time, two unbatched forwards each.  Returns (max_rel_error,
     worst_param)."""
     model.zero_grads()
-    _, _, cache = forward(model, x)
+    cache = forward(model, x)
     backward(model, cache, loss_fn(cache.p)[1])
     worst, worst_param = 0.0, ""
     for name, layer in model.named_layers():
@@ -722,9 +740,9 @@ def _loop_grad_check(model, loss_fn, x, h=1e-5):
             for idx in range(flat_p.size):
                 orig = flat_p[idx]
                 flat_p[idx] = orig + h
-                up = loss_fn(forward(model, x)[2].p)[0]
+                up = loss_fn(forward(model, x).p)[0]
                 flat_p[idx] = orig - h
-                down = loss_fn(forward(model, x)[2].p)[0]
+                down = loss_fn(forward(model, x).p)[0]
                 flat_p[idx] = orig
                 numeric = (up - down) / (2.0 * h)
                 analytic = flat_g[idx]

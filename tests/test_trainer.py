@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from twohead import (ConfigError, MethodVariant, NonFiniteLossError,
                      NumericError, SeparationParams, SgdConfig, TrainConfig,
-                     build_toy_scenario, init_model, trainer, variant_losses)
+                     build_toy_scenario, init_model, nn, trainer, variant_losses)
 from twohead import losses
 from twohead.losses import crs_rows
 from twohead.nn import forward
@@ -178,7 +179,7 @@ def test_step_a2_noop_inside_band(toy_data):
     source, _ = toy_data
     model = init_model([2, 8, 8, 8], 3, seed=1)
     x = make_rng(0, "a2").normal(size=(8, 2))
-    p1, p2, _ = forward(model, x)
+    p1, p2 = forward(model, x).p
     vals = np.concatenate([crs_rows(np.stack([p1, p2])),
                            -(p1 * np.log(p1) + p2 * np.log(p2)).sum(1)])
     sep = SeparationParams(delta=float(np.mean(vals)),
@@ -188,9 +189,8 @@ def test_step_a2_noop_inside_band(toy_data):
     value, cache = step_a2(model, x, sep, plan, SgdConfig(0.05, 0.9))
     assert value == 0.0
     assert model.parameters_blob() == before
-    # no update was applied, so A-2 hands on its cache, which still
-    # matches the model
-    assert cache is not None and cache.version == model.version
+    # no update was applied, so A-2's forward still matches the model
+    assert cache.version == model.version
 
 
 def test_step_a2_disabled_for_no_sep(toy_data, monkeypatch):
@@ -221,16 +221,16 @@ def test_step_b_raises_target_divergence(toy_data):
         step_a1(model, source.features[idx], source.observed_labels[idx], plan, sgd)
 
     probe = target.features[:256]
-    p1, p2, _ = forward(model, probe)
+    p1, p2 = forward(model, probe).p
     before = crs_rows(np.stack([p1, p2])).mean()
     idx = rng.integers(0, len(source.features), size=64)
     tdx = rng.integers(0, len(target.features), size=64)
     # a cap above every target row: B runs uncapped
-    top = float(crs_rows(forward(model, target.features[tdx])[2].p).max())
+    top = float(crs_rows(forward(model, target.features[tdx]).p).max())
     sep = SeparationParams(delta=top + 1.0, margin=0.0)
     step_b(model, source.features[idx], source.observed_labels[idx],
            target.features[tdx], sep, plan, sgd)
-    p1, p2, _ = forward(model, probe)
+    p1, p2 = forward(model, probe).p
     after = crs_rows(np.stack([p1, p2])).mean()
     assert after > before
 
@@ -261,6 +261,26 @@ def test_step_c_generator_only_and_empty_mask(monkeypatch):
     assert len(out) == 2
     assert _blob(model.head1 + model.head2) == heads
     assert _blob(model.generator) != gen
+
+
+def test_train_reuses_handed_on_target_forwards(toy_data, monkeypatch):
+    """Generator and head passes of a 1-epoch run (14 steps).  Each step's
+    first C repeat runs only the heads on B's generator activations, so
+    there are 14 fewer generator passes than head passes; B takes A-2's
+    forward whole, running neither, when A-2 applies no update."""
+    source, target = toy_data
+    passes = collections.Counter()
+    real = nn._run_stack
+
+    def counting_run_stack(layers, x):
+        passes[id(layers)] += 1
+        return real(layers, x)
+
+    monkeypatch.setattr(nn, "_run_stack", counting_run_stack)
+    state = train(source, target, TrainConfig(epochs=1, seed=7))
+    assert state.step_counter == 14
+    assert passes[id(state.model.generator)] == 69
+    assert passes[id(state.model.heads)] == 83
 
 
 def test_selection_reduces_noise(toy_data):
@@ -457,8 +477,8 @@ def test_step_b_reports_the_capped_objective():
     x_s, x_t = rng.normal(size=(8, 2)), rng.normal(scale=3.0, size=(8, 2))
     y_s = rng.integers(0, 3, size=8)
     plan = variant_losses(MethodVariant.FULL, 0.2, 0.1)
-    ps1, ps2, _ = forward(model, x_s)
-    pt1, pt2, _ = forward(model, x_t)
+    ps1, ps2 = forward(model, x_s).p
+    pt1, pt2 = forward(model, x_t).p
     c = crs_rows(np.stack([pt1, pt2]))
     cap = float(np.median(c))
     expect = (losses.source(np.stack([ps1, ps2]), y_s, 0.1).value
