@@ -18,6 +18,8 @@ from enum import Enum
 from pathlib import Path
 from typing import get_args, get_type_hints
 
+import numpy as np
+
 from . import __version__
 from .data import TOY_SOURCE_CENTERS, NoiseKind, NoiseSpec, build_toy_scenario, dataset_to_csv
 from .errors import ConfigError
@@ -184,13 +186,24 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> RunSummary:
     atomic_write(out_dir / "target_data.csv", lambda p: dataset_to_csv(target, p))
 
     manifest = {"config": spec.to_dict(), "seed": spec.train.seed,
-                "build": f"twohead-{__version__}"}
+                "build": f"twohead-{__version__}", "numpy": np.__version__,
+                "blas": _blas()}
     atomic_write_text(out_dir / "manifest.json",
                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return RunSummary(variant=spec.train.variant.value,
                       avg_accuracy=report.average_accuracy,
                       common_accuracy=report.common_accuracy,
                       unknown_recall=report.unknown_recall)
+
+
+def _blas() -> dict[str, str]:
+    """Name and version of the BLAS numpy was built against; "unknown"
+    where numpy cannot report them (before 1.25)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {key: str(blas.get(key, "unknown")) for key in ("name", "version")}
 
 
 def _run_many(jobs: int, specs: list[ExperimentSpec], out_dirs: list[Path]

@@ -215,8 +215,9 @@ def small_loss_select(per_sample_losses: np.ndarray, alpha: float) -> np.ndarray
         raise ConfigError(f"alpha {alpha} keeps no row of a batch of {n}")
     if k == n:
         return np.arange(n)
-    order = np.argsort(losses, kind="stable")
-    return np.sort(order[:k])
+    kept = losses.argsort(kind="stable")[:k]
+    kept.sort()
+    return kept
 
 
 # --- objectives ------------------------------------------------------------------

@@ -401,7 +401,7 @@ _ZERO_GRAD_FLOOR = 1e-6  # below this magnitude, compare absolutely
 # parameter cells per batched forward, two members each; more cells take
 # fewer forwards, but each member holds ~40 KB of activations and loss
 # temporaries on an 8-row batch of the selftest model
-_FD_CELLS = 8
+_FD_CELLS = 16
 
 
 @dataclass
@@ -423,10 +423,11 @@ def grad_check(model: TwoHeadModel, loss_fns: Sequence[LossFn], x: np.ndarray,
 
     One unperturbed forward serves every loss's backward.  The perturbed
     models run as the members of one model: each forward holds +h and -h
-    copies for up to ``_FD_CELLS`` cells of one layer's weight or bias,
-    and every loss reads its (M, 2, N, C) probabilities.  Each loss value
-    is the one a forward of that single perturbed model gives, bit for
-    bit, so a loss gets the report it would get checked alone.
+    copies for the next ``_FD_CELLS`` cells of the flat parameter buffer,
+    across layer boundaries, and every loss reads its (M, 2, N, C)
+    probabilities.  Each loss value is the one a forward of that single
+    perturbed model gives, bit for bit, so a loss gets the report it would
+    get checked alone.
 
     Entries where both gradients are below 1e-6 in magnitude are compared
     absolutely (the relative measure is meaningless at zero); everything
@@ -440,43 +441,44 @@ def grad_check(model: TwoHeadModel, loss_fns: Sequence[LossFn], x: np.ndarray,
         raise UsageError("grad_check takes a model without members")
 
     n_fns = len(loss_fns)
-    # member j of ``analytic`` holds loss j's gradient, in the model's layout
-    analytic = TwoHeadModel(*model.widths, members=(n_fns,))
+    # member j of ``errors`` holds loss j's gradient, in the model's layout,
+    # and then its error per cell
+    errors = TwoHeadModel(*model.widths, members=(n_fns,))
     cache = forward(model, x)
     for j, loss_fn in enumerate(loss_fns):
         model.zero_grads()
         backward(model, cache, loss_fn(cache.p)[1])
-        analytic.params[j] = model.grads
+        errors.params[j] = model.grads
     model.zero_grads()
 
+    size = model.params.size
     copies = TwoHeadModel(*model.widths, members=(2 * _FD_CELLS,))
+    numeric = np.empty((n_fns, size))
+    for start in range(0, size, _FD_CELLS):
+        idx = np.arange(start, min(start + _FD_CELLS, size))
+        k = np.arange(idx.size)
+        # members k hold params + h in cell idx[k], members _FD_CELLS + k params - h
+        copies.params[:] = model.params
+        copies.params[k, idx] = model.params[idx] + h
+        copies.params[_FD_CELLS + k, idx] = model.params[idx] - h
+        p = forward(copies, x).p
+        for j, loss_fn in enumerate(loss_fns):
+            value = np.broadcast_to(loss_fn(p)[0], (2 * _FD_CELLS,))
+            numeric[j, idx] = (value[k] - value[_FD_CELLS + k]) / (2.0 * h)
+    err = errors.params
+    denom = np.maximum(np.abs(err), np.abs(numeric))
+    err -= numeric
+    np.abs(err, out=err)
+    np.divide(err, denom, out=err, where=denom >= _ZERO_GRAD_FLOOR)
+
     worst = [0.0] * n_fns
     worst_param = [""] * n_fns
-    for (name, layer), (_, stacked), (_, grads) in zip(
-            model.named_layers(), copies.named_layers(), analytic.named_layers()):
-        for kind, param, grad, cells in (("w", layer.weight, grads.weight, stacked.weight),
-                                         ("b", layer.bias, grads.bias, stacked.bias)):
-            orig = param.reshape(-1)
-            numeric = np.empty((n_fns, orig.size))
-            for start in range(0, orig.size, _FD_CELLS):
-                idx = np.arange(start, min(start + _FD_CELLS, orig.size))
-                k = np.arange(idx.size)
-                cell = np.unravel_index(idx, param.shape)
-                # members k hold orig + h in cell k, members _FD_CELLS + k orig - h
-                copies.params[:] = model.params
-                cells[(k, *cell)] = orig[idx] + h
-                cells[(_FD_CELLS + k, *cell)] = orig[idx] - h
-                p = forward(copies, x).p
-                for j, loss_fn in enumerate(loss_fns):
-                    value = np.broadcast_to(loss_fn(p)[0], (2 * _FD_CELLS,))
-                    numeric[j, idx] = (value[k] - value[_FD_CELLS + k]) / (2.0 * h)
-            a = grad.reshape(n_fns, orig.size)
-            err = np.abs(a - numeric)
-            denom = np.maximum(np.abs(a), np.abs(numeric))
-            np.divide(err, denom, out=err, where=denom >= _ZERO_GRAD_FLOOR)
+    for name, layer in errors.named_layers():
+        for kind, cells in (("w", layer.weight), ("b", layer.bias)):
+            cells = cells.reshape(n_fns, -1)
             # per loss, the first largest error, or the first NaN
-            for j, i in enumerate(np.argmax(err, axis=1).tolist()):
-                e = float(err[j, i])
+            for j, i in enumerate(np.argmax(cells, axis=1).tolist()):
+                e = float(cells[j, i])
                 if e > worst[j] or (math.isnan(e) and not math.isnan(worst[j])):
                     worst[j] = e
                     worst_param[j] = f"{name}.{kind}[{i}]"

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses, nn
+from .errors import ConfigError
 from .losses import SeparationParams
 from .rng import make_rng
 
@@ -28,6 +29,8 @@ class CheckResult:
 def check_loss_identities(n_pairs: int = 1000, seed: int = 2024) -> CheckResult:
     """Random probability pairs over 2..20 classes must satisfy
     skld == crs - ent (within 1e-10), crs >= ent and ent <= 2 ln C."""
+    if n_pairs < 1:
+        raise ConfigError(f"n_pairs must be >= 1, got {n_pairs}")
     rng = make_rng(seed, "identities")
     worst_decomp = 0.0
     for c in range(2, 21):
@@ -164,28 +167,26 @@ _SELECTION_MAX_N = 64
 def check_selection_contract(n_vectors: int = 10000, seed: int = 5) -> CheckResult:
     """Random loss vectors of 1 to 64 entries: exactly ceil((1-alpha) N)
     distinct survivors, up to ``small_loss_select``'s float guard, no index
-    listed twice, and no selected loss above an unselected one.  Vectors
-    are drawn and selected one at a time, and verified a block of
-    ``_SELECTION_BLOCK`` at a time; the first failing vector is reported."""
+    listed twice, and no selected loss above an unselected one.  Each block
+    of ``_SELECTION_BLOCK`` vectors draws its sizes, alphas and losses at
+    once, selects each vector in its own call, in order, and is verified
+    at once; the first failing vector is reported."""
+    if n_vectors < 1:
+        raise ConfigError(f"n_vectors must be >= 1, got {n_vectors}")
     rng = make_rng(seed, "selection")
     values = np.empty((_SELECTION_BLOCK, _SELECTION_MAX_N))
     chosen = np.empty((_SELECTION_BLOCK, _SELECTION_MAX_N), dtype=bool)
     for start in range(0, n_vectors, _SELECTION_BLOCK):
         rows = min(_SELECTION_BLOCK, n_vectors - start)
-        ns, alphas, picks = [], [], []
-        for r in range(rows):
-            n = int(rng.integers(1, _SELECTION_MAX_N + 1))
-            alpha = float(rng.random())
-            vec = rng.normal(size=n)
-            picks.append(losses.small_loss_select(vec, alpha))
-            values[r, :n] = vec
-            ns.append(n)
-            alphas.append(alpha)
+        sizes = rng.integers(1, _SELECTION_MAX_N + 1, size=rows)
+        alphas = rng.random(rows)
+        rng.standard_normal(out=values[:rows])
+        picks = [losses.small_loss_select(values[r, :n], alpha)
+                 for r, (n, alpha) in enumerate(zip(sizes.tolist(), alphas.tolist()))]
         listed = np.array([len(sel) for sel in picks])
-        sizes = np.array(ns)
         # ceil((1 - alpha) N), where a count within the selector's guard
         # above an integer is that integer
-        expect = np.ceil((1.0 - np.array(alphas)) * sizes
+        expect = np.ceil((1.0 - alphas) * sizes
                          - losses.SELECTION_GUARD).astype(np.int64)
         picked = chosen[:rows]
         picked.fill(False)

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +35,7 @@ def test_run_emits_all_artifacts(tmp_path):
     assert not list(out.glob("*.tmp"))
 
 
-def test_manifest_roundtrips(tmp_path):
+def test_manifest_roundtrips(tmp_path, monkeypatch):
     out = tmp_path / "out"
     main(["run", "--config", _write_cfg(tmp_path, {"alpha": 0.3}), "--out", str(out)])
     manifest = json.loads((out / "manifest.json").read_text())
@@ -44,6 +45,14 @@ def test_manifest_roundtrips(tmp_path):
     assert spec.to_dict() == manifest["config"]
     assert manifest["seed"] == 7
     assert manifest["build"].startswith("twohead-")
+    assert manifest["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
+    # numpy before 1.25 has no mode argument
+    monkeypatch.setattr(np, "show_config", lambda: None)
+    main(["run", "--config", _write_cfg(tmp_path, {"alpha": 0.3}), "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["blas"] == {"name": "unknown", "version": "unknown"}
 
 
 def test_every_config_key_roundtrips():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from twohead import (Activation, ConfigError, DimensionError, Scope, SgdConfig,
                      UsageError, backward, forward, grad_check, init_model,
-                     losses, sgd_step)
+                     losses, nn, sgd_step)
 from twohead.nn import TwoHeadModel, load_model_csv, save_model_csv, softmax_rows
 from twohead.rng import make_rng
 
@@ -723,6 +723,70 @@ def test_grad_check_fails_a_loss_that_is_not_finite():
     report, = grad_check(m, [nan_in_first_member], x)
     assert math.isnan(report.max_rel_error) and not report.passed
     assert report.worst_param == "gen.0.w[0]"
+
+
+@pytest.mark.parametrize("name, flat, cell", [
+    ("gen.0.w[0]", 0, lambda m: (m.generator[0].grad_weight, (0, 0))),
+    ("head2.2.b[2]", -1, lambda m: (m.head2[-1].grad_bias, (2,))),
+])
+def test_grad_check_names_a_corrupted_cell_at_either_end_of_the_buffer(
+        monkeypatch, name, flat, cell):
+    """The first and the last cell of the flat parameter buffer are both
+    perturbed: a gradient wrong in that cell alone is caught there."""
+    m = init_model([2, 8, 8, 8], 3, seed=4)
+    grad, index = cell(m)
+    grad[index] = 1.0
+    assert np.flatnonzero(m.grads).tolist() == [flat % m.grads.size]
+    m.zero_grads()
+    rng = make_rng(4, "corrupted-cell")
+    x = rng.normal(scale=1.5, size=(5, 2))
+    labels = rng.integers(0, 3, size=5)
+    real = nn.backward
+
+    def corrupting(model, *args, **kwargs):
+        real(model, *args, **kwargs)
+        grad, index = cell(model)
+        grad[index] += 1.0
+
+    def loss_fn(p):
+        got = losses.source(p, labels, 0.1)
+        return got.value, got.dp
+
+    assert grad_check(m, [loss_fn], x)[0].passed
+    monkeypatch.setattr(nn, "backward", corrupting)
+    report, = grad_check(m, [loss_fn], x)
+    assert not report.passed
+    assert report.worst_param == name
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**16), rows=st.integers(1, 6))
+def test_grad_check_reports_do_not_depend_on_the_cells_per_forward(seed, rows):
+    """Which cells share a forward moves no value: one cell a forward,
+    chunks that cross layer boundaries, and one chunk for the whole
+    buffer give the same reports."""
+    m = init_model([2, 5, 4], 3, seed=seed)
+    rng = make_rng(seed, "fd-cells")
+    x = rng.normal(scale=1.5, size=(rows, 2))
+    labels = rng.integers(0, 3, size=rows)
+    sep = losses.SeparationParams(delta=math.log(3), margin=0.35)
+
+    def objective(fn):
+        def loss_fn(p):
+            got = fn(p)
+            return got.value, got.dp
+        return loss_fn
+
+    loss_fns = [objective(lambda p: losses.source(p, labels, 0.1)),
+                objective(lambda p: losses.separation(p, sep))]
+    reports = []
+    for cells in (1, 5, 16, 600):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn, "_FD_CELLS", cells)
+            reports.append([(r.max_rel_error, r.worst_param)
+                            for r in grad_check(m, loss_fns, x)])
+    assert m.params.size < 600
+    assert all(r == reports[0] for r in reports[1:])
 
 
 def _loop_grad_check(model, loss_fn, x, h=1e-5):

@@ -7,16 +7,17 @@ import math
 import numpy as np
 import pytest
 
-from twohead import losses, nn, selfcheck
+from twohead import ConfigError, losses, nn, selfcheck
 from twohead.rng import make_rng
-from twohead.selfcheck import CheckResult, check_gradients, check_selection_contract
+from twohead.selfcheck import (CheckResult, check_gradients, check_loss_identities,
+                               check_selection_contract)
 
 
-def test_check_gradients_runs_135_forwards(monkeypatch):
-    """Per batch layout one unperturbed forward and 65 member forwards
-    (the selftest model's 510 parameters, 8 cells a forward, per layer
-    and kind), plus three set-up forwards: 2 * 66 + 3.  A grad check per
-    objective ran 11 * 66 + 3 = 729."""
+def test_check_gradients_runs_69_forwards(monkeypatch):
+    """Per batch layout one unperturbed forward and 32 member forwards
+    (the selftest model's 510 parameters, 16 cells of the flat buffer a
+    forward), plus three set-up forwards: 2 * (32 + 1) + 3.  A grad check
+    per objective ran 11 * 33 + 3 = 366."""
     calls = []
     real = nn.forward
 
@@ -27,18 +28,23 @@ def test_check_gradients_runs_135_forwards(monkeypatch):
     monkeypatch.setattr(nn, "forward", counting)
     results = check_gradients()
     assert len(results) == 11 and all(r.passed for r in results)
-    assert len(calls) == 135
-    assert calls.count((16,)) == 130
+    assert len(calls) == 69
+    assert calls.count((32,)) == 64
 
 
 def _per_vector_contract(n_vectors: int, seed: int = 5) -> CheckResult:
-    """The check as a loop over one vector at a time: the reference for
-    the block-wise check, drawing the same vectors."""
+    """The check as a loop that selects and verifies one vector at a time:
+    the reference for the block-wise check, drawing the same vectors, a
+    block of 200 at a time."""
     rng = make_rng(seed, "selection")
     for i in range(n_vectors):
-        n = int(rng.integers(1, 65))
-        alpha = float(rng.random())
-        vec = rng.normal(size=n)
+        if i % 200 == 0:
+            rows = min(200, n_vectors - i)
+            sizes = rng.integers(1, 65, size=rows)
+            alphas = rng.random(rows)
+            values = rng.standard_normal((rows, 64))
+        n, alpha = int(sizes[i % 200]), float(alphas[i % 200])
+        vec = values[i % 200, :n]
         sel = losses.small_loss_select(vec, alpha)
         expect = math.ceil((1.0 - alpha) * n - losses.SELECTION_GUARD)
         kept = len(set(sel.tolist()))
@@ -126,6 +132,8 @@ def test_block_check_matches_the_per_vector_loop(monkeypatch, selector, n_vector
         results.append(check(n_vectors))
     assert results[0] == results[1]
     assert results[0].passed == (first_wrong is None or first_wrong >= n_vectors)
+    if not results[0].passed:
+        assert results[0].detail.startswith(f"vector {first_wrong}: ")
     if "from vector" in selector and not results[0].passed:
         assert results[0].detail.startswith(f"vector {first_wrong}: kept ")
 
@@ -138,23 +146,25 @@ def test_block_check_matches_the_per_vector_loop_on_the_selftest_draws():
 
 class _ScriptedRng:
     """Stands in for the check's generator: yields the given (n, alpha)
-    pairs in order, with normal losses."""
+    pairs in order, a block at a time, with normal losses."""
 
     def __init__(self, pairs):
         self._pairs = iter(pairs)
-        self._alpha = None
+        self._alphas = None
         self._normal = make_rng(0, "scripted")
 
-    def integers(self, low, high):
-        n, self._alpha = next(self._pairs)
-        assert low <= n < high
-        return n
+    def integers(self, low, high, size):
+        sizes, alphas = zip(*(next(self._pairs) for _ in range(size)))
+        assert all(low <= n < high for n in sizes)
+        self._alphas = np.array(alphas)
+        return np.array(sizes)
 
-    def random(self):
-        return self._alpha
+    def random(self, size):
+        assert size == len(self._alphas)
+        return self._alphas
 
-    def normal(self, size):
-        return self._normal.normal(size=size)
+    def standard_normal(self, out):
+        return self._normal.standard_normal(out=out)
 
 
 def test_selection_contract_expects_what_the_guard_keeps(monkeypatch):
@@ -174,3 +184,11 @@ def test_selection_contract_expects_what_the_guard_keeps(monkeypatch):
         "selection-contract", True, "28 random vectors")
     monkeypatch.setattr(selfcheck, "make_rng", lambda seed, label: _ScriptedRng(kept))
     assert check_selection_contract(n_vectors=len(kept)).passed
+
+
+@pytest.mark.parametrize("count", [0, -5])
+@pytest.mark.parametrize("check, name", [(check_selection_contract, "n_vectors"),
+                                         (check_loss_identities, "n_pairs")])
+def test_a_check_of_nothing_is_rejected(check, name, count):
+    with pytest.raises(ConfigError, match=f"{name} must be >= 1, got {count}"):
+        check(count)
