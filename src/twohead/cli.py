@@ -19,7 +19,7 @@ from pathlib import Path
 from .errors import ConfigError, DataError, NonFiniteLossError, TwoHeadError
 from .evaluation import boundary_grid, write_boundary_svg
 from .experiment import (DEFAULT_GRID_RESOLUTION, SWEEPABLE, TOY_BOUNDS, ExperimentSpec,
-                         SweepSpec, ablate, atomic_write, run_experiment, sweep)
+                         SweepSpec, ablate, atomic_write, check_out_dir, run_experiment, sweep)
 from .losses import MethodVariant
 from .nn import load_model_csv
 from .selfcheck import run_selftest
@@ -106,11 +106,13 @@ def _dispatch(args) -> int:
     if args.command == "selftest":
         return 0 if run_selftest() else 1
 
+    out = Path(args.out)
+    check_out_dir(out)
+
     if args.command == "grid":
         model = load_model_csv(args.model)
         delta = args.delta if args.delta is not None else math.log(model.num_classes)
         grid = boundary_grid(model, TOY_BOUNDS, args.resolution, delta)
-        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         atomic_write(out / "boundary.csv", grid.to_csv)
         atomic_write(out / "boundary.svg", lambda p: write_boundary_svg(grid, p))
@@ -118,25 +120,23 @@ def _dispatch(args) -> int:
         return 0
 
     spec = _load_spec(args)
-    out = Path(args.out)
 
     if args.command == "run":
-        summary = run_experiment(spec, out)
-        print(f"variant={summary.variant} avg_accuracy={summary.avg_accuracy:.4f} "
-              f"common={summary.common_accuracy:.4f} "
-              f"unknown={summary.unknown_recall:.4f}")
+        r = run_experiment(spec, out)
+        print(f"variant={spec.train.variant.value} avg_accuracy={r.average_accuracy:.4f} "
+              f"common={r.common_accuracy:.4f} unknown={r.unknown_recall:.4f}")
         return 0
 
     if args.command == "ablate":
-        for s in ablate(spec, out, jobs=args.jobs):
-            print(f"{s.variant}: avg={s.avg_accuracy:.4f} "
-                  f"common={s.common_accuracy:.4f} unknown={s.unknown_recall:.4f}")
+        for v, r in zip(MethodVariant, ablate(spec, out, jobs=args.jobs)):
+            print(f"{v.value}: avg={r.average_accuracy:.4f} "
+                  f"common={r.common_accuracy:.4f} unknown={r.unknown_recall:.4f}")
         return 0
 
     if args.command == "sweep":
         sw = SweepSpec(param=args.param, values=_parse_values(args.values), base=spec)
-        for v, s in zip(sw.values, sweep(sw, out, jobs=args.jobs)):
-            print(f"{sw.param}={v}: avg_accuracy={s.avg_accuracy:.4f}")
+        for v, r in zip(sw.values, sweep(sw, out, jobs=args.jobs)):
+            print(f"{sw.param}={v}: avg_accuracy={r.average_accuracy:.4f}")
         return 0
 
     raise ConfigError(f"unknown command {args.command!r}")

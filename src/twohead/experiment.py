@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .data import TOY_SOURCE_CENTERS, NoiseKind, NoiseSpec, build_toy_scenario, dataset_to_csv
 from .errors import ConfigError
-from .evaluation import boundary_grid, density_to_csv, evaluate, write_boundary_svg
+from .evaluation import EvalReport, boundary_grid, density_to_csv, evaluate, write_boundary_svg
 from .losses import MethodVariant
 from .nn import save_model_csv
 from .trainer import TrainConfig, train
@@ -85,9 +85,7 @@ class ExperimentSpec:
         if self.train is None:
             self.train = TrainConfig()
         # the toy source has one class per center, so delta is known before a run
-        delta = self.train.resolved_delta(len(TOY_SOURCE_CENTERS))
-        if self.train.margin >= delta:
-            raise ConfigError(f"margin must be below delta {delta}, got {self.train.margin}")
+        self.train.separation(len(TOY_SOURCE_CENTERS))
 
     def to_dict(self) -> dict:
         out = {}
@@ -154,17 +152,19 @@ def atomic_write_text(path: Path, text: str) -> None:
     atomic_write(path, lambda tmp: Path(tmp).write_text(text))
 
 
-@dataclass
-class RunSummary:
-    variant: str
-    avg_accuracy: float
-    common_accuracy: float
-    unknown_recall: float
+def check_out_dir(path: Path) -> None:
+    """ConfigError unless the first of ``path`` and its parents that exists is a directory."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"out: {existing} exists and is not a directory")
 
 
-def run_experiment(spec: ExperimentSpec, out_dir: Path) -> RunSummary:
-    """Generate data, train, evaluate, then make ``out_dir`` and write all artifacts."""
+def run_experiment(spec: ExperimentSpec, out_dir: Path) -> EvalReport:
+    """Generate data, train, evaluate, then make ``out_dir``, write all
+    artifacts and return the evaluation.  An ``out_dir`` that cannot be
+    made is refused before any of that."""
     out_dir = Path(out_dir)
+    check_out_dir(out_dir)
     noise = NoiseSpec(spec.noise_kind, spec.noise_rate)
     source, target = build_toy_scenario(
         spec.train.seed, noise=noise,
@@ -190,10 +190,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> RunSummary:
                 "blas": _blas()}
     atomic_write_text(out_dir / "manifest.json",
                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return RunSummary(variant=spec.train.variant.value,
-                      avg_accuracy=report.average_accuracy,
-                      common_accuracy=report.common_accuracy,
-                      unknown_recall=report.unknown_recall)
+    return report
 
 
 def _blas() -> dict[str, str]:
@@ -207,7 +204,7 @@ def _blas() -> dict[str, str]:
 
 
 def _run_many(jobs: int, specs: list[ExperimentSpec], out_dirs: list[Path]
-              ) -> list[RunSummary]:
+              ) -> list[EvalReport]:
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(specs) <= 1:
@@ -224,25 +221,25 @@ def _write_table(path: Path, rows: list[list]) -> None:
     atomic_write(path, write)
 
 
-def ablate(base: ExperimentSpec, out_dir: Path, jobs: int = 1) -> list[RunSummary]:
-    """Run every method variant on identical data and seed."""
+def ablate(base: ExperimentSpec, out_dir: Path, jobs: int = 1) -> list[EvalReport]:
+    """Run every method variant on identical data and seed, in MethodVariant order."""
     out_dir = Path(out_dir)
-    summaries = _run_many(jobs, [replace(base, train=replace(base.train, variant=v))
-                                 for v in MethodVariant],
-                          [out_dir / v.value for v in MethodVariant])
+    reports = _run_many(jobs, [replace(base, train=replace(base.train, variant=v))
+                               for v in MethodVariant],
+                        [out_dir / v.value for v in MethodVariant])
     _write_table(out_dir / "ablation.csv",
                  [["variant", "avg_accuracy", "common_acc", "unknown_recall"]]
-                 + [[s.variant, repr(s.avg_accuracy), repr(s.common_accuracy),
-                     repr(s.unknown_recall)] for s in summaries])
-    return summaries
+                 + [[v.value, repr(r.average_accuracy), repr(r.common_accuracy),
+                     repr(r.unknown_recall)] for v, r in zip(MethodVariant, reports)])
+    return reports
 
 
-def sweep(spec: SweepSpec, out_dir: Path, jobs: int = 1) -> list[RunSummary]:
-    """One full run per swept value; everything else fixed."""
+def sweep(spec: SweepSpec, out_dir: Path, jobs: int = 1) -> list[EvalReport]:
+    """One full run per swept value, in order; everything else fixed."""
     out_dir = Path(out_dir)
-    summaries = _run_many(jobs, spec.specs,
-                          [out_dir / f"{spec.param}_{v}" for v in spec.values])
+    reports = _run_many(jobs, spec.specs,
+                        [out_dir / f"{spec.param}_{v}" for v in spec.values])
     _write_table(out_dir / "sweep.csv", [["param", "value", "avg_accuracy"]]
-                 + [[spec.param, v, repr(s.avg_accuracy)]
-                    for v, s in zip(spec.values, summaries)])
-    return summaries
+                 + [[spec.param, v, repr(r.average_accuracy)]
+                    for v, r in zip(spec.values, reports)])
+    return reports

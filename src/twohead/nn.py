@@ -72,16 +72,14 @@ class DenseLayer:
     """Fully connected layer with weight (out, in), bias (out,) and an
     activation, or a stack of such layers sharing one activation, with
     weight (k, out, in) and bias (k, out), each behind the model's member
-    axes if it has any.  The weight, bias, gradient and momentum arrays are
-    views into the owning model's flat buffers, so an in-place edit of any
-    of them edits the model."""
+    axes if it has any.  The weight, bias and gradient arrays are views
+    into the owning model's flat buffers, so an in-place edit of any of
+    them edits the model."""
 
     def __init__(self, params: tuple[np.ndarray, np.ndarray],
-                 grads: tuple[np.ndarray, np.ndarray],
-                 velocity: tuple[np.ndarray, np.ndarray], activation: Activation):
+                 grads: tuple[np.ndarray, np.ndarray], activation: Activation):
         self.weight, self.bias = params
         self.grad_weight, self.grad_bias = grads
-        self.vel_weight, self.vel_bias = velocity
         self.activation = activation
 
     @property
@@ -98,7 +96,6 @@ class DenseLayer:
         member axes."""
         return DenseLayer((self.weight[..., k, :, :], self.bias[..., k, :]),
                           (self.grad_weight[..., k, :, :], self.grad_bias[..., k, :]),
-                          (self.vel_weight[..., k, :, :], self.vel_bias[..., k, :]),
                           self.activation)
 
 
@@ -151,8 +148,7 @@ class TwoHeadModel:
                         flat[..., offset + n_w:offset + n_w + n_b].reshape(
                             members + shape[:-1]))
 
-            layer = DenseLayer(views(self.params), views(self.grads),
-                               views(self.velocity), activation)
+            layer = DenseLayer(views(self.params), views(self.grads), activation)
             offset += n_w + n_b
             return layer
 

@@ -57,6 +57,8 @@ class TrainConfig:
     the fraction of each source batch dropped by small-loss selection.
     ``margin`` must lie in (0, delta): at or above delta, C's subset
     (crs < delta - margin) is empty; at 0, so is A-2's hinge window.
+    ``sgd``, not a field, is the SgdConfig of ``learning_rate``,
+    ``momentum`` and ``weight_decay``, built (and so checked) here.
     """
 
     alpha: float = 0.2
@@ -79,16 +81,18 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite, got {value}")
         if not isinstance(self.variant, MethodVariant):
             raise ConfigError(f"variant must be a MethodVariant, got {self.variant!r}")
+        for name in ("n_inner", "epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not 0.0 <= self.alpha < 1.0:
             raise ConfigError(f"alpha (drop fraction) must be in [0, 1), got {self.alpha}")
         if self.lam < 0:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
-        if self.delta is not None and self.delta <= 0:
-            raise ConfigError(f"delta must be > 0, got {self.delta}")
-        if not 0 < self.margin < (self.delta or math.inf):
-            raise ConfigError(f"margin must be in (0, delta), got {self.margin}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        # before the class count is known, ln(inf) bounds a None delta
+        self.separation(math.inf)
+        self.sgd = SgdConfig(learning_rate=self.learning_rate, momentum=self.momentum,
+                             weight_decay=self.weight_decay)
         if self.minimax_weight <= 0:
             raise ConfigError(f"minimax_weight must be > 0, got {self.minimax_weight}")
         if self.n_inner < 1:
@@ -98,8 +102,14 @@ class TrainConfig:
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
 
-    def resolved_delta(self, num_classes: int) -> float:
-        return math.log(num_classes) if self.delta is None else self.delta
+    def separation(self, num_classes: float) -> SeparationParams:
+        """Delta (ln ``num_classes`` when None) and margin; raises
+        ConfigError unless 0 < margin < delta."""
+        delta = math.log(num_classes) if self.delta is None else self.delta
+        sep = SeparationParams(delta=delta, margin=self.margin)
+        if not 0 < self.margin < delta:
+            raise ConfigError(f"margin must be in (0, delta), got {self.margin}, delta {delta}")
+        return sep
 
 
 @dataclass
@@ -260,17 +270,13 @@ def train(source: DomainDataset, target: DomainDataset, config: TrainConfig) -> 
     n_classes = source.num_model_classes
     if n_classes < 2:
         raise ConfigError(f"need >= 2 source classes, got {n_classes}")
-    delta = config.resolved_delta(n_classes)
-    if config.margin >= delta:
-        raise ConfigError(f"margin must be in (0, delta), got {config.margin}, delta {delta}")
-    sep = SeparationParams(delta=delta, margin=config.margin)
+    sep = config.separation(n_classes)
     plan = losses.variant_losses(config.variant, config.alpha, config.lam)
-    sgd = SgdConfig(learning_rate=config.learning_rate, momentum=config.momentum,
-                    weight_decay=config.weight_decay)
+    sgd = config.sgd
 
     widths = [source.features.shape[1]] + [HIDDEN_WIDTH] * N_HIDDEN_LAYERS
     model = init_model(widths, n_classes, derive_seed(config.seed, "model"))
-    state = TrainState(model=model, delta=delta)
+    state = TrainState(model=model, delta=sep.delta)
 
     seed_src = derive_seed(config.seed, "batch-source")
     seed_tgt = derive_seed(config.seed, "batch-target")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twohead import init_model, losses
+from twohead import cli, experiment, init_model, losses
 from twohead.cli import main
 from twohead.nn import save_model_csv
 from twohead.experiment import ExperimentSpec, SweepSpec, run_experiment
@@ -252,6 +252,53 @@ def test_jobs_below_one_rejected(tmp_path, capsys, argv):
     rc = main(argv + ["--config", _write_cfg(tmp_path, {"epochs": 1}), "--out", str(out)])
     assert rc == 2
     assert f"jobs must be >= 1, got {argv[argv.index('--jobs') + 1]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if data is generated or a model is loaded."""
+    def fail(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(experiment, "build_toy_scenario", fail)
+    monkeypatch.setattr(cli, "load_model_csv", fail)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"], ["ablate"], ["sweep", "--param", "alpha", "--values", "0.1,0.2"], ["grid"],
+])
+def test_out_naming_an_existing_file_is_refused_before_any_work(tmp_path, capsys, no_work,
+                                                                argv):
+    """Exit 2 naming the file, before data, training or a grid is made;
+    the file keeps its bytes and nothing else is written."""
+    if argv == ["grid"]:
+        argv = argv + ["--model", str(_saved_model(tmp_path))]
+    else:
+        argv = argv + ["--config", _write_cfg(tmp_path, {"epochs": 2})]
+    out = tmp_path / "notadir"
+    out.write_bytes(b"keep\n")
+    before = sorted(tmp_path.iterdir())
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"{out} exists and is not a directory" in capsys.readouterr().err
+    assert out.read_bytes() == b"keep\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_run_experiment_refuses_a_directory_under_a_file(tmp_path, no_work):
+    """A child of ablate or sweep checks its own directory before it
+    trains."""
+    (tmp_path / "notadir").write_text("")
+    with pytest.raises(ConfigError, match="notadir exists and is not a directory"):
+        run_experiment(ExperimentSpec.from_dict(FAST), tmp_path / "notadir" / "full")
+
+
+@pytest.mark.parametrize("bad", [{"learning_rate": 0}, {"momentum": 1.0}])
+def test_sweep_with_a_bad_sgd_setting_writes_nothing(tmp_path, capsys, bad):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", _write_cfg(tmp_path, bad), "--param", "alpha",
+                 "--values", "0.1,0.2", "--out", str(out)]) == 2
+    assert next(iter(bad)) in capsys.readouterr().err
     assert not out.exists()
 
 

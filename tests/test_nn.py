@@ -356,8 +356,7 @@ def _assert_layers_tile_buffers(m):
     """Every layer array is a view into its model buffer, and together the
     layers cover each buffer exactly once."""
     for kind, flat, parts in (("params", m.params, ("weight", "bias")),
-                              ("grads", m.grads, ("grad_weight", "grad_bias")),
-                              ("velocity", m.velocity, ("vel_weight", "vel_bias"))):
+                              ("grads", m.grads, ("grad_weight", "grad_bias"))):
         saved = flat.copy()
         flat[:] = np.arange(flat.size)
         seen = np.concatenate([getattr(layer, part).ravel()
@@ -500,13 +499,20 @@ def test_model_csv_loads_rows_in_any_order(tmp_path_factory, args, shuffle):
     assert load_model_csv(path).parameters_blob() == m.parameters_blob()
 
 
-def _reference_sgd(layers, cfg):
+def _velocity_of(m, arr):
+    """The view of ``m.velocity`` that ``arr`` is of ``m.params``."""
+    offset = arr.__array_interface__["data"][0] - m.params.__array_interface__["data"][0]
+    return np.ndarray(arr.shape, arr.dtype, m.velocity, offset, arr.strides)
+
+
+def _reference_sgd(m, layers, cfg):
     """The per-layer momentum SGD loop the whole-slice step replaced, on
-    copies: returns (weight, bias, vel_weight, vel_bias) per layer."""
+    copies: returns (weight, bias, weight velocity, bias velocity) per
+    layer."""
     out = []
     for layer in layers:
         w, b = layer.weight.copy(), layer.bias.copy()
-        vw, vb = layer.vel_weight.copy(), layer.vel_bias.copy()
+        vw, vb = _velocity_of(m, layer.weight).copy(), _velocity_of(m, layer.bias).copy()
         for p, v, g in ((w, vw, layer.grad_weight), (b, vb, layer.grad_bias)):
             v *= cfg.momentum
             v += g
@@ -526,7 +532,7 @@ def test_sgd_step_matches_layer_loop_and_freezes_the_rest(args, scope, lr, momen
     m.grads[:] = rng.normal(size=m.grads.size)
     m.velocity[:] = rng.normal(size=m.velocity.size)
     cfg = SgdConfig(learning_rate=lr, momentum=momentum, weight_decay=decay)
-    expect = _reference_sgd(_SCOPE_LAYERS[scope](m), cfg)
+    expect = _reference_sgd(m, _SCOPE_LAYERS[scope](m), cfg)
     outside = np.ones(m.params.size, dtype=bool)
     outside[m.scope_slice(scope)] = False
     params_out, vel_out = m.params[outside].tobytes(), m.velocity[outside].tobytes()
@@ -535,8 +541,8 @@ def test_sgd_step_matches_layer_loop_and_freezes_the_rest(args, scope, lr, momen
     for layer, (w, b, vw, vb) in zip(_SCOPE_LAYERS[scope](m), expect):
         assert layer.weight.tobytes() == w.tobytes()
         assert layer.bias.tobytes() == b.tobytes()
-        assert layer.vel_weight.tobytes() == vw.tobytes()
-        assert layer.vel_bias.tobytes() == vb.tobytes()
+        assert _velocity_of(m, layer.weight).tobytes() == vw.tobytes()
+        assert _velocity_of(m, layer.bias).tobytes() == vb.tobytes()
     assert m.params[outside].tobytes() == params_out
     assert m.velocity[outside].tobytes() == vel_out
     assert not m.grads.any()

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twohead import (ConfigError, MethodVariant, NonFiniteLossError,
@@ -14,6 +14,7 @@ from twohead import losses
 from twohead.losses import crs_rows
 from twohead.nn import forward
 from twohead.rng import make_rng
+from twohead.experiment import ExperimentSpec
 from twohead.trainer import (step_a1, step_a2, step_b, step_c, train,
                              _check_finite)
 
@@ -30,8 +31,9 @@ def test_train_config_defaults_match_method():
     assert cfg.margin == 1.0
     assert cfg.n_inner == 4
     assert cfg.delta is None
-    assert abs(cfg.resolved_delta(3) - math.log(3)) < 1e-12
-    assert abs(cfg.resolved_delta(20) - math.log(20)) < 1e-12
+    assert abs(cfg.separation(3).delta - math.log(3)) < 1e-12
+    assert abs(cfg.separation(20).delta - math.log(20)) < 1e-12
+    assert cfg.sgd == SgdConfig(learning_rate=0.01, momentum=0.9, weight_decay=5e-4)
 
 
 def test_train_config_validation():
@@ -45,6 +47,10 @@ def test_train_config_validation():
         TrainConfig(n_inner=0)
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=1)
+    # the SGD settings are checked with the config, not when train() starts
+    for name, value in (("learning_rate", 0.0), ("momentum", 1.0), ("weight_decay", -1e-4)):
+        with pytest.raises(ConfigError, match=name):
+            TrainConfig(**{name: value})
 
 
 # every field annotated as a float, delta's ``float | None`` included
@@ -85,6 +91,34 @@ def test_train_rejects_a_margin_at_or_above_the_default_delta(toy_data, observe_
     with pytest.raises(ConfigError, match="margin"):
         train(source, target, TrainConfig(margin=1.2, **SHORT))
     assert steps == []
+
+
+def test_separation_resolves_delta_for_a_class_count():
+    """A set delta holds for every class count; a None delta is ln(C),
+    and the margin must lie below it."""
+    assert TrainConfig(delta=0.5, margin=0.25).separation(20) == SeparationParams(0.5, 0.25)
+    cfg = TrainConfig(margin=1.2)
+    assert cfg.separation(4) == SeparationParams(math.log(4), 1.2)
+    with pytest.raises(ConfigError, match="margin"):
+        cfg.separation(3)
+
+
+def test_sgd_is_not_a_config_field():
+    """``sgd`` is derived from three fields, so the config format, the
+    manifest and equality see only those."""
+    assert "sgd" not in {f.name for f in dataclasses.fields(TrainConfig)}
+    assert "sgd" not in ExperimentSpec.default_dict()
+    cfg = dataclasses.replace(TrainConfig(), learning_rate=0.05)
+    assert cfg.sgd.learning_rate == 0.05
+
+
+@pytest.mark.parametrize("value", [1.5, 64.0, True, "4", None])
+@pytest.mark.parametrize("name", ["n_inner", "epochs", "batch_size", "seed"])
+def test_train_config_rejects_integer_settings_that_are_not_ints(name, value):
+    """``range`` in train() would raise TypeError for a float after the
+    config was accepted."""
+    with pytest.raises(ConfigError, match=name):
+        TrainConfig(**{name: value})
 
 
 @pytest.mark.parametrize("variant", ["no_sep", "full", None, 0])
@@ -486,3 +520,32 @@ def test_step_b_reports_the_capped_objective():
     sep = SeparationParams(delta=cap, margin=0.0)   # sep.cap == cap
     got, _ = step_b(model, x_s, y_s, x_t, sep, plan, SgdConfig(0.01), weight=0.2)
     assert got == expect
+
+
+@settings(max_examples=40, deadline=None)
+@given(learning_rate=st.floats(1e-4, 0.1) | st.floats(-1.0, 0.0),
+       momentum=(st.floats(0.0, 0.95) | st.floats(1.0, 2.0)
+                 | st.floats(-1.0, 0.0, exclude_max=True)),
+       weight_decay=st.floats(0.0, 1e-2) | st.floats(-1.0, 0.0, exclude_max=True),
+       delta=st.none() | st.floats(-1.0, 3.0),
+       margin=st.floats(-1.0, 3.0),
+       seed=st.integers(0, 2**16))
+@example(learning_rate=0.0, momentum=0.9, weight_decay=5e-4, delta=None, margin=1.0, seed=7)
+@example(learning_rate=0.01, momentum=1.0, weight_decay=5e-4, delta=None, margin=1.0, seed=7)
+def test_settings_are_refused_with_the_config_exactly_when_a_rule_is_broken(
+        learning_rate, momentum, weight_decay, delta, margin, seed):
+    """``from_dict`` raises ConfigError exactly when a rule is broken, and
+    a config it accepts trains an epoch without a ConfigError or a
+    TypeError.  The toy source has 3 classes, so a None delta is ln 3."""
+    raw = dict(learning_rate=learning_rate, momentum=momentum, weight_decay=weight_decay,
+               delta=delta, margin=margin, epochs=1, seed=seed)
+    broken = (not learning_rate > 0 or not 0 <= momentum < 1 or weight_decay < 0
+              or (delta is not None and delta <= 0)
+              or not 0 < margin < (math.log(3) if delta is None else delta))
+    if broken:
+        with pytest.raises(ConfigError):
+            ExperimentSpec.from_dict(raw)
+        return
+    spec = ExperimentSpec.from_dict(raw)
+    source, target = build_toy_scenario(seed, samples_per_class=64)
+    assert train(source, target, spec.train).step_counter == 3
