@@ -9,6 +9,7 @@ transition matrix (pair or symmetric flipping).
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -17,6 +18,11 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .rng import derive_seed, gaussian, make_rng
+
+
+def is_real_number(value) -> bool:
+    """A real number, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class ClassRole(Enum):
@@ -36,6 +42,10 @@ class NoiseSpec:
     rate: float
 
     def __post_init__(self):
+        if not isinstance(self.kind, NoiseKind):
+            raise ConfigError(f"noise kind must be a NoiseKind, got {self.kind!r}")
+        if not is_real_number(self.rate):
+            raise ConfigError(f"noise rate must be a real number, got {self.rate!r}")
         if not 0.0 <= self.rate < 1.0:
             raise ConfigError(f"noise rate must be in [0, 1), got {self.rate}")
         if self.kind is NoiseKind.PAIR_FLIP and self.rate >= 0.5:
@@ -55,8 +65,14 @@ class BlobSpec:
             raise ConfigError("blob centers must be distinct")
         if len(self.stddevs) != len(self.centers):
             raise ConfigError("need one stddev per center")
+        if not all(map(is_real_number, self.stddevs)):
+            raise ConfigError(f"blob stddevs must be real numbers, got {self.stddevs!r}")
         if any(s <= 0 for s in self.stddevs):
             raise ConfigError("blob stddevs must be positive")
+        if isinstance(self.samples_per_class, bool) or \
+                not isinstance(self.samples_per_class, numbers.Integral):
+            raise ConfigError(
+                f"samples_per_class must be an integer, got {self.samples_per_class!r}")
         if self.samples_per_class < 1:
             raise ConfigError("samples_per_class must be >= 1")
 

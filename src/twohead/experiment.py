@@ -21,7 +21,8 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import __version__
-from .data import TOY_SOURCE_CENTERS, NoiseKind, NoiseSpec, build_toy_scenario, dataset_to_csv
+from .data import (TOY_SOURCE_CENTERS, BlobSpec, NoiseKind, NoiseSpec, build_toy_scenario,
+                   dataset_to_csv)
 from .errors import ConfigError
 from .evaluation import EvalReport, boundary_grid, density_to_csv, evaluate, write_boundary_svg
 from .losses import MethodVariant
@@ -70,7 +71,8 @@ def _convert(key: str, kind, value):
 class ExperimentSpec:
     """One experiment: scenario settings plus a full training config.  The
     flat config mapping has one key per field of both, with ``lam`` spelled
-    ``lambda``."""
+    ``lambda``.  ``noise``, not a field, is the NoiseSpec of ``noise_kind``
+    and ``noise_rate``, built (and so checked) here."""
 
     preset: str = "toy"
     noise_kind: NoiseKind = NoiseKind.SYMMETRIC_FLIP
@@ -82,6 +84,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.preset != "toy":
             raise ConfigError(f"preset: only 'toy' is supported, got {self.preset!r}")
+        self.noise = NoiseSpec(self.noise_kind, self.noise_rate)
+        # the toy's source blobs check stddev and samples_per_class as a run would
+        BlobSpec(list(TOY_SOURCE_CENTERS), [self.stddev] * len(TOY_SOURCE_CENTERS),
+                 self.samples_per_class)
         if self.train is None:
             self.train = TrainConfig()
         # the toy source has one class per center, so delta is known before a run
@@ -165,9 +171,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path) -> EvalReport:
     made is refused before any of that."""
     out_dir = Path(out_dir)
     check_out_dir(out_dir)
-    noise = NoiseSpec(spec.noise_kind, spec.noise_rate)
     source, target = build_toy_scenario(
-        spec.train.seed, noise=noise,
+        spec.train.seed, noise=spec.noise,
         samples_per_class=spec.samples_per_class, stddev=spec.stddev)
 
     state = train(source, target, spec.train)

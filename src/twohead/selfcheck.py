@@ -52,29 +52,19 @@ def check_loss_identities(n_pairs: int = 1000, seed: int = 2024) -> CheckResult:
                        f"{n_pairs} pairs, max |skld - (crs - ent)| = {worst_decomp:.3e}")
 
 
-def _value_and_grad(objective) -> tuple[float, np.ndarray]:
-    return objective.value, objective.dp
-
-
 def _grad_objectives(num_classes: int, n_samples: int, seed: int,
                      sep: SeparationParams, cap: float):
-    """Named (loss_fn, batch-layout) closures over the objectives in
-    ``losses`` that training applies.  Mixed-batch objectives mark the
-    first ``n_samples`` rows as source and the rest as target, and the
-    capped discriminator caps the target crs at ``cap``.  Each takes the
-    (..., 2, N, C) probabilities ``nn.grad_check`` passes it."""
+    """Named closures over the objectives in ``losses`` that training
+    applies: the source-batch ones, on the (..., 2, n_samples, C) source
+    rows, return the ``losses`` objective; the stacked ones, on the source
+    rows stacked on as many target rows, return (value, dp), and the
+    capped discriminator caps the target crs at ``cap``."""
     rng = make_rng(seed, "gradcheck-labels")
     labels = rng.integers(0, num_classes, size=n_samples)
     lam = 0.1
 
-    def source_joint(p):
-        return _value_and_grad(losses.source(p, labels, lam))
-
-    def supervised_only(p):
-        return _value_and_grad(losses.source(p, labels, 0.0))
-
     def separation(**weights):
-        return lambda p: _value_and_grad(losses.separation(p, sep, **weights))
+        return lambda p: losses.separation(p, sep, **weights)
 
     def discriminator(p, cap=None):
         # source rows with the joint loss, target rows entering negatively
@@ -83,9 +73,6 @@ def _grad_objectives(num_classes: int, n_samples: int, seed: int,
         tgt = losses.crs(p[..., n_samples:, :], weight=-1.0, cap=cap)
         return src.value + tgt.value, np.concatenate([src.dp, tgt.dp], axis=-2)
 
-    def discriminator_capped(p):
-        return discriminator(p, cap=cap)
-
     def alignment(p):
         rows = np.arange(0, p.shape[-2], 2)  # fixed detected-common subset
         common = losses.crs(p[..., rows, :])
@@ -93,18 +80,29 @@ def _grad_objectives(num_classes: int, n_samples: int, seed: int,
         d[..., rows, :] = common.dp
         return common.value, d
 
-    single = [("source-joint", source_joint),
-              ("supervised-only", supervised_only),
+    source = [("source-joint", lambda p: losses.source(p, labels, lam)),
+              ("supervised-only", lambda p: losses.source(p, labels, 0.0)),
               ("separation-joint", separation()),
               ("separation-kl", separation(ent_weight=-1.0)),
               ("separation-crs-only", separation(ent_weight=0.0)),
               ("separation-ent-only", separation(crs_weight=0.0)),
               ("separation-saturated", separation(reach=sep.reach)),
               ("separation-off", separation(crs_weight=0.0, ent_weight=0.0))]
-    mixed = [("discriminator", discriminator),
-             ("discriminator-capped", discriminator_capped),
-             ("alignment", alignment)]
-    return single, mixed
+    stacked = [("discriminator", discriminator),
+               ("discriminator-capped", lambda p: discriminator(p, cap=cap)),
+               ("alignment", alignment)]
+    return source, stacked
+
+
+def _on_source_rows(objective, n_samples: int):
+    """``objective`` read on the first ``n_samples`` rows of the stacked
+    batch, as (value, dp) with dp zero on the target rows."""
+    def loss_fn(p):
+        out = objective(p[..., :n_samples, :])
+        dp = np.zeros_like(p)
+        dp[..., :n_samples, :] = out.dp
+        return out.value, dp
+    return loss_fn
 
 
 def _hinge_gap(p: np.ndarray, sep: SeparationParams) -> float:
@@ -121,41 +119,37 @@ def _hinge_gap(p: np.ndarray, sep: SeparationParams) -> float:
 def check_gradients(seed: int = 11, tol: float = 1e-4, h: float = 1e-5
                     ) -> list[CheckResult]:
     """Finite-difference oracle over every training objective on a small
-    two-head network: the single-batch objectives on a 4-sample source
-    batch, the mixed ones on that batch stacked on a 4-sample target
-    batch, each batch's objectives in one ``nn.grad_check`` call that
-    shares its forwards.  The capped discriminator's cap sits in the
-    widest gap between the target rows' crs values, so rows on both sides
-    of it are checked."""
+    two-head network, in one ``nn.grad_check`` call on a 4-sample source
+    batch stacked on a 4-sample target batch.  The source-batch
+    objectives read the source rows only; the discriminator and alignment
+    read both.  The capped discriminator's cap sits in the widest gap
+    between the target rows' crs values, so rows on both sides of it are
+    checked."""
     num_classes = 3
     n = 4
     rng = make_rng(seed, "gradcheck-data")
-    x_src = rng.normal(scale=1.5, size=(n, 2))
-    x_tgt = rng.normal(scale=1.5, size=(n, 2)) + 2.0
+    x = np.vstack([rng.normal(scale=1.5, size=(n, 2)),
+                   rng.normal(scale=1.5, size=(n, 2)) + 2.0])
     sep = SeparationParams(delta=math.log(num_classes), margin=0.35)
     model = nn.init_model([2, 8, 8, 8], num_classes, seed=seed)
-    crs_tgt = np.sort(losses.crs_rows(nn.forward(model, x_tgt).p))
+    p = nn.forward(model, x).p
+    crs_tgt = np.sort(losses.crs_rows(p[:, n:, :]))
     split = int(np.argmax(np.diff(crs_tgt)))
     cap = float(crs_tgt[split] + crs_tgt[split + 1]) / 2.0
-    single, mixed = _grad_objectives(num_classes, n, seed, sep, cap)
-    batches = [(x_src, single), (np.vstack([x_src, x_tgt]), mixed)]
+    source, stacked = _grad_objectives(num_classes, n, seed, sep, cap)
+    objectives = [(name, _on_source_rows(fn, n)) for name, fn in source] + stacked
 
     # every row an objective sees must sit clear of the kinks
-    gap = min(min(_hinge_gap(nn.forward(model, x).p, sep) for x, _ in batches),
-              float(np.abs(crs_tgt - cap).min()))
+    gap = min(_hinge_gap(p, sep), float(np.abs(crs_tgt - cap).min()))
     if gap < 1e-3:
         return [CheckResult("gradient-setup", False,
                             f"hinge kink too close to a sample ({gap:.2e})")]
 
-    results = []
-    for x, objectives in batches:
-        reports = nn.grad_check(model, [fn for _, fn in objectives], x, h=h, tol=tol)
-        for (name, _), report in zip(objectives, reports):
-            results.append(CheckResult(
-                f"grad-{name}", report.passed,
-                f"max rel err {report.max_rel_error:.3e} "
-                f"(worst {report.worst_param or 'n/a'})"))
-    return results
+    reports = nn.grad_check(model, [fn for _, fn in objectives], x, h=h, tol=tol)
+    return [CheckResult(f"grad-{name}", report.passed,
+                        f"max rel err {report.max_rel_error:.3e} "
+                        f"(worst {report.worst_param or 'n/a'})")
+            for (name, _), report in zip(objectives, reports)]
 
 
 # selection vectors verified at once; a (200, 64) float block is 100 KB,

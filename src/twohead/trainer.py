@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import losses
-from .data import DomainDataset, minibatches
+from .data import DomainDataset, is_real_number, minibatches
 from .errors import ConfigError, NonFiniteLossError, NumericError
 from .losses import MethodVariant, SeparationParams, VariantPlan
 from .nn import (ForwardCache, Scope, SgdConfig, TwoHeadModel, backward, forward,
@@ -76,15 +76,20 @@ class TrainConfig:
     variant: MethodVariant = MethodVariant.FULL
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+        # by annotation: int fields hold ints and float fields finite real
+        # numbers (or None, where allowed); a bool is neither
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if "float" not in f.type or (value is None and "None" in f.type):
+                continue
+            if not is_real_number(value):
+                raise ConfigError(f"{f.name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if not isinstance(self.variant, MethodVariant):
             raise ConfigError(f"variant must be a MethodVariant, got {self.variant!r}")
-        for name in ("n_inner", "epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not 0.0 <= self.alpha < 1.0:
             raise ConfigError(f"alpha (drop fraction) must be in [0, 1), got {self.alpha}")
         if self.lam < 0:

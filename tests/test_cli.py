@@ -435,6 +435,19 @@ def test_experiment_spec_rejects_non_toy():
         ExperimentSpec.from_dict({"preset": "moons"})
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(noise_kind="pair"), "noise kind must be a NoiseKind, got 'pair'"),
+    (dict(noise_rate=True), "noise rate must be a real number"),
+    (dict(stddev=True), "stddevs must be real numbers"),
+    (dict(samples_per_class="300"), "samples_per_class must be an integer")])
+def test_experiment_spec_refuses_bad_scenario_types_at_construction(kwargs, message):
+    """``noise_kind="pair"`` trained symmetric flipping while the manifest
+    said "pair", and ``stddev=True`` trained at stddev 1; they are refused
+    at construction, as a string variant is."""
+    with pytest.raises(ConfigError, match=message):
+        ExperimentSpec(**kwargs)
+
+
 def test_parallel_sweep_matches_serial(tmp_path):
     cfg = _write_cfg(tmp_path, {"epochs": 4})
     serial, parallel = tmp_path / "ser", tmp_path / "par"

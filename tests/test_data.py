@@ -50,6 +50,12 @@ def test_matrix_rejects_small_class_count():
 def test_noise_spec_validation():
     with pytest.raises(ConfigError):
         NoiseSpec(NoiseKind.PAIR_FLIP, 1.0)
+    # a string kind fell into the symmetric branch of make_transition_matrix
+    with pytest.raises(ConfigError, match="noise kind must be a NoiseKind"):
+        NoiseSpec("pair", 0.2)
+    for rate in (True, "0.2", None):
+        with pytest.raises(ConfigError, match="noise rate must be a real number"):
+            NoiseSpec(NoiseKind.SYMMETRIC_FLIP, rate)
     with pytest.warns(UserWarning):
         NoiseSpec(NoiseKind.PAIR_FLIP, 0.5)
 
@@ -116,6 +122,13 @@ def test_blob_spec_validation():
         BlobSpec(centers=[(0, 0), (0, 0)], stddevs=[1, 1], samples_per_class=5)
     with pytest.raises(ConfigError):
         BlobSpec(centers=[(0, 0)], stddevs=[-1.0], samples_per_class=5)
+    # stddev=True sampled the toy at stddev 1
+    for stddev in (True, "1.0"):
+        with pytest.raises(ConfigError, match="stddevs must be real numbers"):
+            build_toy_scenario(0, stddev=stddev)
+    for count in (True, 64.0, "64"):
+        with pytest.raises(ConfigError, match="samples_per_class must be an integer"):
+            build_toy_scenario(0, samples_per_class=count)
 
 
 def test_sample_blobs_shapes():

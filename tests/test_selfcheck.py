@@ -3,6 +3,8 @@ the block-wise selection-contract check against the per-vector loop it
 replaced."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,24 +14,70 @@ from twohead.rng import make_rng
 from twohead.selfcheck import (CheckResult, check_gradients, check_loss_identities,
                                check_selection_contract)
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 
-def test_check_gradients_runs_69_forwards(monkeypatch):
-    """Per batch layout one unperturbed forward and 32 member forwards
-    (the selftest model's 510 parameters, 16 cells of the flat buffer a
-    forward), plus three set-up forwards: 2 * (32 + 1) + 3.  A grad check
-    per objective ran 11 * 33 + 3 = 366."""
+
+def test_check_gradients_runs_34_forwards_as_the_readme_says(monkeypatch):
+    """One set-up forward, then one ``nn.grad_check`` call on the 8-row
+    batch: one unperturbed forward and 32 member forwards (the selftest
+    model's 510 parameters, 16 cells of the flat buffer a forward), so
+    1 + 1 + 32.  The README's "N forwards in all" must give that count."""
     calls = []
-    real = nn.forward
+    checks = []
+    real, real_check = nn.forward, nn.grad_check
 
     def counting(*args, **kwargs):
         calls.append(args[0].members)
         return real(*args, **kwargs)
 
+    def counting_check(*args, **kwargs):
+        checks.append(args[2].shape)
+        return real_check(*args, **kwargs)
+
     monkeypatch.setattr(nn, "forward", counting)
+    monkeypatch.setattr(nn, "grad_check", counting_check)
     results = check_gradients()
     assert len(results) == 11 and all(r.passed for r in results)
-    assert len(calls) == 69
-    assert calls.count((32,)) == 64
+    assert checks == [(8, 2)]
+    assert len(calls) == 34
+    assert calls.count((32,)) == 32
+    stated = re.search(r"(\d+) forwards in all", README.read_text())
+    assert stated is not None and int(stated.group(1)) == len(calls)
+
+
+def _value_and_dp(objective):
+    def loss_fn(p):
+        out = objective(p)
+        return out.value, out.dp
+    return loss_fn
+
+
+def test_source_objectives_report_what_a_check_on_the_source_rows_reports(monkeypatch):
+    """Each source-batch objective, read on the source rows of the 8-row
+    batch with a zero gradient on the target rows, gets the report a
+    check of the bare objective on the 4-row source batch gives."""
+    seen = {}
+    real_check, real_objectives = nn.grad_check, selfcheck._grad_objectives
+
+    def recording_check(model, loss_fns, x, **kwargs):
+        seen.update(model=model, x=x, kwargs=kwargs)
+        seen["reports"] = real_check(model, loss_fns, x, **kwargs)
+        return seen["reports"]
+
+    def recording_objectives(*args, **kwargs):
+        seen["objectives"] = real_objectives(*args, **kwargs)
+        return seen["objectives"]
+
+    monkeypatch.setattr(nn, "grad_check", recording_check)
+    monkeypatch.setattr(selfcheck, "_grad_objectives", recording_objectives)
+    check_gradients()
+    source, stacked = seen["objectives"]
+    assert len(source) == 8 and len(seen["reports"]) == len(source) + len(stacked)
+    for (name, objective), report in zip(source, seen["reports"]):
+        alone, = real_check(seen["model"], [_value_and_dp(objective)], seen["x"][:4],
+                            **seen["kwargs"])
+        assert (report.max_rel_error, report.worst_param) == \
+            (alone.max_rel_error, alone.worst_param), name
 
 
 def _per_vector_contract(n_vectors: int, seed: int = 5) -> CheckResult:

@@ -63,11 +63,16 @@ def test_float_fields_are_the_annotated_ones():
     assert _FLOAT_FIELDS == annotated
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "0.2", True, None])
 @pytest.mark.parametrize("name", _FLOAT_FIELDS)
 def test_train_config_rejects_non_finite_floats(name, value):
     """margin=inf would train with loss_sep and loss_c both 0 (no A-2, no
-    C), and delta=inf would train every epoch before evaluate raised."""
+    C), and delta=inf would train every epoch before evaluate raised.  A
+    string or None failed with TypeError, and lam=True trained at 1; None
+    is delta's default, ln C."""
+    if name == "delta" and value is None:
+        assert TrainConfig(delta=None).separation(3).delta == math.log(3)
+        return
     with pytest.raises(ConfigError, match=name):
         TrainConfig(**{name: value})
 
