@@ -27,6 +27,10 @@ UNKNOWN = -1
 # differently, so no block of a grid of at least this many cells is
 # shorter than this.
 GRID_BLOCK_ROWS = 1024
+# boundary_grid's largest resolution.  A grid holds ~60 bytes per cell in
+# its point, index and result arrays, all allocated up front: ~250 MB at
+# 2048 (4.2M cells), whose boundary.svg, one rect per cell, is ~300 MB
+MAX_GRID_RESOLUTION = 2048
 DENSITY_POINTS = 256   # per group's own grid in the density curves
 SVG_SIZE = 640         # boundary.svg's width and height
 
@@ -207,10 +211,12 @@ def boundary_grid(model: TwoHeadModel, bounds: tuple[tuple[float, float], tuple[
     axis).  Cells go through the network GRID_BLOCK_ROWS at a time, the
     last block taking the remainder, so the forward caches and head
     probabilities of at most two blocks are alive at once.  A ``resolution``
-    below 2 or a ``delta`` that is not finite and > 0 raises ConfigError."""
+    outside [2, MAX_GRID_RESOLUTION] or a ``delta`` that is not finite and
+    > 0 raises ConfigError before anything is allocated."""
     _check_delta(delta)
-    if resolution < 2:
-        raise ConfigError(f"grid resolution must be at least 2, got {resolution}")
+    if not 2 <= resolution <= MAX_GRID_RESOLUTION:
+        raise ConfigError(f"grid resolution must be in [2, {MAX_GRID_RESOLUTION}], "
+                          f"got {resolution}")
     if model.input_dim != 2:
         raise ConfigError("boundary grids need a 2-D input model")
     if not np.isfinite(bounds).all():

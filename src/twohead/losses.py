@@ -193,31 +193,68 @@ def skld_rows(p: np.ndarray, log_ratio: np.ndarray | None = None) -> np.ndarray:
 SELECTION_GUARD = 1e-9  # alpha * N this close below an integer counts as it
 
 
-def small_loss_select(per_sample_losses: np.ndarray, alpha: float) -> np.ndarray:
-    """Indices of the k = ceil((1 - alpha) * N) smallest losses.
+def small_loss_mask(per_sample_losses: np.ndarray,
+                    alpha: float | np.ndarray) -> np.ndarray:
+    """Keep-mask of the k = ceil((1 - alpha) * N) smallest losses in each
+    row of the (..., N) losses.
 
-    ``alpha`` is the dropped fraction: alpha = 0 keeps everything.  An
+    ``alpha`` is the dropped fraction, a float for every row or an array
+    of one value per row (shape (...)); alpha = 0 keeps everything.  An
     alpha * N within ``SELECTION_GUARD`` below an integer counts as that
-    integer, so alpha = 0.7 keeps 3 of 10 although 1 - 0.7 is a float
-    above 0.3; an alpha so close to 1 that it keeps no row raises
-    ConfigError.  Ties break toward the lower index; the result is sorted
-    ascending.
+    integer, so alpha = 0.7 keeps 3 of 10 although 1 - 0.7 is a float above
+    0.3; an alpha so close to 1 that it keeps no row raises ConfigError.
+    Ties break toward the lower index.
     """
+    losses = np.asarray(per_sample_losses, dtype=np.float64)
+    if losses.ndim == 0 or losses.size == 0:
+        raise UsageError("small_loss_mask needs nonempty loss vectors along the last axis")
+    n = losses.shape[-1]
+    # guard float drift: N - floor(alpha*N) == ceil((1-alpha)*N) for integer N
+    if not (isinstance(alpha, np.ndarray) and alpha.ndim):
+        if not 0.0 <= alpha < 1.0:
+            raise ConfigError(f"alpha must be in [0, 1), got {alpha}")
+        k = n - math.floor(alpha * n + SELECTION_GUARD)
+        if k == 0:
+            raise ConfigError(f"alpha {alpha} keeps no row of a batch of {n}")
+        if k == n:
+            mask = np.empty(losses.shape, dtype=bool)
+            mask.fill(True)
+            return mask
+    else:
+        alpha = np.asarray(alpha, dtype=np.float64)
+        if alpha.shape != losses.shape[:-1]:
+            raise DimensionError(f"alpha needs one value per row of the {losses.shape} "
+                                 f"losses, got shape {alpha.shape}")
+        outside = ~((alpha >= 0.0) & (alpha < 1.0))
+        if outside.any():
+            raise ConfigError(f"alpha must be in [0, 1), got {alpha[outside][0]}")
+        k = n - np.floor(alpha[..., None] * n + SELECTION_GUARD).astype(np.int64)
+        if not k.all():
+            raise ConfigError(f"alpha {alpha[k[..., 0] == 0][0]} keeps no row of a "
+                              f"batch of {n}")
+    if losses.ndim == 1:
+        mask = np.zeros(n, dtype=bool)
+        mask[losses.argsort(kind="stable")[:k]] = True   # ties: lower index first
+        return mask
+    # a block keeps the losses that sort before each row's k-th smallest,
+    # then the lowest-index ties of it: what the 1-D stable sort keeps,
+    # without sorting indices.  NaN sorts last there too: before a NaN
+    # k-th loss come all numbers, and every NaN ties with it
+    k = np.broadcast_to(k, losses.shape[:-1] + (1,))
+    kth = np.take_along_axis(np.sort(losses, axis=-1), k - 1, axis=-1)
+    nan, nan_kth = np.isnan(losses), np.isnan(kth)
+    below = np.where(nan_kth, ~nan, losses < kth)
+    tie = np.where(nan_kth, nan, losses == kth)
+    return below | (tie & (tie.cumsum(axis=-1) <= k - below.sum(axis=-1, keepdims=True)))
+
+
+def small_loss_select(per_sample_losses: np.ndarray, alpha: float) -> np.ndarray:
+    """Ascending indices of the losses ``small_loss_mask`` keeps in one
+    1-D vector."""
     losses = np.asarray(per_sample_losses, dtype=np.float64)
     if losses.ndim != 1 or losses.size == 0:
         raise UsageError("small_loss_select needs a nonempty 1-D loss vector")
-    if not 0.0 <= alpha < 1.0:
-        raise ConfigError(f"alpha must be in [0, 1), got {alpha}")
-    n = losses.size
-    # guard float drift: N - floor(alpha*N) == ceil((1-alpha)*N) for integer N
-    k = n - int(math.floor(alpha * n + SELECTION_GUARD))
-    if k == 0:
-        raise ConfigError(f"alpha {alpha} keeps no row of a batch of {n}")
-    if k == n:
-        return np.arange(n)
-    kept = losses.argsort(kind="stable")[:k]
-    kept.sort()
-    return kept
+    return small_loss_mask(losses, alpha).nonzero()[0]
 
 
 # --- objectives ------------------------------------------------------------------

@@ -60,12 +60,15 @@ class SgdConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        # an infinite rate or decay writes inf/NaN into every parameter
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, "
+                              f"got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay must be finite and >= 0, "
+                              f"got {self.weight_decay}")
 
 
 class DenseLayer:
@@ -395,9 +398,9 @@ LossFn = Callable[[np.ndarray], tuple[float | np.ndarray, np.ndarray]]
 
 _ZERO_GRAD_FLOOR = 1e-6  # below this magnitude, compare absolutely
 # parameter cells per batched forward, two members each; more cells take
-# fewer forwards, but each member holds ~40 KB of activations and loss
-# temporaries on an 8-row batch of the selftest model
-_FD_CELLS = 16
+# fewer forwards, but each member holds ~20 KB of activations and loss
+# temporaries on an 8-row batch of the selftest model: a 3 MB peak at 64
+_FD_CELLS = 64
 
 
 @dataclass
@@ -433,6 +436,10 @@ def grad_check(model: TwoHeadModel, loss_fns: Sequence[LossFn], x: np.ndarray,
     """
     if not 0.0 < h <= 1e-3:
         raise ConfigError(f"h must be in (0, 1e-3], got {h}")
+    # no error is below a NaN, zero or negative tolerance: an exact
+    # gradient would fail
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol must be finite and > 0, got {tol}")
     if model.members:
         raise UsageError("grad_check takes a model without members")
 

@@ -152,56 +152,48 @@ def check_gradients(seed: int = 11, tol: float = 1e-4, h: float = 1e-5
             for (name, _), report in zip(objectives, reports)]
 
 
-# selection vectors verified at once; a (200, 64) float block is 100 KB,
-# under glibc's 128 KB mmap threshold, so blocks come from the heap
-_SELECTION_BLOCK = 200
-_SELECTION_MAX_N = 64
+_SELECTION_MAX_N = 64   # vector i has length 1 + i % 64
 
 
 def check_selection_contract(n_vectors: int = 10000, seed: int = 5) -> CheckResult:
-    """Random loss vectors of 1 to 64 entries: exactly ceil((1-alpha) N)
-    distinct survivors, up to ``small_loss_select``'s float guard, no index
-    listed twice, and no selected loss above an unselected one.  Each block
-    of ``_SELECTION_BLOCK`` vectors draws its sizes, alphas and losses at
-    once, selects each vector in its own call, in order, and is verified
-    at once; the first failing vector is reported."""
+    """Random loss vectors of 1 to 64 entries, each with its own uniform
+    alpha: ``small_loss_mask`` keeps exactly ceil((1-alpha) N) of them, up
+    to its float guard, and no kept loss above a dropped one.  Vector i has
+    length 1 + i % 64; the vectors of one length are drawn, masked in one
+    call and verified together.  The first vector of each length is also
+    selected alone by ``small_loss_select``, which must list exactly its
+    mask row, so a selector that lists an index twice fails too.  The
+    lowest failing vector is reported."""
     if n_vectors < 1:
         raise ConfigError(f"n_vectors must be >= 1, got {n_vectors}")
     rng = make_rng(seed, "selection")
-    values = np.empty((_SELECTION_BLOCK, _SELECTION_MAX_N))
-    chosen = np.empty((_SELECTION_BLOCK, _SELECTION_MAX_N), dtype=bool)
-    for start in range(0, n_vectors, _SELECTION_BLOCK):
-        rows = min(_SELECTION_BLOCK, n_vectors - start)
-        sizes = rng.integers(1, _SELECTION_MAX_N + 1, size=rows)
-        alphas = rng.random(rows)
-        rng.standard_normal(out=values[:rows])
-        picks = [losses.small_loss_select(values[r, :n], alpha)
-                 for r, (n, alpha) in enumerate(zip(sizes.tolist(), alphas.tolist()))]
-        listed = np.array([len(sel) for sel in picks])
+    failures = []
+    for n in range(1, min(n_vectors, _SELECTION_MAX_N) + 1):
+        count = len(range(n - 1, n_vectors, _SELECTION_MAX_N))
+        values = rng.standard_normal((count, n))
+        alphas = rng.random(count)
+        mask = losses.small_loss_mask(values, alphas)
+        kept = mask.sum(axis=1)
         # ceil((1 - alpha) N), where a count within the selector's guard
         # above an integer is that integer
-        expect = np.ceil((1.0 - alphas) * sizes
-                         - losses.SELECTION_GUARD).astype(np.int64)
-        picked = chosen[:rows]
-        picked.fill(False)
-        picked[np.repeat(np.arange(rows), listed), np.concatenate(picks)] = True
-        kept = picked.sum(axis=1)   # distinct indices
-        rest = ~picked & (np.arange(_SELECTION_MAX_N) < sizes[:, None])
-        top = np.where(picked, values[:rows], -np.inf).max(axis=1)
-        low = np.where(rest, values[:rows], np.inf).min(axis=1)
-        bad_count = kept != expect
-        repeated = kept != listed
-        bad = bad_count | repeated | (top > low)
+        expect = np.ceil((1.0 - alphas) * n - losses.SELECTION_GUARD).astype(np.int64)
+        top = np.where(mask, values, -np.inf).max(axis=1)
+        low = np.where(mask, np.inf, values).min(axis=1)
+        bad = (kept != expect) | (top > low)
+        alone = losses.small_loss_select(values[0], float(alphas[0]))
+        bad[0] |= not np.array_equal(alone, np.flatnonzero(mask[0]))
         if bad.any():
             r = int(np.argmax(bad))
-            if bad_count[r]:
+            if kept[r] != expect[r]:
                 detail = f"kept {kept[r]}, expected {expect[r]}"
-            elif repeated[r]:
-                detail = "an index listed twice"
-            else:
+            elif top[r] > low[r]:
                 detail = "selected loss above unselected"
-            return CheckResult("selection-contract", False,
-                               f"vector {start + r}: {detail}")
+            else:
+                detail = "small_loss_select differs from the mask"
+            failures.append((n - 1 + _SELECTION_MAX_N * r, detail))
+    if failures:
+        vector, detail = min(failures)
+        return CheckResult("selection-contract", False, f"vector {vector}: {detail}")
     return CheckResult("selection-contract", True, f"{n_vectors} random vectors")
 
 

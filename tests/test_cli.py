@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twohead import cli, experiment, init_model, losses
+from twohead import cli, evaluation, experiment, init_model, losses
 from twohead.cli import main
 from twohead.nn import save_model_csv
 from twohead.experiment import ExperimentSpec, SweepSpec, run_experiment
@@ -339,6 +339,16 @@ def test_grid_rejects_bad_delta(tmp_path, capsys, delta):
     assert rc == 2
     assert "delta" in capsys.readouterr().err
     assert not (gout / "boundary.csv").exists()
+
+
+def test_grid_rejects_a_resolution_past_the_cap(tmp_path, capsys):
+    gout = tmp_path / "grid"
+    resolution = evaluation.MAX_GRID_RESOLUTION + 1
+    rc = main(["grid", "--model", str(_saved_model(tmp_path)), "--out", str(gout),
+               f"--resolution={resolution}"])
+    assert rc == 2
+    assert f"got {resolution}" in capsys.readouterr().err
+    assert not gout.exists()
 
 
 @pytest.mark.parametrize("resolution", ["0", "1", "-3"])

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from twohead import (ClassRole, ConfigError, DataError, NumericError, UNKNOWN, U
                      divergence_density, evaluate, evaluation, forward, init_model,
                      predict, scott_bandwidth)
 from twohead.data import DomainDataset
-from twohead.evaluation import BoundaryGrid, EvalReport, density_to_csv, write_boundary_svg
+from twohead.evaluation import (MAX_GRID_RESOLUTION, BoundaryGrid, EvalReport, density_to_csv,
+                                write_boundary_svg)
 from twohead.losses import crs_rows
 from twohead.rng import make_rng
 
@@ -200,6 +202,20 @@ def test_boundary_grid_rejects_a_resolution_below_two(resolution):
     m = init_model([2, 8, 8, 8], 3, seed=1)
     with pytest.raises(ConfigError, match="resolution"):
         boundary_grid(m, ((-1.0, 1.0), (-1.0, 1.0)), resolution, 1.0)
+
+
+def test_boundary_grid_rejects_a_resolution_past_the_cap_before_allocating():
+    """One past the cap is refused with ConfigError, and nothing of its
+    ~240 MB of grid arrays is allocated first."""
+    m = init_model([2, 8, 8, 8], 3, seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"resolution .*got {MAX_GRID_RESOLUTION + 1}"):
+            boundary_grid(m, ((-1.0, 1.0), (-1.0, 1.0)), MAX_GRID_RESOLUTION + 1, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_boundary_grid_rejects_nonfinite_bounds():

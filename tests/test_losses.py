@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from twohead import (UNKNOWN, ConfigError, DataError, DimensionError, MethodVariant,
                      SeparationParams, UsageError, init_model, predict,
-                     small_loss_select, variant_losses)
+                     small_loss_mask, small_loss_select, variant_losses)
 from twohead import losses
 from twohead.losses import crs_rows, ent_rows, skld_rows
 from twohead.nn import forward, grad_check
@@ -230,20 +231,82 @@ def test_small_loss_select_contract(losses_list, alpha):
         assert vec[sel].max() <= vec[rest].min()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(1, 6), st.integers(1, 30)).flatmap(lambda shape: st.tuples(
+    arrays(np.float64, shape, elements=st.sampled_from([-1.0, 0.0, 1.0, 2.0])),
+    arrays(np.float64, shape[:1], elements=st.integers(0, 999).map(lambda i: i / 1000)))))
+@example((np.zeros((2, 10)), np.array([0.7, 0.0])))
+@example((np.zeros((3, 20)), np.array([0.85, 0.95, 0.05])))
+@example((np.ones((1, 25)), np.array([0.44])))
+def test_small_loss_mask_matches_the_1d_selection_of_each_row(block):
+    """On a (B, N) block with one alpha per row, each mask row is what
+    small_loss_select gives that row alone, and what a plain sort by
+    (loss, index) keeps: ties (the losses take 4 values) go to the lower
+    index, and the 1/1000 alpha grid reaches the guard's cases."""
+    values, alphas = block
+    n = values.shape[1]
+    mask = small_loss_mask(values, alphas)
+    assert mask.shape == values.shape and mask.dtype == bool
+    for vec, alpha, row in zip(values, alphas.tolist(), mask):
+        k = math.ceil((1.0 - alpha) * n - losses.SELECTION_GUARD)
+        reference = sorted(sorted(range(n), key=lambda i: (vec[i], i))[:k])
+        assert np.flatnonzero(row).tolist() == reference
+        assert small_loss_select(vec, alpha).tolist() == reference
+    # a float alpha is every row's, and a stacked block masks row by row
+    assert np.array_equal(small_loss_mask(values, alphas[0]),
+                          small_loss_mask(values, np.full(len(values), alphas[0])))
+    assert np.array_equal(small_loss_mask(values[None], alphas[None]), mask[None])
+
+
+def test_small_loss_mask_keeps_nan_losses_last():
+    """NaN sorts after every number, as in the 1-D stable sort, whether
+    the k-th kept loss is a number or NaN."""
+    values = np.array([[np.nan, 1.0, np.inf, 0.0, np.nan, -np.inf]] * 3)
+    mask = small_loss_mask(values, np.array([0.5, 0.3, 0.0]))
+    assert mask.tolist() == [[False, True, False, True, False, True],
+                             [True, True, True, True, False, True],
+                             [True] * 6]
+    for vec, alpha, row in zip(values, (0.5, 0.3), mask):
+        assert np.array_equal(small_loss_select(vec, alpha), np.flatnonzero(row))
+
+
+def test_small_loss_mask_validation():
+    """One alpha per row, each in [0, 1) and keeping a row; the first bad
+    alpha is named."""
+    with pytest.raises(UsageError, match="nonempty"):
+        small_loss_mask(np.zeros((3, 0)), 0.2)
+    with pytest.raises(UsageError, match="nonempty"):
+        small_loss_mask(np.float64(1.0), 0.2)
+    with pytest.raises(DimensionError, match=r"got shape \(2,\)"):
+        small_loss_mask(np.zeros((3, 4)), np.array([0.1, 0.2]))
+    with pytest.raises(DimensionError):
+        small_loss_mask(np.zeros(4), np.array([0.1]))
+    for bad in (1.0, -0.1, math.nan):
+        with pytest.raises(ConfigError, match=f"alpha must be in \\[0, 1\\), got {bad}$"):
+            small_loss_mask(np.zeros((3, 4)), np.array([0.1, bad, 2.0]))
+    with pytest.raises(ConfigError, match="alpha 0.999999999999 keeps no row of a batch of 10$"):
+        small_loss_mask(np.zeros((3, 10)), np.array([0.1, 0.999999999999, 0.9999999999991]))
+
+
 def test_selection_contract_fails_a_wrong_selector(monkeypatch):
-    """The selftest's contract check reports FAIL for a selector that keeps
-    the largest losses, or one row too few."""
+    """The selftest's contract check reports FAIL for a mask that keeps the
+    largest losses, or one row too few."""
     from twohead.selfcheck import check_selection_contract
 
-    real = losses.small_loss_select
+    real = losses.small_loss_mask
+
+    def one_short(values, alpha):
+        mask = real(values, alpha)
+        np.put_along_axis(mask, mask.argmax(axis=-1)[..., None], False, axis=-1)
+        return mask
+
     wrong = {
-        "largest": lambda vec, alpha: np.sort(np.argsort(-vec, kind="stable")[
-            :len(real(vec, alpha))]),
-        "one short": lambda vec, alpha: real(vec, alpha)[1:],
+        "largest": lambda values, alpha: real(-np.asarray(values), alpha),
+        "one short": one_short,
     }
     assert check_selection_contract(n_vectors=200).passed
-    for name, selector in wrong.items():
-        monkeypatch.setattr(losses, "small_loss_select", selector)
+    for name, mask in wrong.items():
+        monkeypatch.setattr(losses, "small_loss_mask", mask)
         result = check_selection_contract(n_vectors=200)
         assert not result.passed, name
         assert result.line().startswith("[FAIL] selection-contract")

@@ -197,6 +197,14 @@ def test_sgd_config_validation():
         SgdConfig(learning_rate=0.1, momentum=1.0)
     with pytest.raises(ConfigError):
         SgdConfig(learning_rate=0.1, weight_decay=-1e-3)
+    # a non-finite rate or decay would write inf/NaN into the parameters
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="learning_rate must be finite"):
+            SgdConfig(learning_rate=bad)
+        with pytest.raises(ConfigError, match="weight_decay must be finite"):
+            SgdConfig(0.1, weight_decay=bad)
+    with pytest.raises(ConfigError, match="momentum"):
+        SgdConfig(0.1, momentum=math.nan)
 
 
 def test_grad_check_constant_loss_is_zero():
@@ -230,6 +238,14 @@ def test_grad_check_validates_h():
     with pytest.raises(ConfigError):
         grad_check(m, [lambda p: (0.0, np.zeros_like(p))],
                    np.zeros((1, 2)), h=0.1)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+def test_grad_check_validates_tol(tol):
+    """A tolerance no error can be below would fail an exact gradient."""
+    m = init_model([2, 8, 8, 8], 3, seed=4)
+    with pytest.raises(ConfigError, match=f"tol must be finite and > 0, got {tol}"):
+        grad_check(m, [lambda p: (0.0, np.zeros_like(p))], np.zeros((1, 2)), tol=tol)
 
 
 def test_model_csv_roundtrip(tmp_path):

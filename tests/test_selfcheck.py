@@ -1,9 +1,9 @@
 """The selftest's own machinery: the gradient oracle's shared forwards, and
-the block-wise selection-contract check against the per-vector loop it
-replaced."""
+the per-length selection-contract check against a per-vector loop."""
 
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +17,11 @@ from twohead.selfcheck import (CheckResult, check_gradients, check_loss_identiti
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_check_gradients_runs_34_forwards_as_the_readme_says(monkeypatch):
+def test_check_gradients_runs_10_forwards_as_the_readme_says(monkeypatch):
     """One set-up forward, then one ``nn.grad_check`` call on the 8-row
-    batch: one unperturbed forward and 32 member forwards (the selftest
-    model's 510 parameters, 16 cells of the flat buffer a forward), so
-    1 + 1 + 32.  The README's "N forwards in all" must give that count."""
+    batch: one unperturbed forward and 8 member forwards (the selftest
+    model's 510 parameters, 64 cells of the flat buffer a forward), so
+    1 + 1 + 8.  The README's "N forwards in all" must give that count."""
     calls = []
     checks = []
     real, real_check = nn.forward, nn.grad_check
@@ -39,8 +39,8 @@ def test_check_gradients_runs_34_forwards_as_the_readme_says(monkeypatch):
     results = check_gradients()
     assert len(results) == 11 and all(r.passed for r in results)
     assert checks == [(8, 2)]
-    assert len(calls) == 34
-    assert calls.count((32,)) == 32
+    assert len(calls) == 10
+    assert calls.count((128,)) == 8
     stated = re.search(r"(\d+) forwards in all", README.read_text())
     assert stated is not None and int(stated.group(1)) == len(calls)
 
@@ -80,49 +80,67 @@ def test_source_objectives_report_what_a_check_on_the_source_rows_reports(monkey
             (alone.max_rel_error, alone.worst_param), name
 
 
-def _per_vector_contract(n_vectors: int, seed: int = 5) -> CheckResult:
-    """The check as a loop that selects and verifies one vector at a time:
-    the reference for the block-wise check, drawing the same vectors, a
-    block of 200 at a time."""
+_select = losses.small_loss_select   # the tests below patch the module's
+_mask = losses.small_loss_mask
+
+
+def _from(start: int, wrong):
+    """A fault on vector ``start`` and every later one: the selection
+    ``wrong(vec, alpha)`` there, the right one before."""
+    return lambda i, vec, alpha: (wrong if i >= start else _select)(vec, alpha)
+
+
+def _per_vector_contract(n_vectors: int, seed: int = 5, mask_fault=_from(0, _select),
+                         select_fault=_from(0, _select)) -> CheckResult:
+    """The check as a loop that verifies one vector at a time, in index
+    order: the reference for the per-length check, on the same draws.
+    ``mask_fault(i, vec, alpha)`` gives the indices vector i's mask row
+    keeps, and ``select_fault`` what ``small_loss_select`` lists for the
+    first vector of each length."""
     rng = make_rng(seed, "selection")
+    blocks = {}
+    for n in range(1, min(n_vectors, 64) + 1):
+        count = len(range(n - 1, n_vectors, 64))
+        blocks[n] = rng.standard_normal((count, n)), rng.random(count)
     for i in range(n_vectors):
-        if i % 200 == 0:
-            rows = min(200, n_vectors - i)
-            sizes = rng.integers(1, 65, size=rows)
-            alphas = rng.random(rows)
-            values = rng.standard_normal((rows, 64))
-        n, alpha = int(sizes[i % 200]), float(alphas[i % 200])
-        vec = values[i % 200, :n]
-        sel = losses.small_loss_select(vec, alpha)
+        n, r = 1 + i % 64, i // 64
+        vec, alpha = blocks[n][0][r], float(blocks[n][1][r])
+        row = mask_fault(i, vec, alpha)
+        kept = len(set(row.tolist()))
         expect = math.ceil((1.0 - alpha) * n - losses.SELECTION_GUARD)
-        kept = len(set(sel.tolist()))
-        if kept != expect:
-            return CheckResult("selection-contract", False,
-                               f"vector {i}: kept {kept}, expected {expect}")
-        if kept != len(sel):
-            return CheckResult("selection-contract", False,
-                               f"vector {i}: an index listed twice")
         rest = np.ones(n, dtype=bool)
-        rest[sel] = False
-        if rest.any() and vec[sel].max() > vec[rest].min():
-            return CheckResult("selection-contract", False,
-                               f"vector {i}: selected loss above unselected")
+        rest[row] = False
+        if kept != expect:
+            detail = f"kept {kept}, expected {expect}"
+        elif rest.any() and vec[row].max() > vec[rest].min():
+            detail = "selected loss above unselected"
+        elif r == 0 and not np.array_equal(select_fault(i, vec, alpha), np.sort(row)):
+            detail = "small_loss_select differs from the mask"
+        else:
+            continue
+        return CheckResult("selection-contract", False, f"vector {i}: {detail}")
     return CheckResult("selection-contract", True, f"{n_vectors} random vectors")
 
 
-_select = losses.small_loss_select   # the tests below patch the module's
+def _patch_mask(monkeypatch, fault):
+    """``small_loss_mask`` with row r of each (count, n) block set to what
+    ``fault`` keeps of vector n - 1 + 64 r; 1-D calls are left right."""
+    def mask(values, alpha):
+        got = _mask(values, alpha)
+        if got.ndim == 2:
+            n = got.shape[1]
+            for r, (vec, a) in enumerate(zip(values, alpha.tolist())):
+                got[r] = False
+                got[r, fault(n - 1 + 64 * r, vec, a)] = True
+        return got
+    monkeypatch.setattr(losses, "small_loss_mask", mask)
 
 
-def _wrong_from(call: int, wrong):
-    """A selector that is right until its ``call``-th call (0-based), and
-    ``wrong`` from then on."""
-    calls = [0]
-
-    def selector(vec, alpha):
-        calls[0] += 1
-        return (wrong if calls[0] > call else _select)(vec, alpha)
-
-    return selector
+def _patch_select(monkeypatch, fault):
+    """``small_loss_select`` answering as ``fault`` for the first vector of
+    a length, vector N - 1."""
+    monkeypatch.setattr(losses, "small_loss_select",
+                        lambda vec, alpha: fault(len(vec) - 1, vec, alpha))
 
 
 def _largest(vec, alpha):
@@ -132,6 +150,24 @@ def _largest(vec, alpha):
 
 def _one_short(vec, alpha):
     return _select(vec, alpha)[1:]
+
+
+def _one_extra(vec, alpha):
+    """The right selection plus the smallest loss it drops, if any."""
+    sel = _select(vec, alpha)
+    rest = np.setdiff1d(np.arange(len(vec)), sel)
+    return np.sort(np.concatenate([sel, rest[np.argsort(vec[rest])][:1]]))
+
+
+def _above(vec, alpha):
+    """The right count, with its largest loss swapped for the smallest loss
+    it drops, if any."""
+    sel = _select(vec, alpha)
+    rest = np.setdiff1d(np.arange(len(vec)), sel)
+    if not rest.size:
+        return sel
+    return np.sort(np.concatenate([sel[vec[sel] != vec[sel].max()],
+                                   rest[vec[rest] == vec[rest].min()]]))
 
 
 def _repeat_last(vec, alpha):
@@ -155,35 +191,50 @@ def _one_extra_twice(vec, alpha):
     return np.concatenate([sel, sel[:1]])
 
 
-# name -> (selector factory, the first vector it gets wrong, or None)
+_SIZES = (200, 450, 1037)
+
+# name -> (the function it breaks, its fault, the first vector it gets
+# wrong on the seed-5 draws of each of _SIZES, or None).  Each length
+# draws as many vectors as n_vectors gives it, so a fault that shows only
+# on some draws is first seen at vector 1 or 2 by n_vectors.  A mask row
+# cannot list an index twice; ``small_loss_select`` can, and the check
+# selects the first vector of each length (vector N - 1) with it.
 _SELECTORS = {
-    "right": (lambda: _select, None),
-    "largest": (lambda: _largest, 0),
-    "one short": (lambda: _one_short, 0),
-    "repeats the last index": (lambda: _repeat_last, 0),
-    "smallest twice, largest dropped": (lambda: _smallest_twice, 0),
-    "first index twice": (lambda: _one_extra_twice, 0),
-    "one short from vector 436": (lambda: _wrong_from(436, _one_short), 436),
-    "one short from vector 1030": (lambda: _wrong_from(1030, _one_short), 1030),
+    "right": (None, None, None),
+    "largest": ("mask", _from(0, _largest), (1, 2, 1)),
+    "one short": ("mask", _from(0, _one_short), (0, 0, 0)),
+    "one extra": ("mask", _from(0, _one_extra), (1, 2, 1)),
+    "kept loss above an unselected one": ("mask", _from(0, _above), (1, 2, 1)),
+    "repeats the last index": ("select", _from(0, _repeat_last), (2, 1, 2)),
+    "smallest twice, largest dropped": ("select", _from(0, _smallest_twice), (2, 1, 2)),
+    "first index twice": ("select", _from(0, _one_extra_twice), (0, 0, 0)),
+    "one short from vector 436": ("mask", _from(436, _one_short), (436,) * 3),
+    "one short from vector 1030": ("mask", _from(1030, _one_short), (1030,) * 3),
 }
 
 
-@pytest.mark.parametrize("n_vectors", [200, 450, 1037])
+@pytest.mark.parametrize("n_vectors", _SIZES)
 @pytest.mark.parametrize("selector", list(_SELECTORS))
 def test_block_check_matches_the_per_vector_loop(monkeypatch, selector, n_vectors):
-    """Same verdict and message, for failures in the first, a middle and
-    a partial last block of 200."""
-    factory, first_wrong = _SELECTORS[selector]
-    results = []
-    for check in (check_selection_contract, _per_vector_contract):
-        monkeypatch.setattr(losses, "small_loss_select", factory())
-        results.append(check(n_vectors))
-    assert results[0] == results[1]
-    assert results[0].passed == (first_wrong is None or first_wrong >= n_vectors)
-    if not results[0].passed:
-        assert results[0].detail.startswith(f"vector {first_wrong}: ")
-    if "from vector" in selector and not results[0].passed:
-        assert results[0].detail.startswith(f"vector {first_wrong}: kept ")
+    """Same verdict and message as the per-vector loop, for faults of the
+    mask core and of the 1-D selector, from the first vector on and from
+    a middle one, with every length holding 3 to 17 vectors."""
+    target, fault, first_wrong = _SELECTORS[selector]
+    faults = {}
+    if target == "mask":
+        _patch_mask(monkeypatch, fault)
+        faults["mask_fault"] = fault
+    elif target == "select":
+        _patch_select(monkeypatch, fault)
+        faults["select_fault"] = fault
+    result = check_selection_contract(n_vectors)
+    assert result == _per_vector_contract(n_vectors, **faults)
+    first_wrong = first_wrong and first_wrong[_SIZES.index(n_vectors)]
+    assert result.passed == (first_wrong is None or first_wrong >= n_vectors)
+    if not result.passed:
+        assert result.detail.startswith(f"vector {first_wrong}: ")
+    if "from vector" in selector and not result.passed:
+        assert result.detail.startswith(f"vector {first_wrong}: kept ")
 
 
 def test_block_check_matches_the_per_vector_loop_on_the_selftest_draws():
@@ -193,33 +244,33 @@ def test_block_check_matches_the_per_vector_loop_on_the_selftest_draws():
 
 
 class _ScriptedRng:
-    """Stands in for the check's generator: yields the given (n, alpha)
-    pairs in order, a block at a time, with normal losses."""
+    """Stands in for the check's generator: for each length N, normal
+    losses and the alphas scripted for N, padded with zeros to the
+    vectors of that length."""
 
     def __init__(self, pairs):
-        self._pairs = iter(pairs)
-        self._alphas = None
+        self._alphas = {}
+        for n, alpha in pairs:
+            self._alphas.setdefault(n, []).append(alpha)
         self._normal = make_rng(0, "scripted")
+        self._n = None
 
-    def integers(self, low, high, size):
-        sizes, alphas = zip(*(next(self._pairs) for _ in range(size)))
-        assert all(low <= n < high for n in sizes)
-        self._alphas = np.array(alphas)
-        return np.array(sizes)
+    def standard_normal(self, size):
+        self._n = size[1]
+        return self._normal.standard_normal(size)
 
     def random(self, size):
-        assert size == len(self._alphas)
-        return self._alphas
-
-    def standard_normal(self, out):
-        return self._normal.standard_normal(out=out)
+        alphas = self._alphas.get(self._n, [])
+        assert len(alphas) <= size
+        return np.array(alphas + [0.0] * (size - len(alphas)))
 
 
 def test_selection_contract_expects_what_the_guard_keeps(monkeypatch):
     """On a 1/1000 alpha grid, ceil((1 - alpha) N) in floats expects one
     row more than small_loss_select keeps at 28 (N, alpha) pairs, where
     1 - alpha rounds up (0.3 N for alpha = 0.7).  The selector's guard
-    keeps the decimal count there, and the check expects it."""
+    keeps the decimal count there, and the check expects it: on those
+    pairs alone, and on the whole grid, 1000 vectors of each length."""
     kept = {(n, i / 1000): len(losses.small_loss_select(np.zeros(n), i / 1000))
             for i in range(1000) for n in range(1, 65)}
     drift = [(n, alpha) for (n, alpha), k in kept.items()
@@ -227,9 +278,10 @@ def test_selection_contract_expects_what_the_guard_keeps(monkeypatch):
     assert len(drift) == 28
     assert kept[10, 0.7] == 3 and kept[20, 0.85] == 3 and kept[25, 0.44] == 14
     assert {(10, 0.7), (20, 0.85), (25, 0.44)} <= set(drift)
+    per_length = max(Counter(n for n, _ in drift).values())
     monkeypatch.setattr(selfcheck, "make_rng", lambda seed, label: _ScriptedRng(drift))
-    assert check_selection_contract(n_vectors=len(drift)) == CheckResult(
-        "selection-contract", True, "28 random vectors")
+    assert check_selection_contract(n_vectors=64 * per_length) == CheckResult(
+        "selection-contract", True, f"{64 * per_length} random vectors")
     monkeypatch.setattr(selfcheck, "make_rng", lambda seed, label: _ScriptedRng(kept))
     assert check_selection_contract(n_vectors=len(kept)).passed
 
