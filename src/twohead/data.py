@@ -9,20 +9,14 @@ transition matrix (pair or symmetric flipping).
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_number
 from .rng import derive_seed, gaussian, make_rng
-
-
-def is_real_number(value) -> bool:
-    """A real number, and not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class ClassRole(Enum):
@@ -44,10 +38,9 @@ class NoiseSpec:
     def __post_init__(self):
         if not isinstance(self.kind, NoiseKind):
             raise ConfigError(f"noise kind must be a NoiseKind, got {self.kind!r}")
-        if not is_real_number(self.rate):
-            raise ConfigError(f"noise rate must be a real number, got {self.rate!r}")
+        check_number("noise_rate", self.rate)
         if not 0.0 <= self.rate < 1.0:
-            raise ConfigError(f"noise rate must be in [0, 1), got {self.rate}")
+            raise ConfigError(f"noise_rate must be in [0, 1), got {self.rate}")
         if self.kind is NoiseKind.PAIR_FLIP and self.rate >= 0.5:
             warnings.warn(
                 f"pair flipping at rate {self.rate} >= 0.5 makes the true labels "
@@ -65,14 +58,11 @@ class BlobSpec:
             raise ConfigError("blob centers must be distinct")
         if len(self.stddevs) != len(self.centers):
             raise ConfigError("need one stddev per center")
-        if not all(map(is_real_number, self.stddevs)):
-            raise ConfigError(f"blob stddevs must be real numbers, got {self.stddevs!r}")
+        for s in self.stddevs:
+            check_number("stddevs", s)
         if any(s <= 0 for s in self.stddevs):
             raise ConfigError("blob stddevs must be positive")
-        if isinstance(self.samples_per_class, bool) or \
-                not isinstance(self.samples_per_class, numbers.Integral):
-            raise ConfigError(
-                f"samples_per_class must be an integer, got {self.samples_per_class!r}")
+        check_number("samples_per_class", self.samples_per_class, integer=True)
         if self.samples_per_class < 1:
             raise ConfigError("samples_per_class must be >= 1")
 
@@ -230,6 +220,7 @@ def minibatches(dataset: DomainDataset, batch_size: int, seed: int,
     kept, so a trailing remainder is dropped.  The epoch index is folded
     into the stream label, making every epoch's permutation distinct but
     reproducible."""
+    check_number("batch_size", batch_size, integer=True)
     if batch_size < 2:
         raise ConfigError(f"batch_size must be >= 2, got {batch_size}")
     n = len(dataset)

@@ -1,4 +1,8 @@
-"""Exception taxonomy shared by all modules."""
+"""Exception taxonomy shared by all modules, and the one number check."""
+
+import math
+import sys
+from numbers import Real
 
 
 class TwoHeadError(Exception):
@@ -7,6 +11,18 @@ class TwoHeadError(Exception):
 
 class ConfigError(TwoHeadError, ValueError):
     """Invalid configuration value (bad width, rate, split, ...)."""
+
+
+def check_number(name: str, value, integer: bool = False) -> None:
+    """ConfigError naming the setting ``name`` unless ``value`` is a finite
+    real number (an int past the float range is not), or an int where
+    ``integer`` is set (a numpy integer overflows the seed mixer)."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else Real):
+        kind = "an integer" if integer else "a real number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    finite = abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
+    if not (integer or finite):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 class DimensionError(TwoHeadError, ValueError):

@@ -5,7 +5,6 @@ boundary grids with SVG rendering."""
 from __future__ import annotations
 
 import csv
-import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -13,7 +12,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .data import ClassRole, DomainDataset
-from .errors import ConfigError, DataError, NumericError, UsageError
+from .errors import ConfigError, DataError, NumericError, UsageError, check_number
 from .losses import crs_rows
 from .nn import TwoHeadModel, forward
 
@@ -37,8 +36,9 @@ SVG_SIZE = 640         # boundary.svg's width and height
 
 def _check_delta(delta: float) -> None:
     # NaN would reject nothing and delta <= 0 everything
-    if not (math.isfinite(delta) and delta > 0):
-        raise ConfigError(f"delta must be finite and > 0, got {delta}")
+    check_number("delta", delta)
+    if delta <= 0:
+        raise ConfigError(f"delta must be > 0, got {delta}")
 
 
 def predict(model: TwoHeadModel, x: np.ndarray, delta: float
@@ -211,9 +211,11 @@ def boundary_grid(model: TwoHeadModel, bounds: tuple[tuple[float, float], tuple[
     axis).  Cells go through the network GRID_BLOCK_ROWS at a time, the
     last block taking the remainder, so the forward caches and head
     probabilities of at most two blocks are alive at once.  A ``resolution``
-    outside [2, MAX_GRID_RESOLUTION] or a ``delta`` that is not finite and
-    > 0 raises ConfigError before anything is allocated."""
+    that is not an integer in [2, MAX_GRID_RESOLUTION], a ``delta`` that
+    is not finite and > 0, or an axis whose low equals its high raises
+    ConfigError before anything is allocated."""
     _check_delta(delta)
+    check_number("resolution", resolution, integer=True)
     if not 2 <= resolution <= MAX_GRID_RESOLUTION:
         raise ConfigError(f"grid resolution must be in [2, {MAX_GRID_RESOLUTION}], "
                           f"got {resolution}")
@@ -222,6 +224,8 @@ def boundary_grid(model: TwoHeadModel, bounds: tuple[tuple[float, float], tuple[
     if not np.isfinite(bounds).all():
         raise NumericError(f"grid bounds contain NaN/Inf: {bounds}")
     (x0, x1), (y0, y1) = bounds
+    if x0 == x1 or y0 == y1:  # the SVG writer divides by high - low
+        raise ConfigError(f"grid bounds need a nonzero width on each axis, got {bounds}")
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
     gx, gy = np.meshgrid(xs, ys)

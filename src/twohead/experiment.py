@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -34,37 +33,28 @@ DEFAULT_GRID_RESOLUTION = 120
 
 SWEEPABLE = ("alpha", "lambda", "delta", "margin", "n_inner")
 
-# config keys that differ from their dataclass field names
-_CONFIG_KEYS = {"lam": "lambda"}
-
 
 def _config_fields(owner: type) -> list[tuple[str, str, object]]:
     """(field name, config key, type) for every config field of a dataclass;
+    the key is the field's name, or its metadata's ``key`` (``lambda``).
     ExperimentSpec's nested ``train`` config contributes its own fields."""
     hints = get_type_hints(owner)
-    return [(f.name, _CONFIG_KEYS.get(f.name, f.name), hints[f.name])
+    return [(f.name, f.metadata.get("key", f.name), hints[f.name])
             for f in fields(owner) if f.name != "train"]
 
 
-def _convert(key: str, kind, value):
-    """``value`` as the field type ``kind``; numbers must be finite, int
-    fields take only integral numbers, and booleans are not numbers."""
-    args = get_args(kind)
-    if args:  # ``T | None``
-        if value is None:
-            return None
-        kind = args[0]
-    if kind in (int, float) and isinstance(value, bool):
-        raise ConfigError(f"{key}: expected a number, got {value!r}")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+def _convert(kind, value):
+    """``value`` as the field type ``kind`` where JSON cannot spell it: a
+    name as its enum, an int as a float, an integral float as an int.  All
+    else, a bool too, passes unchanged for the dataclass to check."""
+    kind = (get_args(kind) or (kind,))[0]  # ``T | None`` converts as T
+    convertible = ((isinstance(value, str) and issubclass(kind, Enum))
+                   or (kind is float and type(value) is int)
+                   or (kind is int and type(value) is float and value.is_integer()))
     try:
-        out = kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-    if kind is float and not math.isfinite(out):
-        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
-    return out
+        return kind(value) if convertible else value
+    except (ValueError, OverflowError):  # no such member; an int past the float range
+        return value
 
 
 @dataclass
@@ -110,7 +100,7 @@ class ExperimentSpec:
         merged.update(raw)
 
         def build(owner, **nested):
-            return owner(**{name: _convert(key, kind, merged[key])
+            return owner(**{name: _convert(kind, merged[key])
                             for name, key, kind in _config_fields(owner)}, **nested)
 
         return build(cls, train=build(TrainConfig))

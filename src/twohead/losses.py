@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError, UsageError
+from .errors import ConfigError, DataError, DimensionError, UsageError, check_number
 
 P_CLAMP = 1e-12
 
@@ -107,7 +107,9 @@ class SeparationParams:
     margin: float
 
     def __post_init__(self):
-        if not self.delta > 0:
+        check_number("delta", self.delta)
+        check_number("margin", self.margin)
+        if self.delta <= 0:
             raise ConfigError(f"delta must be > 0, got {self.delta}")
         if self.margin < 0:
             raise ConfigError(f"margin must be >= 0, got {self.margin}")

@@ -35,7 +35,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, UsageError
+from .errors import ConfigError, DimensionError, UsageError, check_number
 from .rng import make_rng
 
 
@@ -61,14 +61,14 @@ class SgdConfig:
 
     def __post_init__(self):
         # an infinite rate or decay writes inf/NaN into every parameter
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be finite and > 0, "
-                              f"got {self.learning_rate}")
+        for name in ("learning_rate", "momentum", "weight_decay"):
+            check_number(name, getattr(self, name))
+        if self.learning_rate <= 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ConfigError(f"weight_decay must be finite and >= 0, "
-                              f"got {self.weight_decay}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 class DenseLayer:
@@ -434,12 +434,13 @@ def grad_check(model: TwoHeadModel, loss_fns: Sequence[LossFn], x: np.ndarray,
     largest error in ``named_layers`` order; a NaN error (a loss that is
     not finite) counts as the worst.  The grad buffer is left zero.
     """
+    check_number("h", h)
+    check_number("tol", tol)
     if not 0.0 < h <= 1e-3:
         raise ConfigError(f"h must be in (0, 1e-3], got {h}")
-    # no error is below a NaN, zero or negative tolerance: an exact
-    # gradient would fail
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConfigError(f"tol must be finite and > 0, got {tol}")
+    # no error is below a tolerance <= 0: an exact gradient would fail
+    if tol <= 0:
+        raise ConfigError(f"tol must be > 0, got {tol}")
     if model.members:
         raise UsageError("grad_check takes a model without members")
 

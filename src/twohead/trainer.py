@@ -33,13 +33,14 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import losses
-from .data import DomainDataset, is_real_number, minibatches
-from .errors import ConfigError, NonFiniteLossError, NumericError
+from .data import DomainDataset, minibatches
+from .errors import ConfigError, NonFiniteLossError, NumericError, check_number
 from .losses import MethodVariant, SeparationParams, VariantPlan
 from .nn import (ForwardCache, Scope, SgdConfig, TwoHeadModel, backward, forward,
                  init_model, sgd_step)
@@ -62,7 +63,7 @@ class TrainConfig:
     """
 
     alpha: float = 0.2
-    lam: float = 0.1
+    lam: float = field(default=0.1, metadata={"key": "lambda"})
     delta: float | None = None
     margin: float = 1.0
     n_inner: int = 4
@@ -76,26 +77,20 @@ class TrainConfig:
     variant: MethodVariant = MethodVariant.FULL
 
     def __post_init__(self):
-        # by annotation: int fields hold ints and float fields finite real
-        # numbers (or None, where allowed); a bool is neither
+        # by annotation: int fields hold integers and float fields finite
+        # real numbers, or None where the annotation allows it
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if "float" not in f.type or (value is None and "None" in f.type):
-                continue
-            if not is_real_number(value):
-                raise ConfigError(f"{f.name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+            if f.type in ("int", "float") or (f.type == "float | None" and value is not None):
+                check_number(f.metadata.get("key", f.name), value, integer=f.type == "int")
         if not isinstance(self.variant, MethodVariant):
             raise ConfigError(f"variant must be a MethodVariant, got {self.variant!r}")
         if not 0.0 <= self.alpha < 1.0:
             raise ConfigError(f"alpha (drop fraction) must be in [0, 1), got {self.alpha}")
         if self.lam < 0:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
-        # before the class count is known, ln(inf) bounds a None delta
-        self.separation(math.inf)
+        # before the class count is known, a None delta is at most ln(float max)
+        self.separation(sys.float_info.max)
         self.sgd = SgdConfig(learning_rate=self.learning_rate, momentum=self.momentum,
                              weight_decay=self.weight_decay)
         if self.minimax_weight <= 0:

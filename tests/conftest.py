@@ -11,6 +11,18 @@ from twohead.trainer import train
 from test_acceptance import REFERENCE_MARGINS
 
 REFERENCE_SEED = 7
+# the fixtures and tests that train the default 400 epochs
+_SLOW_FIXTURES = {"reference_run", "variant_reports"}
+_SLOW_TESTS = {"test_c8_freezing_and_determinism", "test_c9_sweep_harness"}
+
+
+def pytest_collection_modifyitems(items):
+    """Mark ``slow`` every test that trains 400 epochs, so that
+    ``pytest -m "not slow"`` skips the trainings that take most of the
+    suite's time."""
+    for item in items:
+        if item.originalname in _SLOW_TESTS or _SLOW_FIXTURES & set(item.fixturenames):
+            item.add_marker(pytest.mark.slow)
 
 
 @pytest.fixture(scope="session")

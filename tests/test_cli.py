@@ -100,6 +100,7 @@ def test_invalid_alpha_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("bad", [
     {"n_inner": 1.5}, {"epochs": 2.9}, {"seed": True}, {"lambda": math.nan},
     {"margin": math.nan}, {"stddev": math.nan}, {"minimax_weight": math.inf},
+    {"alpha": "0.2"},
 ])
 def test_non_integral_bool_and_nonfinite_values_rejected(tmp_path, capsys, bad):
     out = tmp_path / "out"
@@ -447,8 +448,8 @@ def test_experiment_spec_rejects_non_toy():
 
 @pytest.mark.parametrize("kwargs, message", [
     (dict(noise_kind="pair"), "noise kind must be a NoiseKind, got 'pair'"),
-    (dict(noise_rate=True), "noise rate must be a real number"),
-    (dict(stddev=True), "stddevs must be real numbers"),
+    (dict(noise_rate=True), "noise_rate must be a real number"),
+    (dict(stddev=True), "stddevs must be a real number"),
     (dict(samples_per_class="300"), "samples_per_class must be an integer")])
 def test_experiment_spec_refuses_bad_scenario_types_at_construction(kwargs, message):
     """``noise_kind="pair"`` trained symmetric flipping while the manifest

@@ -54,7 +54,7 @@ def test_noise_spec_validation():
     with pytest.raises(ConfigError, match="noise kind must be a NoiseKind"):
         NoiseSpec("pair", 0.2)
     for rate in (True, "0.2", None):
-        with pytest.raises(ConfigError, match="noise rate must be a real number"):
+        with pytest.raises(ConfigError, match="noise_rate must be a real number"):
             NoiseSpec(NoiseKind.SYMMETRIC_FLIP, rate)
     with pytest.warns(UserWarning):
         NoiseSpec(NoiseKind.PAIR_FLIP, 0.5)
@@ -124,7 +124,7 @@ def test_blob_spec_validation():
         BlobSpec(centers=[(0, 0)], stddevs=[-1.0], samples_per_class=5)
     # stddev=True sampled the toy at stddev 1
     for stddev in (True, "1.0"):
-        with pytest.raises(ConfigError, match="stddevs must be real numbers"):
+        with pytest.raises(ConfigError, match="stddevs must be a real number"):
             build_toy_scenario(0, stddev=stddev)
     for count in (True, 64.0, "64"):
         with pytest.raises(ConfigError, match="samples_per_class must be an integer"):

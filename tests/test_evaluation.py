@@ -224,6 +224,22 @@ def test_boundary_grid_rejects_nonfinite_bounds():
         boundary_grid(m, ((-1.0, np.inf), (-1.0, 1.0)), 10, 1.0)
 
 
+@pytest.mark.parametrize("bounds", [((0.0, 0.0), (0.0, 1.0)), ((-1.0, 1.0), (2.0, 2.0))])
+def test_boundary_grid_rejects_a_zero_width_axis_before_allocating(bounds):
+    """The SVG writer divides by each axis's high - low, so an axis whose
+    low equals its high is refused, before any of a full-size grid's
+    arrays is allocated."""
+    m = init_model([2, 8, 8, 8], 3, seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="grid bounds need a nonzero width"):
+            boundary_grid(m, bounds, MAX_GRID_RESOLUTION, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_predict_rejects_nonfinite_row():
     m = init_model([2, 8, 8, 8], 3, seed=1)
     x = np.zeros((4, 2))
