@@ -2,7 +2,6 @@
 
 import math
 import sys
-from numbers import Real
 
 
 class TwoHeadError(Exception):
@@ -15,9 +14,9 @@ class ConfigError(TwoHeadError, ValueError):
 
 def check_number(name: str, value, integer: bool = False) -> None:
     """ConfigError naming the setting ``name`` unless ``value`` is a finite
-    real number (an int past the float range is not), or an int where
-    ``integer`` is set (a numpy integer overflows the seed mixer)."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else Real):
+    Python int or float (np.float64 is one), or an int where ``integer`` is
+    set: a numpy float32 fails the manifest's JSON, a numpy int the seed mixer."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         kind = "an integer" if integer else "a real number"
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
     finite = abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses, nn
-from .errors import ConfigError
+from .errors import ConfigError, check_number
 from .losses import SeparationParams
 from .rng import make_rng
 
@@ -29,6 +29,7 @@ class CheckResult:
 def check_loss_identities(n_pairs: int = 1000, seed: int = 2024) -> CheckResult:
     """Random probability pairs over 2..20 classes must satisfy
     skld == crs - ent (within 1e-10), crs >= ent and ent <= 2 ln C."""
+    check_number("n_pairs", n_pairs, integer=True)
     if n_pairs < 1:
         raise ConfigError(f"n_pairs must be >= 1, got {n_pairs}")
     rng = make_rng(seed, "identities")
@@ -164,6 +165,7 @@ def check_selection_contract(n_vectors: int = 10000, seed: int = 5) -> CheckResu
     selected alone by ``small_loss_select``, which must list exactly its
     mask row, so a selector that lists an index twice fails too.  The
     lowest failing vector is reported."""
+    check_number("n_vectors", n_vectors, integer=True)
     if n_vectors < 1:
         raise ConfigError(f"n_vectors must be >= 1, got {n_vectors}")
     rng = make_rng(seed, "selection")

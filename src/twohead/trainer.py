@@ -1,5 +1,8 @@
-"""Mini-batch training loop: clean-sample fitting, target separation, and
-the discriminator/alignment mini-max game.
+"""Mini-batch training: clean-sample fitting, target separation, and the
+discriminator/alignment mini-max game.  ``init_state`` checks the data and
+builds a run's TrainState at epoch 0, ``train_epoch`` runs one epoch of it,
+and ``train`` loops over epochs to ``config.epochs``.  A caller that reads
+the model between epochs writes that loop itself.
 
 Per source/target batch pair the loop runs four phases in order:
 
@@ -129,9 +132,21 @@ class TraceRow:
 
 @dataclass
 class TrainState:
+    """One run: the data and config ``init_state`` checked, what it derived
+    from them, the next epoch to run and the trace so far."""
+
+    source: DomainDataset
+    target: DomainDataset
+    config: TrainConfig
+    sep: SeparationParams
+    plan: VariantPlan
     model: TwoHeadModel
-    delta: float
+    epoch: int = 0
     trace: list[TraceRow] = field(default_factory=list)
+
+    @property
+    def delta(self) -> float:
+        return self.sep.delta
 
     @property
     def step_counter(self) -> int:
@@ -248,8 +263,8 @@ def step_c(model: TwoHeadModel, x_t: np.ndarray, sep: SeparationParams,
     return out
 
 
-def train(source: DomainDataset, target: DomainDataset, config: TrainConfig) -> TrainState:
-    """Run the full procedure; deterministic given (datasets, config)."""
+def init_state(source: DomainDataset, target: DomainDataset, config: TrainConfig) -> TrainState:
+    """Check the datasets against ``config`` and build the model: epoch 0."""
     if source.features.shape[1] != target.features.shape[1]:
         raise ConfigError("source and target feature dimensions differ")
     if source.observed_labels is None:
@@ -272,45 +287,53 @@ def train(source: DomainDataset, target: DomainDataset, config: TrainConfig) -> 
         raise ConfigError(f"need >= 2 source classes, got {n_classes}")
     sep = config.separation(n_classes)
     plan = losses.variant_losses(config.variant, config.alpha, config.lam)
-    sgd = config.sgd
-
     widths = [source.features.shape[1]] + [HIDDEN_WIDTH] * N_HIDDEN_LAYERS
     model = init_model(widths, n_classes, derive_seed(config.seed, "model"))
-    state = TrainState(model=model, delta=sep.delta)
+    return TrainState(source, target, config, sep, plan, model)
 
-    seed_src = derive_seed(config.seed, "batch-source")
-    seed_tgt = derive_seed(config.seed, "batch-target")
+
+def train_epoch(state: TrainState) -> None:
+    """Run epoch ``state.epoch``, a TraceRow per batch step, and advance it."""
+    source, target, config = state.source, state.target, state.config
+    model, sep, plan, sgd, epoch = state.model, state.sep, state.plan, config.sgd, state.epoch
     clean = source.observed_labels == source.true_labels
+    src_batches = minibatches(source, config.batch_size,
+                              derive_seed(config.seed, "batch-source"), epoch)
+    tgt_batches = minibatches(target, config.batch_size,
+                              derive_seed(config.seed, "batch-target"), epoch)
+    for src_idx, tgt_idx in zip(src_batches, tgt_batches):
+        x_s = source.features[src_idx]
+        y_s = source.observed_labels[src_idx]
+        x_t = target.features[tgt_idx]
 
-    for epoch in range(config.epochs):
-        src_batches = minibatches(source, config.batch_size, seed_src, epoch)
-        tgt_batches = minibatches(target, config.batch_size, seed_tgt, epoch)
-        for src_idx, tgt_idx in zip(src_batches, tgt_batches):
-            x_s = source.features[src_idx]
-            y_s = source.observed_labels[src_idx]
-            x_t = target.features[tgt_idx]
+        a1 = step_a1(model, x_s, y_s, plan, sgd, epoch=epoch)
 
-            a1 = step_a1(model, x_s, y_s, plan, sgd, epoch=epoch)
+        loss_sep, cache_t = 0.0, None
+        if plan.sep_crs or plan.sep_ent:
+            loss_sep, cache_t = step_a2(model, x_t, sep, plan, sgd,
+                                        weight=config.minimax_weight, epoch=epoch)
 
-            loss_sep, cache_t = 0.0, None
-            if plan.sep_crs or plan.sep_ent:
-                loss_sep, cache_t = step_a2(model, x_t, sep, plan, sgd,
-                                            weight=config.minimax_weight, epoch=epoch)
+        loss_b = loss_c = 0.0
+        if plan.minimax:
+            loss_b, cache_t = step_b(model, x_s[a1.rows], y_s[a1.rows], x_t, sep,
+                                     plan, sgd, weight=config.minimax_weight,
+                                     reuse=cache_t, epoch=epoch)
+            c_values = step_c(model, x_t, sep, sgd, config.n_inner,
+                              reuse=cache_t, epoch=epoch)
+            loss_c = float(np.mean(c_values)) if c_values else 0.0
 
-            loss_b = 0.0
-            loss_c = 0.0
-            if plan.minimax:
-                loss_b, cache_t = step_b(model, x_s[a1.rows], y_s[a1.rows], x_t, sep,
-                                         plan, sgd, weight=config.minimax_weight,
-                                         reuse=cache_t, epoch=epoch)
-                c_values = step_c(model, x_t, sep, sgd, config.n_inner,
-                                  reuse=cache_t, epoch=epoch)
-                loss_c = float(np.mean(c_values)) if c_values else 0.0
+        clean_frac = float(clean[src_idx][a1.rows].mean())
+        state.trace.append(TraceRow(
+            epoch=epoch, step=state.step_counter,
+            loss_sup=a1.sup, loss_skld=a1.skld, loss_sep=loss_sep,
+            loss_b=loss_b, loss_c=loss_c,
+            clean_fraction_selected=clean_frac))
+    state.epoch += 1
 
-            clean_frac = float(clean[src_idx][a1.rows].mean())
-            state.trace.append(TraceRow(
-                epoch=epoch, step=state.step_counter,
-                loss_sup=a1.sup, loss_skld=a1.skld, loss_sep=loss_sep,
-                loss_b=loss_b, loss_c=loss_c,
-                clean_fraction_selected=clean_frac))
+
+def train(source: DomainDataset, target: DomainDataset, config: TrainConfig) -> TrainState:
+    """Run the full procedure; deterministic given (datasets, config)."""
+    state = init_state(source, target, config)
+    while state.epoch < config.epochs:
+        train_epoch(state)
     return state

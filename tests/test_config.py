@@ -14,6 +14,7 @@ from twohead import (BlobSpec, ConfigError, SeparationParams, SgdConfig, TrainCo
                      boundary_grid, build_toy_scenario, grad_check, init_model, minibatches,
                      predict)
 from twohead.experiment import TOY_BOUNDS, ExperimentSpec, _config_fields
+from twohead.selfcheck import check_loss_identities, check_selection_contract
 
 _MODEL = init_model([2, 8, 8, 8], 3, seed=4)
 
@@ -25,6 +26,7 @@ def _zero_loss(p):
 @pytest.mark.parametrize("call, setting", [
     (lambda: ExperimentSpec.from_dict({"alpha": "0.2"}), "alpha"),
     (lambda: TrainConfig(alpha="0.2"), "alpha"),
+    (lambda: TrainConfig(alpha=np.float32(0.2)), "alpha"),
     (lambda: ExperimentSpec(stddev=math.inf), "stddevs"),
     (lambda: SgdConfig(True), "learning_rate"),
     (lambda: SgdConfig("0.1"), "learning_rate"),
@@ -37,13 +39,18 @@ def _zero_loss(p):
     (lambda: grad_check(_MODEL, [_zero_loss], np.zeros((1, 2)), h="x"), "h"),
     (lambda: minibatches(build_toy_scenario(0, samples_per_class=4)[0], 2.5, 0, 0),
      "batch_size"),
-], ids=["from_dict-str", "TrainConfig-str", "ExperimentSpec-inf", "SgdConfig-bool",
-        "SgdConfig-str", "SgdConfig-None", "SeparationParams-nan", "SeparationParams-str",
-        "BlobSpec-inf", "boundary_grid-float", "predict-str", "grad_check-str",
-        "minibatches-float"])
+    (lambda: check_loss_identities("3"), "n_pairs"),
+    (lambda: check_selection_contract("3"), "n_vectors"),
+], ids=["from_dict-str", "TrainConfig-str", "TrainConfig-float32", "ExperimentSpec-inf",
+        "SgdConfig-bool", "SgdConfig-str", "SgdConfig-None", "SeparationParams-nan",
+        "SeparationParams-str", "BlobSpec-inf", "boundary_grid-float", "predict-str",
+        "grad_check-str", "minibatches-float", "check_loss_identities-str",
+        "check_selection_contract-str"])
 def test_a_setting_that_is_not_a_finite_number_is_refused(call, setting):
     """Each call raised TypeError or trained, or was refused by one of the
-    config file and the constructor but not the other."""
+    config file and the constructor but not the other.  A numpy float32
+    trained and then broke the run's manifest after its artifacts were
+    written."""
     with pytest.raises(ConfigError) as info:
         call()
     assert str(info.value).startswith(f"{setting} must be ")

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from twohead import (ConfigError, MethodVariant, NonFiniteLossError,
                      NumericError, SeparationParams, SgdConfig, TrainConfig,
-                     build_toy_scenario, init_model, nn, trainer, variant_losses)
+                     boundary_grid, build_toy_scenario, evaluate, init_model, nn,
+                     trainer, variant_losses)
 from twohead import losses
 from twohead.losses import crs_rows
 from twohead.nn import forward
 from twohead.rng import make_rng
-from twohead.experiment import ExperimentSpec
-from twohead.trainer import (step_a1, step_a2, step_b, step_c, train,
-                             _check_finite)
+from twohead.experiment import TOY_BOUNDS, ExperimentSpec
+from twohead.trainer import (init_state, step_a1, step_a2, step_b, step_c, train,
+                             train_epoch, _check_finite)
 
 SHORT = dict(epochs=2, seed=7)
 
@@ -352,6 +353,55 @@ def test_traces_finite_and_csv(toy_data, tmp_path):
     assert lines[0] == ("epoch,step,loss_sup,loss_skld,loss_sep,"
                         "loss_b,loss_c,clean_fraction_selected")
     assert len(lines) == 1 + 2 * 14
+
+
+def _run_bytes(state, tmp_path, name):
+    """The run's parameters and its loss_trace.csv bytes."""
+    state.trace_to_csv(tmp_path / name)
+    return state.model.parameters_blob(), (tmp_path / name).read_bytes()
+
+
+def test_train_epoch_calls_equal_train(toy_data, tmp_path):
+    """train is init_state plus one train_epoch call per epoch."""
+    source, target = toy_data
+    config = TrainConfig(epochs=3, seed=7)
+    state = init_state(source, target, config)
+    assert state.epoch == 0 and state.trace == []
+    for _ in range(3):
+        train_epoch(state)
+    assert state.epoch == 3
+    assert _run_bytes(state, tmp_path, "epochs.csv") == \
+        _run_bytes(train(source, target, config), tmp_path, "train.csv")
+
+
+def test_evaluating_between_epochs_leaves_the_run_unchanged(toy_data, tmp_path):
+    """A caller may evaluate and draw the model between epochs, as a
+    checkpoint does; the run then continues bit for bit as if it had not."""
+    source, target = toy_data
+    config = TrainConfig(**SHORT)
+    state = init_state(source, target, config)
+    train_epoch(state)
+    report = evaluate(state.model, target, state.delta)
+    grid = boundary_grid(state.model, TOY_BOUNDS, 20, state.delta)
+    assert 0.0 <= report.average_accuracy <= 1.0 and grid.unknown.shape == (20, 20)
+    train_epoch(state)
+    assert _run_bytes(state, tmp_path, "checked.csv") == \
+        _run_bytes(train(source, target, config), tmp_path, "train.csv")
+
+
+def test_train_epoch_appends_rows_of_its_own_epoch(toy_data):
+    """The rows one train_epoch call appends carry the epoch it ran, and
+    their step indices continue the trace."""
+    source, target = toy_data
+    state = init_state(source, target, TrainConfig(**SHORT))
+    train_epoch(state)
+    before = len(state.trace)
+    train_epoch(state)
+    added = state.trace[before:]
+    assert before == len(added) == 14
+    assert [r.epoch for r in added] == [1] * 14
+    assert [r.step for r in state.trace] == list(range(28))
+    assert state.epoch == 2
 
 
 def test_check_finite_raises_with_context():
