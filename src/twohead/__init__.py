@@ -12,7 +12,7 @@ from .errors import (ConfigError, DataError, DimensionError, NonFiniteLossError,
 from .evaluation import (BoundaryGrid, EvalReport, UNKNOWN, boundary_grid,
                          divergence_density, evaluate, predict, scott_bandwidth)
 from .losses import (MethodVariant, SeparationParams, VariantPlan,
-                     small_loss_mask, small_loss_select, variant_losses)
+                     small_loss_mask, variant_losses)
 from .nn import (Activation, DenseLayer, Scope, SgdConfig, TwoHeadModel,
                  backward, forward, grad_check, init_model, sgd_step)
 from .trainer import TrainConfig, TrainState, train
@@ -28,5 +28,5 @@ __all__ = [
     "build_toy_scenario", "class_split", "divergence_density", "evaluate",
     "forward", "grad_check", "init_model", "inject_noise",
     "make_transition_matrix", "minibatches", "predict", "scott_bandwidth",
-    "sgd_step", "small_loss_mask", "small_loss_select", "train", "variant_losses",
+    "sgd_step", "small_loss_mask", "train", "variant_losses",
 ]

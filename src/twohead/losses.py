@@ -16,11 +16,12 @@ Naming used throughout:
 Each training objective is one function that takes the model's stacked
 (2, N, C) probabilities (head 1, head 2), computes the clamped logs and
 safe inverses of both heads at once, and returns an ``Objective``: the
-batch value, the per-sample values and one (2, N, C) gradient ``dp`` that
-``nn.backward`` takes as it is, from the same pass.  Cross terms pair each
-head with the other through ``_other``.  Batch means are ``x.sum() / n``
-over the row axis, bit-identical to ``x.mean()`` without numpy's
-Python-level wrapper.
+batch value, the per-sample values, the rows it averages and one
+(2, N, C) gradient ``dp`` that ``nn.backward`` takes as it is, from the
+same pass.  Cross terms pair each head with the other through ``_other``.
+The rows are one (N,) boolean keep-mask, all true or not: the value is
+``np.add.reduce(x[rows]) / k`` over the k kept rows, bit-identical to
+``x[rows].mean()`` without numpy's wrapper, and ``dp`` is zero outside.
 
 The objectives also take (..., 2, N, C) stacks, such as the (M, 2, N, C)
 probabilities of a model with M members, and then return one value per
@@ -58,9 +59,10 @@ def _clamped_log(p: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(p, P_CLAMP))
 
 
-def _safe_inv(p: np.ndarray) -> np.ndarray:
-    # derivative of log(max(p, clamp)): 1/p above the clamp, 0 below it
-    return np.where(p > P_CLAMP, 1.0 / np.maximum(p, P_CLAMP), 0.0)
+def _logs_and_inv(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the clamped logs and their derivative: 1/p above the clamp, 0 below it
+    clamped = np.maximum(p, P_CLAMP)
+    return np.log(clamped), np.where(p > P_CLAMP, 1.0 / clamped, 0.0)
 
 
 def _check_stack(p: np.ndarray) -> np.ndarray:
@@ -76,12 +78,13 @@ def _other(x: np.ndarray) -> np.ndarray:
     return x[..., ::-1, :, :]
 
 
-def _mean(per: np.ndarray, rows, k: int) -> float | np.ndarray:
-    """Mean of ``per`` over ``rows`` of its last axis: a float for one
-    pair, one value per member for a stack."""
+def _mean(per: np.ndarray, rows: np.ndarray, k: int) -> float | np.ndarray:
+    """Mean of ``per`` over the ``k`` rows of its last axis that the mask
+    ``rows`` keeps: a float for one pair, one value per member for a stack."""
     if per.ndim == 1:
-        return float(per[rows].sum() / k)
-    return per[..., rows].sum(axis=-1) / k
+        return float(np.add.reduce(per[rows]) / k)
+    # compress, unlike a mask gather, keeps rows row-major: adds as one pair does
+    return np.add.reduce(np.compress(rows, per, axis=-1), axis=-1) / k
 
 
 def _one_row_set(p: np.ndarray, what: str) -> None:
@@ -92,7 +95,8 @@ def _one_row_set(p: np.ndarray, what: str) -> None:
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+    if labels.size and (np.minimum.reduce(labels) < 0
+                        or np.maximum.reduce(labels) >= num_classes):
         raise DataError(
             f"labels must lie in [0, {num_classes}), got range "
             f"[{labels.min()}, {labels.max()}]")
@@ -142,9 +146,10 @@ class MethodVariant(Enum):
 
 class Objective(NamedTuple):
     """One objective on a batch: ``value`` is the mean of ``per_sample``
-    over ``rows`` (times the objective's weight, if it has one), and
-    ``dp`` is d(value)/dp for the stacked (2, N, C) head pair, zero
-    outside ``rows``.  On a stack, ``value`` has one entry per member."""
+    over ``rows``, an (N,) boolean keep-mask (times the objective's weight,
+    if it has one), and ``dp`` is d(value)/dp for the stacked (2, N, C)
+    head pair, zero outside ``rows``.  On a stack, ``value`` has one entry
+    per member."""
 
     value: float | np.ndarray
     per_sample: np.ndarray
@@ -171,13 +176,13 @@ def crs_rows(p: np.ndarray, logs: np.ndarray | None = None) -> np.ndarray:
     """Per-sample pairwise cross-entropy sum H(p1,p2) + H(p2,p1) of the
     (..., 2, N, C) pair; ``logs`` are its clamped logs, if already taken."""
     cross = p * _other(_clamped_log(p) if logs is None else logs)  # p1 log p2, p2 log p1
-    return -(cross[..., 0, :, :] + cross[..., 1, :, :]).sum(axis=-1)
+    return -np.add.reduce(cross[..., 0, :, :] + cross[..., 1, :, :], axis=-1)
 
 
 def ent_rows(p: np.ndarray, logs: np.ndarray | None = None) -> np.ndarray:
     """Per-sample entropy sum H(p1) + H(p2); ``logs`` as for crs_rows."""
     own = p * (_clamped_log(p) if logs is None else logs)
-    return -(own[..., 0, :, :] + own[..., 1, :, :]).sum(axis=-1)
+    return -np.add.reduce(own[..., 0, :, :] + own[..., 1, :, :], axis=-1)
 
 
 def skld_rows(p: np.ndarray, log_ratio: np.ndarray | None = None) -> np.ndarray:
@@ -186,7 +191,7 @@ def skld_rows(p: np.ndarray, log_ratio: np.ndarray | None = None) -> np.ndarray:
     if log_ratio is None:
         logs = _clamped_log(p)
         log_ratio = logs - _other(logs)
-    kl = (p * log_ratio).sum(axis=-1)   # KL(p1||p2), KL(p2||p1)
+    kl = np.add.reduce(p * log_ratio, axis=-1)   # KL(p1||p2), KL(p2||p1)
     return kl[..., 0, :] + kl[..., 1, :]
 
 
@@ -250,15 +255,6 @@ def small_loss_mask(per_sample_losses: np.ndarray,
     return below | (tie & (tie.cumsum(axis=-1) <= k - below.sum(axis=-1, keepdims=True)))
 
 
-def small_loss_select(per_sample_losses: np.ndarray, alpha: float) -> np.ndarray:
-    """Ascending indices of the losses ``small_loss_mask`` keeps in one
-    1-D vector."""
-    losses = np.asarray(per_sample_losses, dtype=np.float64)
-    if losses.ndim != 1 or losses.size == 0:
-        raise UsageError("small_loss_select needs a nonempty 1-D loss vector")
-    return small_loss_mask(losses, alpha).nonzero()[0]
-
-
 # --- objectives ------------------------------------------------------------------
 
 def source(p: np.ndarray, labels: np.ndarray, lam: float,
@@ -273,7 +269,7 @@ def source(p: np.ndarray, labels: np.ndarray, lam: float,
     p = _check_stack(p)
     n = p.shape[-2]
     labels = _check_labels(labels, p.shape[-1])
-    logs, inv = _clamped_log(p), _safe_inv(p)
+    logs, inv = _logs_and_inv(p)
     idx = np.arange(n)
     # the gather puts its row axis outermost in memory; made row-major, a
     # stack's sums over rows add in the order one pair's do
@@ -284,24 +280,18 @@ def source(p: np.ndarray, labels: np.ndarray, lam: float,
     per = sup + lam * agreement
     # selection checks alpha and n; with alpha = 0 it keeps every row, for
     # every member of a stack alike
-    rows = small_loss_select(per[(0,) * (per.ndim - 1)], alpha)
+    rows = small_loss_mask(per[(0,) * (per.ndim - 1)], alpha)
     if alpha:
         _one_row_set(p, "small-loss selection with alpha > 0")
-    k = len(rows)
+    k = np.count_nonzero(rows)
 
-    d = np.zeros_like(p)
+    d = np.zeros(p.shape)
     d[..., idx, labels] = -inv[..., idx, labels]
     if lam != 0.0:
         d += lam * (log_ratio + (p - _other(p)) * inv)
-    if k == n:
-        kept = slice(None)
-        d /= n
-    else:
-        kept = rows
-        d_all, d = d, np.zeros_like(p)
-        d[..., rows, :] = d_all[..., rows, :] / k
-    return SourceObjective(_mean(per, kept, k), per, d, rows,
-                           _mean(sup, kept, k), _mean(agreement, kept, k))
+    dp = np.where(rows[:, None], d / k, 0.0)
+    return SourceObjective(_mean(per, rows, k), per, dp, rows,
+                           _mean(sup, rows, k), _mean(agreement, rows, k))
 
 
 def _hinge(values: np.ndarray, params: SeparationParams,
@@ -330,9 +320,9 @@ def separation(p: np.ndarray, params: SeparationParams, crs_weight: float = 1.0,
     """
     p = _check_stack(p)
     n = p.shape[-2]
-    logs, inv = _clamped_log(p), _safe_inv(p)
+    logs, inv = _logs_and_inv(p)
     per = np.zeros(p.shape[:-3] + (n,))
-    dp = np.zeros_like(p)
+    dp = np.zeros(p.shape)
     if crs_weight:
         value, slope = _hinge(crs_rows(p, logs), params, reach)
         per += crs_weight * value
@@ -341,7 +331,8 @@ def separation(p: np.ndarray, params: SeparationParams, crs_weight: float = 1.0,
         value, slope = _hinge(ent_rows(p, logs), params, reach)
         per += ent_weight * value
         dp += ent_weight * slope[..., None, :, None] / n * (-logs - p * inv)
-    return Objective(_mean(per, slice(None), n), per, dp, np.arange(n))
+    rows = np.ones(n, dtype=bool)
+    return Objective(_mean(per, rows, n), per, dp, rows)
 
 
 def crs(p: np.ndarray, weight: float = 1.0,
@@ -358,23 +349,19 @@ def crs(p: np.ndarray, weight: float = 1.0,
     the heads).
     """
     p = _check_stack(p)
-    n = p.shape[-2]
     if below != math.inf:
         _one_row_set(p, "crs with a finite 'below'")
-    logs = _clamped_log(p)
+    logs, inv = _logs_and_inv(p)
     per = crs_rows(p, logs)
-    live = per < below
-    rows = np.flatnonzero(live) if p.ndim == 3 else np.arange(n)
-    k = len(rows)
+    rows = per < below if p.ndim == 3 else np.ones(p.shape[-2], dtype=bool)
+    k = np.count_nonzero(rows)
     if not k:
-        return Objective(0.0, per, np.zeros_like(p), rows)
-    d = -_other(logs) - _other(p) * _safe_inv(p)
+        return Objective(0.0, per, np.zeros(p.shape), rows)
+    d = -_other(logs) - _other(p) * inv
     if cap is not None:
         d = d * (per < cap)[..., None, :, None]
         per = np.minimum(per, cap)
-    if k == n:
-        return Objective(weight * _mean(per, slice(None), n), per, weight * d / n, rows)
-    dp = np.where(live[:, None], weight * d / k, 0.0)
+    dp = np.where(rows[:, None], weight * d / k, 0.0)
     return Objective(weight * _mean(per, rows, k), per, dp, rows)
 
 

@@ -255,7 +255,7 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     for k in range(1, logits.shape[-1]):
         top = np.maximum(top, logits[..., k])
     e = np.exp(logits - top[..., None])
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
@@ -309,7 +309,7 @@ def forward(model: TwoHeadModel, x: np.ndarray, reuse: ForwardCache | None = Non
                 f"input must be (N, {model.input_dim}), got {x.shape}"
             )
         raw, gen_io = _run_stack(model.generator, x)
-        norms = np.maximum(np.sqrt((raw * raw).sum(axis=-1, keepdims=True)), 1e-12)
+        norms = np.maximum(np.sqrt(np.add.reduce(raw * raw, axis=-1, keepdims=True)), 1e-12)
         feats = FEATURE_SCALE * raw / norms
         if model.members:
             feats = feats[..., None, :, :]   # (M, 1, N, F): both heads read it
@@ -319,7 +319,7 @@ def forward(model: TwoHeadModel, x: np.ndarray, reuse: ForwardCache | None = Non
 
 
 def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
-    inner = (dp * p).sum(axis=-1, keepdims=True)
+    inner = np.add.reduce(dp * p, axis=-1, keepdims=True)
     return p * (dp - inner)
 
 
@@ -333,7 +333,7 @@ def _stack_backward(layers: list[DenseLayer], io, dout: np.ndarray,
         dz = dout * (z > 0.0) if layer.activation is Activation.RELU else dout
         if param_grads:
             layer.grad_weight += dz.swapaxes(-1, -2) @ x_in
-            layer.grad_bias += dz.sum(axis=-2)
+            layer.grad_bias += np.add.reduce(dz, axis=-2)
         if i == 0 and not input_grad:
             return None
         dout = dz @ layer.weight
@@ -365,7 +365,7 @@ def backward(model: TwoHeadModel, cache: ForwardCache, dp: np.ndarray,
     dfeat = dfeat[..., 0, :, :] + dfeat[..., 1, :, :]
     # through h -> scale * h / ||h||: project out the radial component
     unit = cache.raw_features / cache.feat_norms
-    radial = (dfeat * unit).sum(axis=-1, keepdims=True)
+    radial = np.add.reduce(dfeat * unit, axis=-1, keepdims=True)
     draw = FEATURE_SCALE * (dfeat - unit * radial) / cache.feat_norms
     _stack_backward(model.generator, cache.gen_io, draw, True, False)
 

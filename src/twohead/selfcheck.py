@@ -75,10 +75,9 @@ def _grad_objectives(num_classes: int, n_samples: int, seed: int,
         return src.value + tgt.value, np.concatenate([src.dp, tgt.dp], axis=-2)
 
     def alignment(p):
-        rows = np.arange(0, p.shape[-2], 2)  # fixed detected-common subset
-        common = losses.crs(p[..., rows, :])
+        common = losses.crs(p[..., ::2, :])  # fixed detected-common subset
         d = np.zeros_like(p)
-        d[..., rows, :] = common.dp
+        d[..., ::2, :] = common.dp
         return common.value, d
 
     source = [("source-joint", lambda p: losses.source(p, labels, lam)),
@@ -162,9 +161,8 @@ def check_selection_contract(n_vectors: int = 10000, seed: int = 5) -> CheckResu
     to its float guard, and no kept loss above a dropped one.  Vector i has
     length 1 + i % 64; the vectors of one length are drawn, masked in one
     call and verified together.  The first vector of each length is also
-    selected alone by ``small_loss_select``, which must list exactly its
-    mask row, so a selector that lists an index twice fails too.  The
-    lowest failing vector is reported."""
+    masked alone, through the 1-D path, which must keep exactly its row of
+    the block mask.  The lowest failing vector is reported."""
     check_number("n_vectors", n_vectors, integer=True)
     if n_vectors < 1:
         raise ConfigError(f"n_vectors must be >= 1, got {n_vectors}")
@@ -182,8 +180,8 @@ def check_selection_contract(n_vectors: int = 10000, seed: int = 5) -> CheckResu
         top = np.where(mask, values, -np.inf).max(axis=1)
         low = np.where(mask, np.inf, values).min(axis=1)
         bad = (kept != expect) | (top > low)
-        alone = losses.small_loss_select(values[0], float(alphas[0]))
-        bad[0] |= not np.array_equal(alone, np.flatnonzero(mask[0]))
+        bad[0] |= not np.array_equal(losses.small_loss_mask(values[0], float(alphas[0])),
+                                     mask[0])
         if bad.any():
             r = int(np.argmax(bad))
             if kept[r] != expect[r]:
@@ -191,7 +189,7 @@ def check_selection_contract(n_vectors: int = 10000, seed: int = 5) -> CheckResu
             elif top[r] > low[r]:
                 detail = "selected loss above unselected"
             else:
-                detail = "small_loss_select differs from the mask"
+                detail = "the 1-D mask differs from its block row"
             failures.append((n - 1 + _SELECTION_MAX_N * r, detail))
     if failures:
         vector, detail = min(failures)

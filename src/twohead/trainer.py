@@ -175,7 +175,7 @@ def _update(model: TwoHeadModel, sgd: SgdConfig, scope: Scope, value: float,
     NonFiniteLossError with the parameters untouched, naming the first
     layer whose gradient is not finite."""
     _check_finite(value, step, epoch)
-    if not np.isfinite(model.grads[model.scope_slice(scope)]).all():
+    if not np.logical_and.reduce(np.isfinite(model.grads[model.scope_slice(scope)])):
         layer = next(name for name, layer in model.named_layers()
                      if not (np.isfinite(layer.grad_weight).all()
                              and np.isfinite(layer.grad_bias).all()))
@@ -186,7 +186,7 @@ def _update(model: TwoHeadModel, sgd: SgdConfig, scope: Scope, value: float,
 def step_a1(model: TwoHeadModel, x: np.ndarray, y_obs: np.ndarray,
             plan: VariantPlan, sgd: SgdConfig, epoch: int = 0) -> losses.SourceObjective:
     """Small-loss selection plus one full-network update on the selected
-    subset (``rows`` of the result)."""
+    subset (the keep-mask ``rows`` of the result)."""
     cache = forward(model, x)
     source = losses.source(cache.p, y_obs, plan.lam, plan.alpha)
     backward(model, cache, source.dp)
@@ -204,7 +204,7 @@ def step_a2(model: TwoHeadModel, x_t: np.ndarray, sep: SeparationParams,
     hinge loss and the forward of ``x_t``."""
     cache = forward(model, x_t)
     hinge = losses.separation(cache.p, sep, plan.sep_crs, plan.sep_ent, sep.reach)
-    if not hinge.dp.any():
+    if not np.count_nonzero(hinge.dp):
         _check_finite(hinge.value, "A-2", epoch)
         return hinge.value, cache
     backward(model, cache, weight * hinge.dp)
@@ -236,7 +236,7 @@ def step_b(model: TwoHeadModel, x_sel: np.ndarray, y_sel: np.ndarray,
     target = losses.crs(cache_t.p, weight=-weight, cap=sep.cap)
     backward(model, cache_t, target.dp, Scope.HEADS_ONLY)
 
-    value = source.value - float(target.per_sample.sum() / len(target.per_sample))
+    value = source.value - float(np.add.reduce(target.per_sample) / len(target.per_sample))
     _update(model, sgd, Scope.HEADS_ONLY, value, "B", epoch)
     return value, cache_t
 
@@ -255,7 +255,7 @@ def step_c(model: TwoHeadModel, x_t: np.ndarray, sep: SeparationParams,
     for _ in range(n_inner):
         reuse = forward(model, x_t, reuse=reuse)
         common = losses.crs(reuse.p, below=sep.delta - sep.margin)
-        if not common.rows.size:
+        if not common.rows.any():
             break
         backward(model, reuse, common.dp, Scope.GENERATOR_ONLY)
         _update(model, sgd, Scope.GENERATOR_ONLY, common.value, "C", epoch)
@@ -322,12 +322,12 @@ def train_epoch(state: TrainState) -> None:
                               reuse=cache_t, epoch=epoch)
             loss_c = float(np.mean(c_values)) if c_values else 0.0
 
-        clean_frac = float(clean[src_idx][a1.rows].mean())
+        kept_clean = clean[src_idx][a1.rows]
         state.trace.append(TraceRow(
             epoch=epoch, step=state.step_counter,
             loss_sup=a1.sup, loss_skld=a1.skld, loss_sep=loss_sep,
             loss_b=loss_b, loss_c=loss_c,
-            clean_fraction_selected=clean_frac))
+            clean_fraction_selected=np.count_nonzero(kept_clean) / len(kept_clean)))
     state.epoch += 1
 
 

@@ -25,6 +25,11 @@ row had been past the old cap, so the line checked the constant capped
 term only; now rows on both sides of the cap are checked.  No other line
 moved.
 
+The benchmark's toy-train workload trains seeds 0 and 3 on their own
+scenarios, ``build_toy_scenario(s)`` with ``TrainConfig(seed=s,
+epochs=40)``; their traces and models are pinned too, so a claim of
+bit-identical training rests on three datasets, not on seed 7's alone.
+
 The seed-7 model's ``boundary.csv`` and ``boundary.svg`` at the CLI's
 default resolution, 120, and at 300 are pinned as well.  The grid goes
 through the network in blocks, and the BLAS rounds a product differently
@@ -38,7 +43,7 @@ import hashlib
 
 import pytest
 
-from twohead import MethodVariant, TrainConfig
+from twohead import MethodVariant, TrainConfig, build_toy_scenario
 from twohead.evaluation import boundary_grid, write_boundary_svg
 from twohead.experiment import TOY_BOUNDS
 from twohead.nn import save_model_csv
@@ -55,6 +60,15 @@ BOUNDARY_SHA256 = {
 }
 TRACE_SHA256 = "24a035934bb124a62a19a9b922da9b64821ae6d4f420305664fcefe5813b0cc9"
 MODEL_SHA256 = "0b70fc6d5c58e5fdbfd8201bdbac8561c4b6e51c93a14d6bb5a112483373a21a"
+
+# (loss_trace.csv, model.csv) after 40 epochs at seed s on
+# build_toy_scenario(s), per seed s
+SEED_SHA256 = {
+    0: ("39bdd5dc8e4e446d0eeaa6937e5b328d32c7ebd0f4f82bf56547a153f4a6686e",
+        "acae650f4f33843deb6b0a106a64dfb06b29abf4ff628267c03bb7be90db94af"),
+    3: ("ef7b72b39293af29d636d267550a1a1ffcff0338e613a4cbfe676fab06a653e0",
+        "21a6cbed6648e472735718f5c9abe0a4195a8387509e00a7bb1b2e636a42b692"),
+}
 
 # model.csv after 10 epochs at seed 3, per variant
 VARIANT_MODEL_SHA256 = {
@@ -104,6 +118,16 @@ def test_seed7_trace_and_model_digests(seed7_state, tmp_path):
     save_model_csv(state.model, tmp_path / "model.csv")
     assert _sha256(tmp_path / "loss_trace.csv") == TRACE_SHA256
     assert _sha256(tmp_path / "model.csv") == MODEL_SHA256
+
+
+@pytest.mark.parametrize("seed", sorted(SEED_SHA256))
+def test_own_scenario_trace_and_model_digests(tmp_path, seed):
+    source, target = build_toy_scenario(seed)
+    state = train(source, target, TrainConfig(seed=seed, epochs=40))
+    state.trace_to_csv(tmp_path / "loss_trace.csv")
+    save_model_csv(state.model, tmp_path / "model.csv")
+    assert (_sha256(tmp_path / "loss_trace.csv"),
+            _sha256(tmp_path / "model.csv")) == SEED_SHA256[seed]
 
 
 @pytest.mark.parametrize("resolution", sorted(BOUNDARY_SHA256))

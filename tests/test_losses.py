@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from twohead import (UNKNOWN, ConfigError, DataError, DimensionError, MethodVariant,
                      SeparationParams, UsageError, init_model, predict,
-                     small_loss_mask, small_loss_select, variant_losses)
+                     small_loss_mask, variant_losses)
 from twohead import losses
 from twohead.losses import crs_rows, ent_rows, skld_rows
 from twohead.nn import forward, grad_check
@@ -158,7 +158,7 @@ def test_source_loss_degenerate_lambda():
     plain = losses.source(_pair(p1, p2), y, 0.0)
     assert plain.value == plain.sup
     assert plain.per_sample.shape == (8,)
-    assert list(plain.rows) == list(range(8))
+    assert plain.rows.tolist() == [True] * 8
     # agreeing heads contribute no divergence term
     same = losses.source(_pair(p1, p1), y, 0.7)
     assert same.skld == 0.0
@@ -177,11 +177,10 @@ def test_source_selects_on_its_own_per_sample_values():
     p2 = rng.dirichlet(np.ones(3), size=16)
     y = rng.integers(0, 3, size=16)
     got = losses.source(_pair(p1, p2), y, lam=0.1, alpha=0.25)
-    assert np.array_equal(got.rows, small_loss_select(got.per_sample, 0.25))
-    assert len(got.rows) == 12
+    assert np.array_equal(got.rows, small_loss_mask(got.per_sample, 0.25))
+    assert np.count_nonzero(got.rows) == 12
     assert got.value == float(got.per_sample[got.rows].mean())
-    dropped = np.setdiff1d(np.arange(16), got.rows)
-    assert (got.dp[0][dropped] == 0.0).all() and (got.dp[1][dropped] == 0.0).all()
+    assert not got.dp[:, ~got.rows].any()
     # the selected rows carry the same gradient as a source loss on them alone
     alone = losses.source(_pair(p1[got.rows], p2[got.rows]), y[got.rows], lam=0.1)
     assert np.array_equal(got.dp[0][got.rows], alone.dp[0])
@@ -204,12 +203,14 @@ def test_source_trace_means_invariants():
 
 
 def test_small_loss_select_examples():
-    sel = small_loss_select(np.array([0.1, 5.0, 0.2, 0.3]), alpha=0.25)
-    assert list(sel) == [0, 2, 3]
-    sel = small_loss_select(np.array([0.1, 5.0, 0.2, 0.3]), alpha=0.0)
-    assert list(sel) == [0, 1, 2, 3]
-    sel = small_loss_select(np.full(4, 1.0), alpha=0.5)
-    assert list(sel) == [0, 1]
+    """Small-loss selection of one 1-D vector: ``small_loss_mask``'s 1-D
+    path, ties going to the lower index."""
+    keep = small_loss_mask(np.array([0.1, 5.0, 0.2, 0.3]), alpha=0.25)
+    assert keep.tolist() == [True, False, True, True]
+    keep = small_loss_mask(np.array([0.1, 5.0, 0.2, 0.3]), alpha=0.0)
+    assert keep.tolist() == [True] * 4
+    keep = small_loss_mask(np.full(4, 1.0), alpha=0.5)
+    assert keep.tolist() == [True, True, False, False]
 
 
 @settings(max_examples=200, deadline=None)
@@ -220,15 +221,15 @@ def test_small_loss_select_examples():
 @example([0.0] * 25, 0.44)
 def test_small_loss_select_contract(losses_list, alpha):
     vec = np.asarray(losses_list)
-    sel = small_loss_select(vec, alpha)
-    n = len(vec)
+    keep = small_loss_mask(vec, alpha)
+    assert keep.shape == vec.shape and keep.dtype == bool
+    kept = np.count_nonzero(keep)
     # ceil((1 - alpha) N), a float product within the guard above an
     # integer counting as it: alpha = 0.7 keeps 3 of 10
-    assert len(sel) == math.ceil((1.0 - alpha) * n - losses.SELECTION_GUARD)
-    assert len(sel) >= 1
-    rest = np.setdiff1d(np.arange(n), sel)
-    if rest.size:
-        assert vec[sel].max() <= vec[rest].min()
+    assert kept == math.ceil((1.0 - alpha) * len(vec) - losses.SELECTION_GUARD)
+    assert kept >= 1
+    if not keep.all():
+        assert vec[keep].max() <= vec[~keep].min()
 
 
 @settings(max_examples=200, deadline=None)
@@ -240,7 +241,7 @@ def test_small_loss_select_contract(losses_list, alpha):
 @example((np.ones((1, 25)), np.array([0.44])))
 def test_small_loss_mask_matches_the_1d_selection_of_each_row(block):
     """On a (B, N) block with one alpha per row, each mask row is what
-    small_loss_select gives that row alone, and what a plain sort by
+    the 1-D path gives that row alone, and what a plain sort by
     (loss, index) keeps: ties (the losses take 4 values) go to the lower
     index, and the 1/1000 alpha grid reaches the guard's cases."""
     values, alphas = block
@@ -251,7 +252,7 @@ def test_small_loss_mask_matches_the_1d_selection_of_each_row(block):
         k = math.ceil((1.0 - alpha) * n - losses.SELECTION_GUARD)
         reference = sorted(sorted(range(n), key=lambda i: (vec[i], i))[:k])
         assert np.flatnonzero(row).tolist() == reference
-        assert small_loss_select(vec, alpha).tolist() == reference
+        assert np.array_equal(small_loss_mask(vec, alpha), row)
     # a float alpha is every row's, and a stacked block masks row by row
     assert np.array_equal(small_loss_mask(values, alphas[0]),
                           small_loss_mask(values, np.full(len(values), alphas[0])))
@@ -267,7 +268,7 @@ def test_small_loss_mask_keeps_nan_losses_last():
                              [True, True, True, True, False, True],
                              [True] * 6]
     for vec, alpha, row in zip(values, (0.5, 0.3), mask):
-        assert np.array_equal(small_loss_select(vec, alpha), np.flatnonzero(row))
+        assert np.array_equal(small_loss_mask(vec, alpha), row)
 
 
 def test_small_loss_mask_validation():
@@ -313,17 +314,19 @@ def test_selection_contract_fails_a_wrong_selector(monkeypatch):
 
 
 def test_small_loss_select_validation():
+    """The 1-D path of ``small_loss_mask`` with a float alpha."""
     with pytest.raises(UsageError):
-        small_loss_select(np.array([]), 0.2)
+        small_loss_mask(np.array([]), 0.2)
     with pytest.raises(ConfigError):
-        small_loss_select(np.array([1.0]), 1.0)
+        small_loss_mask(np.array([1.0]), 1.0)
     # alpha * N within the guard below N keeps no row; a little further
     # from 1, one row is kept
     for n in (1, 10, 64):
         with pytest.raises(ConfigError,
                            match=f"alpha 0.999999999999 keeps no row of a batch of {n}$"):
-            small_loss_select(np.zeros(n), 0.999999999999)
-        assert list(small_loss_select(np.arange(n, 0.0, -1.0), 1.0 - 2e-9)) == [n - 1]
+            small_loss_mask(np.zeros(n), 0.999999999999)
+        keep = small_loss_mask(np.arange(n, 0.0, -1.0), 1.0 - 2e-9)
+        assert np.flatnonzero(keep).tolist() == [n - 1]
 
 
 def _hinge_reference(x, delta, m):
@@ -387,13 +390,12 @@ def test_common_mask_matches_threshold():
     p1, p2 = _pairs(7, "mask", 3, 64)
     common = losses.crs(_pair(p1, p2), below=params.delta - params.margin)
     c = crs_rows(_pair(p1, p2))
-    assert np.array_equal(common.rows, np.flatnonzero(c < 2.0))
+    assert np.array_equal(common.rows, c < 2.0)
     assert common.value == float(c[common.rows].mean())
-    outside = np.setdiff1d(np.arange(64), common.rows)
-    assert (common.dp[0][outside] == 0.0).all() and (common.dp[1][outside] == 0.0).all()
+    assert not common.dp[:, ~common.rows].any()
     # margin equal to delta leaves nothing below the gate
     empty = losses.crs(_pair(p1, p2), below=0.0)
-    assert empty.rows.size == 0 and empty.value == 0.0
+    assert not empty.rows.any() and empty.value == 0.0
     assert not empty.dp[0].any() and not empty.dp[1].any()
 
 
@@ -527,11 +529,46 @@ def test_objectives_match_the_row_functions(seed, classes, n, alpha, lam):
     assert losses.crs(p).per_sample.tobytes() == c.tobytes()
     # a threshold at one row's own crs: strictly below excludes that row
     t = c[rng.integers(n)]
-    assert losses.crs(p, below=t).rows.tolist() == np.flatnonzero(c < t).tolist()
+    assert losses.crs(p, below=t).rows.tolist() == (c < t).tolist()
 
     src = losses.source(p, labels, lam, alpha)
-    k = len(src.rows)
+    k = np.count_nonzero(src.rows)
     assert src.skld == float(skld_rows(p)[src.rows].sum() / k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), classes=st.integers(2, 6), n=st.integers(1, 16),
+       alpha=st.floats(0.0, 0.9), weight=st.sampled_from([1.0, -0.2]),
+       cap=st.sampled_from([None, 1.0]))
+def test_objective_rows_are_keep_masks(seed, classes, n, alpha, weight, cap):
+    """Each objective's ``rows`` is an (N,) boolean keep-mask: its value is
+    the weighted mean of ``per_sample`` over the mask, bit for bit, and its
+    ``dp`` is zero outside it.  ``source`` keeps what ``small_loss_mask``
+    keeps of its per-sample values, ``crs`` the rows below ``below``, and
+    ``separation`` and an unthresholded ``crs`` every row."""
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(classes), size=(2, n))
+    labels = rng.integers(0, classes, size=n)
+    c = crs_rows(p)
+    t = c[rng.integers(n)]
+    sep = SeparationParams(delta=math.log(classes), margin=0.3)
+    got = {
+        "source": (losses.source(p, labels, 0.1, alpha), 1.0),
+        "separation": (losses.separation(p, sep, reach=sep.reach), 1.0),
+        "crs": (losses.crs(p, weight=weight, cap=cap), weight),
+        "crs-below": (losses.crs(p, weight=weight, cap=cap, below=t), weight),
+    }
+    for name, (objective, w) in got.items():
+        rows = objective.rows
+        assert rows.shape == (n,) and rows.dtype == bool, name
+        k = rows.sum()
+        expect = w * (objective.per_sample[rows].sum() / k) if k else 0.0
+        assert np.float64(objective.value).tobytes() == np.float64(expect).tobytes(), name
+        assert not objective.dp[:, ~rows].any(), name
+    source = got["source"][0]
+    assert np.array_equal(source.rows, small_loss_mask(source.per_sample, alpha))
+    assert np.array_equal(got["crs-below"][0].rows, c < t)
+    assert got["crs"][0].rows.all() and got["separation"][0].rows.all()
 
 
 # --- every objective's gradient against central differences of its value ---
@@ -579,9 +616,10 @@ def test_objective_gradients_match_central_differences(name, seed, classes, n, m
         assume(np.abs(values - kink).min() > KINK_GAP)
     got = fn(p)
     assert got.dp.shape == p.shape
-    if name == "source-selected" and len(got.rows) < n:
+    k = np.count_nonzero(got.rows)
+    if name == "source-selected" and k < n:
         ranked = np.sort(got.per_sample)
-        assume(ranked[len(got.rows)] - ranked[len(got.rows) - 1] > KINK_GAP)
+        assume(ranked[k] - ranked[k - 1] > KINK_GAP)
 
     for cell in np.ndindex(p.shape):
         moved = p.copy()
@@ -669,7 +707,7 @@ def test_member_stack_rejects_per_member_row_sets():
     with pytest.raises(ConfigError):
         losses.source(p, labels, 0.1, alpha=1.5)
     # one pair takes both
-    assert len(losses.source(p[0], labels, 0.1, alpha=0.25).rows) == 6
+    assert np.count_nonzero(losses.source(p[0], labels, 0.1, alpha=0.25).rows) == 6
     losses.crs(p[0], below=1.0)
 
 

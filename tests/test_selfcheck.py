@@ -80,8 +80,12 @@ def test_source_objectives_report_what_a_check_on_the_source_rows_reports(monkey
             (alone.max_rel_error, alone.worst_param), name
 
 
-_select = losses.small_loss_select   # the tests below patch the module's
-_mask = losses.small_loss_mask
+_mask = losses.small_loss_mask   # the tests below patch the module's
+
+
+def _select(vec, alpha):
+    """The indices the right mask keeps of one vector."""
+    return np.flatnonzero(_mask(vec, alpha))
 
 
 def _from(start: int, wrong):
@@ -90,12 +94,18 @@ def _from(start: int, wrong):
     return lambda i, vec, alpha: (wrong if i >= start else _select)(vec, alpha)
 
 
+def _keep(n: int, indices) -> np.ndarray:
+    keep = np.zeros(n, dtype=bool)
+    keep[indices] = True
+    return keep
+
+
 def _per_vector_contract(n_vectors: int, seed: int = 5, mask_fault=_from(0, _select),
-                         select_fault=_from(0, _select)) -> CheckResult:
+                         alone_fault=_from(0, _select)) -> CheckResult:
     """The check as a loop that verifies one vector at a time, in index
     order: the reference for the per-length check, on the same draws.
-    ``mask_fault(i, vec, alpha)`` gives the indices vector i's mask row
-    keeps, and ``select_fault`` what ``small_loss_select`` lists for the
+    ``mask_fault(i, vec, alpha)`` gives the indices vector i's row of its
+    block mask keeps, and ``alone_fault`` those the 1-D path keeps of the
     first vector of each length."""
     rng = make_rng(seed, "selection")
     blocks = {}
@@ -105,42 +115,37 @@ def _per_vector_contract(n_vectors: int, seed: int = 5, mask_fault=_from(0, _sel
     for i in range(n_vectors):
         n, r = 1 + i % 64, i // 64
         vec, alpha = blocks[n][0][r], float(blocks[n][1][r])
-        row = mask_fault(i, vec, alpha)
-        kept = len(set(row.tolist()))
+        keep = _keep(n, mask_fault(i, vec, alpha))
+        kept = np.count_nonzero(keep)
         expect = math.ceil((1.0 - alpha) * n - losses.SELECTION_GUARD)
-        rest = np.ones(n, dtype=bool)
-        rest[row] = False
         if kept != expect:
             detail = f"kept {kept}, expected {expect}"
-        elif rest.any() and vec[row].max() > vec[rest].min():
+        elif not keep.all() and vec[keep].max() > vec[~keep].min():
             detail = "selected loss above unselected"
-        elif r == 0 and not np.array_equal(select_fault(i, vec, alpha), np.sort(row)):
-            detail = "small_loss_select differs from the mask"
+        elif r == 0 and not np.array_equal(_keep(n, alone_fault(i, vec, alpha)), keep):
+            detail = "the 1-D mask differs from its block row"
         else:
             continue
         return CheckResult("selection-contract", False, f"vector {i}: {detail}")
     return CheckResult("selection-contract", True, f"{n_vectors} random vectors")
 
 
-def _patch_mask(monkeypatch, fault):
+def _patch_mask(monkeypatch, mask_fault=None, alone_fault=None):
     """``small_loss_mask`` with row r of each (count, n) block set to what
-    ``fault`` keeps of vector n - 1 + 64 r; 1-D calls are left right."""
+    ``mask_fault`` keeps of vector n - 1 + 64 r, and a 1-D call, on vector
+    N - 1 (the first of its length), to what ``alone_fault`` keeps; a
+    fault of None leaves its path right."""
     def mask(values, alpha):
         got = _mask(values, alpha)
-        if got.ndim == 2:
-            n = got.shape[1]
-            for r, (vec, a) in enumerate(zip(values, alpha.tolist())):
-                got[r] = False
-                got[r, fault(n - 1 + 64 * r, vec, a)] = True
+        fault = mask_fault if got.ndim == 2 else alone_fault
+        if fault is not None:
+            alphas = alpha.tolist() if got.ndim == 2 else [alpha]
+            n = got.shape[-1]
+            for r, (vec, a, row) in enumerate(zip(np.atleast_2d(values), alphas,
+                                                  np.atleast_2d(got))):
+                row[:] = _keep(n, fault(n - 1 + 64 * r, vec, a))
         return got
     monkeypatch.setattr(losses, "small_loss_mask", mask)
-
-
-def _patch_select(monkeypatch, fault):
-    """``small_loss_select`` answering as ``fault`` for the first vector of
-    a length, vector N - 1."""
-    monkeypatch.setattr(losses, "small_loss_select",
-                        lambda vec, alpha: fault(len(vec) - 1, vec, alpha))
 
 
 def _largest(vec, alpha):
@@ -170,44 +175,22 @@ def _above(vec, alpha):
                                    rest[vec[rest] == vec[rest].min()]]))
 
 
-def _repeat_last(vec, alpha):
-    """The right count, with the first kept index swapped for a second
-    copy of the last."""
-    sel = _select(vec, alpha)
-    return np.concatenate([sel[1:], sel[-1:]])
-
-
-def _smallest_twice(vec, alpha):
-    """As many indices as the right selection, with its largest loss
-    dropped and its smallest listed twice."""
-    sel = _select(vec, alpha)
-    by_loss = sel[np.argsort(vec[sel], kind="stable")]
-    return np.concatenate([by_loss[:1], by_loss[:-1]])
-
-
-def _one_extra_twice(vec, alpha):
-    """The right selection, with its first index listed a second time."""
-    sel = _select(vec, alpha)
-    return np.concatenate([sel, sel[:1]])
-
-
 _SIZES = (200, 450, 1037)
 
-# name -> (the function it breaks, its fault, the first vector it gets
-# wrong on the seed-5 draws of each of _SIZES, or None).  Each length
-# draws as many vectors as n_vectors gives it, so a fault that shows only
-# on some draws is first seen at vector 1 or 2 by n_vectors.  A mask row
-# cannot list an index twice; ``small_loss_select`` can, and the check
-# selects the first vector of each length (vector N - 1) with it.
+# name -> (the path it breaks: the block mask or the 1-D one, its fault,
+# the first vector it gets wrong on the seed-5 draws of each of _SIZES, or
+# None).  Each length draws as many vectors as n_vectors gives it, so a
+# fault that shows only on some draws is first seen at vector 1 or 2 by
+# n_vectors.  The check masks the first vector of each length (vector
+# N - 1) alone too, through the 1-D path.
 _SELECTORS = {
     "right": (None, None, None),
     "largest": ("mask", _from(0, _largest), (1, 2, 1)),
     "one short": ("mask", _from(0, _one_short), (0, 0, 0)),
     "one extra": ("mask", _from(0, _one_extra), (1, 2, 1)),
     "kept loss above an unselected one": ("mask", _from(0, _above), (1, 2, 1)),
-    "repeats the last index": ("select", _from(0, _repeat_last), (2, 1, 2)),
-    "smallest twice, largest dropped": ("select", _from(0, _smallest_twice), (2, 1, 2)),
-    "first index twice": ("select", _from(0, _one_extra_twice), (0, 0, 0)),
+    "1-D path largest": ("alone", _from(0, _largest), (1, 2, 1)),
+    "1-D path one short": ("alone", _from(0, _one_short), (0, 0, 0)),
     "one short from vector 436": ("mask", _from(436, _one_short), (436,) * 3),
     "one short from vector 1030": ("mask", _from(1030, _one_short), (1030,) * 3),
 }
@@ -217,16 +200,11 @@ _SELECTORS = {
 @pytest.mark.parametrize("selector", list(_SELECTORS))
 def test_block_check_matches_the_per_vector_loop(monkeypatch, selector, n_vectors):
     """Same verdict and message as the per-vector loop, for faults of the
-    mask core and of the 1-D selector, from the first vector on and from
-    a middle one, with every length holding 3 to 17 vectors."""
+    block mask and of the 1-D path, from the first vector on and from a
+    middle one, with every length holding 3 to 17 vectors."""
     target, fault, first_wrong = _SELECTORS[selector]
-    faults = {}
-    if target == "mask":
-        _patch_mask(monkeypatch, fault)
-        faults["mask_fault"] = fault
-    elif target == "select":
-        _patch_select(monkeypatch, fault)
-        faults["select_fault"] = fault
+    faults = {} if target is None else {f"{target}_fault": fault}
+    _patch_mask(monkeypatch, **faults)
     result = check_selection_contract(n_vectors)
     assert result == _per_vector_contract(n_vectors, **faults)
     first_wrong = first_wrong and first_wrong[_SIZES.index(n_vectors)]
@@ -267,11 +245,11 @@ class _ScriptedRng:
 
 def test_selection_contract_expects_what_the_guard_keeps(monkeypatch):
     """On a 1/1000 alpha grid, ceil((1 - alpha) N) in floats expects one
-    row more than small_loss_select keeps at 28 (N, alpha) pairs, where
+    row more than small_loss_mask keeps at 28 (N, alpha) pairs, where
     1 - alpha rounds up (0.3 N for alpha = 0.7).  The selector's guard
     keeps the decimal count there, and the check expects it: on those
     pairs alone, and on the whole grid, 1000 vectors of each length."""
-    kept = {(n, i / 1000): len(losses.small_loss_select(np.zeros(n), i / 1000))
+    kept = {(n, i / 1000): np.count_nonzero(losses.small_loss_mask(np.zeros(n), i / 1000))
             for i in range(1000) for n in range(1, 65)}
     drift = [(n, alpha) for (n, alpha), k in kept.items()
              if math.ceil((1.0 - alpha) * n) != k]
