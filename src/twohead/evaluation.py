@@ -20,8 +20,8 @@ UNKNOWN = -1
 # boundary_grid forwards this many cells at a time, the last block taking
 # the remainder.  glibc hands freed arrays of a few MiB back to the kernel,
 # so 4096-row blocks, whose largest arrays are 1-2 MiB, faulted their pages
-# in again on every block: 48k minor page faults per resolution-300 grid
-# (getrusage), against ~4.2k with 1024-row blocks.  OpenBLAS
+# in again on every block: ~8.3k minor page faults per resolution-300 grid
+# (getrusage, warm), against ~2.9k with 1024-row blocks.  OpenBLAS
 # takes another dgemm path below ~1000 rows, which rounds some cells
 # differently, so no block of a grid of at least this many cells is
 # shorter than this.
@@ -234,9 +234,6 @@ def boundary_grid(model: TwoHeadModel, bounds: tuple[tuple[float, float], tuple[
     l_crs = np.empty(len(pts))
     preds = np.empty((2, len(pts)), dtype=np.int64)   # head 1's and head 2's argmax
     for a, b in zip(starts, starts[1:] + [len(pts)]):
-        # the last block's cache is freed once this block's forward returns.
-        # Freeing it before this forward took 3k-88k minor page faults per
-        # resolution-300 grid, by the state the heap was in; this, ~4.2k.
         cache = forward(model, pts[a:b])
         l_crs[a:b] = crs_rows(cache.p)
         preds[:, a:b] = np.argmax(cache.p, axis=-1)

@@ -341,19 +341,19 @@ def crs(p: np.ndarray, weight: float = 1.0,
     over ``rows``.
 
     ``rows`` are the samples whose crs is strictly below ``below``: every
-    sample by default, or the detected target-common subset with a finite
-    threshold, which a (..., 2, N, C) stack does not take.  An empty
-    subset gives value 0 and zero gradients.  With a finite ``cap`` the
-    per-sample values are min(crs, cap), so rows past the cap carry no
-    gradient (their rejection is decided; pushing further only saturates
-    the heads).
+    sample by default (a NaN one too), or the detected target-common subset
+    with a finite threshold, which a (..., 2, N, C) stack does not take.
+    An empty subset gives value 0 and zero gradients.  With a finite
+    ``cap`` the per-sample values are min(crs, cap), so rows past the cap
+    carry no gradient (their rejection is decided; pushing further only
+    saturates the heads).
     """
     p = _check_stack(p)
     if below != math.inf:
         _one_row_set(p, "crs with a finite 'below'")
     logs, inv = _logs_and_inv(p)
     per = crs_rows(p, logs)
-    rows = per < below if p.ndim == 3 else np.ones(p.shape[-2], dtype=bool)
+    rows = per < below if below != math.inf else np.ones(p.shape[-2], dtype=bool)
     k = np.count_nonzero(rows)
     if not k:
         return Objective(0.0, per, np.zeros(p.shape), rows)

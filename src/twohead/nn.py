@@ -9,12 +9,15 @@ classifier heads, with all parameters in one flat buffer per kind (see
 ``forward`` returns a ``ForwardCache`` whose ``p`` is the stacked
 (2, N, C) pair of the two heads' probabilities; the objectives in
 ``losses`` take that pair and return one (2, N, C) gradient, which
-``backward`` takes as it is.  ``forward(..., reuse=cache)`` takes what of
-an earlier cache of the same batch still matches the model: all of it
-when no parameter has changed since, its generator activations when only
-the heads have, and nothing otherwise.  ``sgd_step`` bumps
-``model.version`` on every update and ``model.gen_version`` when the
-generator moves; a cache of another batch is refused with UsageError.
+``backward`` takes as it is.  Besides ``p`` and the feature norms, a cache
+keeps one array per layer: the batch, then each generator layer's output
+(``gen``, the last being the raw features), and each head layer's input
+(``heads``); a ReLU layer's output is also its backward mask.
+``forward(..., reuse=cache)`` takes what of an earlier cache of the same
+batch still matches the model: all of it when no parameter has changed
+since, its ``gen`` when only the heads have, and nothing otherwise.
+``sgd_step`` bumps ``model.version`` on every update, ``model.gen_version``
+when the generator moves; a cache of another batch is refused (UsageError).
 
 A model built with ``members=(M,)`` holds M copies of its parameters, and
 ``forward``, ``backward`` and ``sgd_step`` run all of them at once, each
@@ -202,11 +205,10 @@ class TwoHeadModel:
 class ForwardCache:
     version: int
     gen_version: int
-    gen_io: list[tuple[np.ndarray, np.ndarray]]   # (input, pre-activation) per layer
-    raw_features: np.ndarray
-    feat_norms: np.ndarray
-    head_io: list[tuple[np.ndarray, np.ndarray]]  # per depth, both heads stacked
-    p: np.ndarray                                 # (2, N, C): p1 and p2, or (M, 2, N, C)
+    gen: list[np.ndarray]     # the batch, then each generator layer's output
+    feat_norms: np.ndarray    # per row, the L2 norm of gen[-1], the raw features
+    heads: list[np.ndarray]   # each head layer's input: the features, then stacked outputs
+    p: np.ndarray             # (2, N, C): p1 and p2, or (M, 2, N, C)
 
     def __iter__(self):
         # perfbench/test_checks.py unpacks forward()'s result as (p1, p2, cache)
@@ -259,18 +261,17 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def _run_stack(layers: list[DenseLayer], x: np.ndarray):
-    """Run ``layers`` on ``x``; returns the output and (input,
-    pre-activation) per layer.  A layer with leading axes (members, a
-    stack or both) maps (N, in), or an input with matching leading axes,
+def _run_stack(layers: list[DenseLayer], x: np.ndarray) -> list[np.ndarray]:
+    """Run ``layers`` on ``x``; returns ``x`` and then each layer's output,
+    a ReLU layer's rectified in place.  A layer with leading axes (members,
+    a stack or both) maps (N, in), or an input with matching leading axes,
     to (..., N, out)."""
-    io = []
+    acts = [x]
     for layer in layers:
-        z = x @ layer.weight.swapaxes(-1, -2)
+        z = acts[-1] @ layer.weight.swapaxes(-1, -2)
         z += layer.bias[..., None, :]
-        io.append((x, z))
-        x = np.maximum(z, 0.0) if layer.activation is Activation.RELU else z
-    return x, io
+        acts.append(np.maximum(z, 0.0, out=z) if layer.activation is Activation.RELU else z)
+    return acts
 
 
 def forward(model: TwoHeadModel, x: np.ndarray, reuse: ForwardCache | None = None
@@ -295,27 +296,25 @@ def forward(model: TwoHeadModel, x: np.ndarray, reuse: ForwardCache | None = Non
     """
     x = np.asarray(x, dtype=np.float64)
     if reuse is not None:
-        seen = reuse.gen_io[0][0]
+        seen = reuse.gen[0]
         if x is not seen and not np.array_equal(x, seen):
             raise UsageError("forward cache is for another batch")
         if reuse.version == model.version:
             return reuse
     if reuse is not None and reuse.gen_version == model.gen_version:
-        gen_io, raw, norms = reuse.gen_io, reuse.raw_features, reuse.feat_norms
-        feats = reuse.head_io[0][0]
+        gen, norms, feats = reuse.gen, reuse.feat_norms, reuse.heads[0]
     else:
         if x.ndim != 2 or x.shape[1] != model.input_dim:
-            raise DimensionError(
-                f"input must be (N, {model.input_dim}), got {x.shape}"
-            )
-        raw, gen_io = _run_stack(model.generator, x)
+            raise DimensionError(f"input must be (N, {model.input_dim}), got {x.shape}")
+        gen = _run_stack(model.generator, x)
+        raw = gen[-1]
         norms = np.maximum(np.sqrt(np.add.reduce(raw * raw, axis=-1, keepdims=True)), 1e-12)
         feats = FEATURE_SCALE * raw / norms
         if model.members:
             feats = feats[..., None, :, :]   # (M, 1, N, F): both heads read it
-    logits, head_io = _run_stack(model.heads, feats)
-    return ForwardCache(model.version, model.gen_version, gen_io, raw, norms, head_io,
-                        softmax_rows(logits))
+    heads = _run_stack(model.heads, feats)   # its last entry is the logits
+    return ForwardCache(model.version, model.gen_version, gen, norms, heads[:-1],
+                        softmax_rows(heads[-1]))
 
 
 def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
@@ -323,16 +322,17 @@ def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
     return p * (dp - inner)
 
 
-def _stack_backward(layers: list[DenseLayer], io, dout: np.ndarray,
+def _stack_backward(layers: list[DenseLayer], acts: list[np.ndarray], dout: np.ndarray,
                     param_grads: bool, input_grad: bool) -> np.ndarray | None:
-    """Backpropagate through ``layers``, given ``_run_stack``'s ``io``:
-    accumulate the parameter grads if ``param_grads``, and return the
-    gradient with respect to the stack's input if ``input_grad``."""
+    """Backpropagate through ``layers`` given ``_run_stack``'s ``acts`` (a
+    last linear layer's output may be left off), masking a ReLU on its
+    output, positive exactly where its input was: accumulate the parameter
+    grads if ``param_grads``; return the input's gradient if ``input_grad``."""
     for i in reversed(range(len(layers))):
-        layer, (x_in, z) = layers[i], io[i]
-        dz = dout * (z > 0.0) if layer.activation is Activation.RELU else dout
+        layer = layers[i]
+        dz = dout * (acts[i + 1] > 0.0) if layer.activation is Activation.RELU else dout
         if param_grads:
-            layer.grad_weight += dz.swapaxes(-1, -2) @ x_in
+            layer.grad_weight += dz.swapaxes(-1, -2) @ acts[i]
             layer.grad_bias += np.add.reduce(dz, axis=-2)
         if i == 0 and not input_grad:
             return None
@@ -359,15 +359,15 @@ def backward(model: TwoHeadModel, cache: ForwardCache, dp: np.ndarray,
     to_heads = scope is not Scope.GENERATOR_ONLY
     to_gen = scope is not Scope.HEADS_ONLY
     dz = _softmax_backward(cache.p, dp)
-    dfeat = _stack_backward(model.heads, cache.head_io, dz, to_heads, to_gen)
+    dfeat = _stack_backward(model.heads, cache.heads, dz, to_heads, to_gen)
     if not to_gen:
         return
     dfeat = dfeat[..., 0, :, :] + dfeat[..., 1, :, :]
     # through h -> scale * h / ||h||: project out the radial component
-    unit = cache.raw_features / cache.feat_norms
+    unit = cache.gen[-1] / cache.feat_norms
     radial = np.add.reduce(dfeat * unit, axis=-1, keepdims=True)
     draw = FEATURE_SCALE * (dfeat - unit * radial) / cache.feat_norms
-    _stack_backward(model.generator, cache.gen_io, draw, True, False)
+    _stack_backward(model.generator, cache.gen, draw, True, False)
 
 
 def sgd_step(model: TwoHeadModel, cfg: SgdConfig, scope: Scope = Scope.ALL) -> None:
@@ -398,8 +398,8 @@ LossFn = Callable[[np.ndarray], tuple[float | np.ndarray, np.ndarray]]
 
 _ZERO_GRAD_FLOOR = 1e-6  # below this magnitude, compare absolutely
 # parameter cells per batched forward, two members each; more cells take
-# fewer forwards, but each member holds ~20 KB of activations and loss
-# temporaries on an 8-row batch of the selftest model: a 3 MB peak at 64
+# fewer forwards, but each member holds ~20 KB of buffers, activations and
+# loss temporaries on an 8-row batch of the selftest model: 2.5 MB at 64
 _FD_CELLS = 64
 
 

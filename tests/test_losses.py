@@ -693,6 +693,18 @@ def test_crs_on_members_matches_each_member(seed, members, classes, n, weight, c
                           [losses.crs(p[i], weight=weight, cap=cap) for i in range(members)])
 
 
+@pytest.mark.parametrize("cap", [None, 2.0])
+def test_crs_keeps_a_nan_row_of_one_pair_as_a_stack_does(cap):
+    """With the default ``below``, crs on one pair keeps every row, a NaN
+    row too: its value is NaN, as on a stack of that pair, not the mean of
+    the other rows."""
+    p = _pair(*_pairs(5, "nan-row", 3, 3))
+    p[:, 1] = np.nan
+    one = losses.crs(p, cap=cap)
+    assert one.rows.tolist() == [True] * 3 and math.isnan(one.value)
+    _assert_members_match(losses.crs(p[None], cap=cap), [one])
+
+
 def test_member_stack_rejects_per_member_row_sets():
     """Small-loss selection with alpha > 0 and the detection gate of crs
     pick rows per member; a stack shares one row set, so both raise."""

@@ -580,9 +580,86 @@ def test_stacked_heads_match_separate_heads(args, rows):
     x = make_rng(args[2], "stacked").normal(size=(rows, 2))
     cache = forward(m, x)
     p1, p2 = cache.p
-    feats = cache.head_io[0][0]
+    feats = cache.heads[0]
     assert p1.tobytes() == _reference_head(m.head1, feats).tobytes()
     assert p2.tobytes() == _reference_head(m.head2, feats).tobytes()
+
+
+# --- the forward cache ---------------------------------------------------------
+
+def test_a_fresh_forward_keeps_one_array_per_layer():
+    """A 64-row forward keeps the caller's batch, then six arrays of its
+    own: the three generator outputs and the three head-layer inputs.  It
+    keeps no pre-activation and no logits."""
+    m = init_model([2, 32, 32, 32], 3, seed=7)
+    x = make_rng(7, "one-array").normal(size=(64, 2))
+    cache = forward(m, x)
+    kept = cache.gen + cache.heads
+    assert (len(cache.gen), len(cache.heads), len(kept)) == (4, 3, 7)
+    assert kept[0] is x
+    assert [a.shape for a in kept[1:]] == [(64, 32)] * 4 + [(2, 64, 32)] * 2
+    for i, a in enumerate(kept[1:], start=1):
+        assert a.flags.owndata and not any(np.shares_memory(a, b) for b in kept[:i]), i
+    assert cache.heads[0].tobytes() == (
+        nn.FEATURE_SCALE * cache.gen[-1] / cache.feat_norms).tobytes()
+
+
+def _reference_backward(m, x, dp, scope):
+    """The grad buffer that a backward fills when its forward keeps each
+    layer's pre-activation z next to relu(z) and masks a ReLU on z > 0."""
+    ref = TwoHeadModel(*m.widths)
+    ref.params[:] = m.params
+
+    def run(layers, a):
+        io = []
+        for layer in layers:
+            z = a @ layer.weight.swapaxes(-1, -2) + layer.bias[..., None, :]
+            io.append((a, z))
+            a = np.maximum(z, 0.0) if layer.activation is Activation.RELU else z
+        return a, io
+
+    def back(layers, io, dout, param_grads):
+        for layer, (a, z) in zip(reversed(layers), reversed(io)):
+            dz = dout * (z > 0.0) if layer.activation is Activation.RELU else dout
+            if param_grads:
+                layer.grad_weight += dz.swapaxes(-1, -2) @ a
+                layer.grad_bias += dz.sum(axis=-2)
+            dout = dz @ layer.weight
+        return dout
+
+    raw, gen_io = run(ref.generator, x)
+    norms = np.maximum(np.sqrt((raw * raw).sum(axis=-1, keepdims=True)), 1e-12)
+    logits, head_io = run(ref.heads, nn.FEATURE_SCALE * raw / norms)
+    p = softmax_rows(logits)
+    dfeat = back(ref.heads, head_io, p * (dp - (dp * p).sum(axis=-1, keepdims=True)),
+                 scope is not Scope.GENERATOR_ONLY)
+    if scope is not Scope.HEADS_ONLY:
+        dfeat = dfeat[0] + dfeat[1]
+        unit = raw / norms
+        radial = (dfeat * unit).sum(axis=-1, keepdims=True)
+        back(ref.generator, gen_io, nn.FEATURE_SCALE * (dfeat - unit * radial) / norms, True)
+    return p, ref.grads
+
+
+@settings(max_examples=60, deadline=None)
+@given(_model_args, st.lists(st.sampled_from(["normal", "zero", "nan"]), min_size=1,
+                             max_size=9), st.sampled_from(list(Scope)))
+def test_backward_masks_on_the_layer_output_as_on_its_pre_activation(args, kinds, scope):
+    """Masking a ReLU on its output (> 0) fills the grad buffer bit for bit
+    as masking on its pre-activation.  A zero row of a fresh model (zero
+    biases) has every pre-activation exactly 0, and a NaN row is NaN in
+    both."""
+    m = _model(args)
+    rng = make_rng(args[2], "output-mask")
+    x = rng.normal(size=(len(kinds), 2))
+    x[[k == "zero" for k in kinds]] = 0.0
+    x[[k == "nan" for k in kinds]] = np.nan
+    dp = rng.normal(size=(2, len(kinds), m.num_classes))
+    cache = forward(m, x)
+    backward(m, cache, dp, scope)
+    p, grads = _reference_backward(m, x, dp, scope)
+    assert cache.p.tobytes() == p.tobytes()
+    assert m.grads.tobytes() == grads.tobytes()
 
 
 # --- forward reuse -----------------------------------------------------------
@@ -614,8 +691,8 @@ def test_forward_reuse_after_heads_step_matches_fresh(args, rows, copy_input):
     assert reused is not cache
     assert reused.version == fresh.version and reused.gen_version == fresh.gen_version
     assert r1.tobytes() == f1.tobytes() and r2.tobytes() == f2.tobytes()
-    for (a_in, a_z), (b_in, b_z) in zip(reused.head_io, fresh.head_io):
-        assert a_in.tobytes() == b_in.tobytes() and a_z.tobytes() == b_z.tobytes()
+    for a, b in zip(reused.heads, fresh.heads, strict=True):
+        assert a.tobytes() == b.tobytes()
     # backward through the reused cache fills the same gradients
     dp = make_rng(args[2], "reuse-dp").normal(size=fresh.p.shape)
     backward(m, reused, dp)
@@ -638,9 +715,8 @@ def test_forward_reuse_after_a_generator_step_runs_afresh(scope):
     assert again is not cache
     assert again.version == fresh.version and again.gen_version == fresh.gen_version
     assert again.p.tobytes() == fresh.p.tobytes()
-    for (a_in, a_z), (b_in, b_z) in zip(again.gen_io + again.head_io,
-                                        fresh.gen_io + fresh.head_io):
-        assert a_in.tobytes() == b_in.tobytes() and a_z.tobytes() == b_z.tobytes()
+    for a, b in zip(again.gen + again.heads, fresh.gen + fresh.heads, strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_forward_reuse_rejects_another_batch():
