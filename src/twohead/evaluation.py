@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -20,8 +20,8 @@ UNKNOWN = -1
 # boundary_grid forwards this many cells at a time, the last block taking
 # the remainder.  glibc hands freed arrays of a few MiB back to the kernel,
 # so 4096-row blocks, whose largest arrays are 1-2 MiB, faulted their pages
-# in again on every block: ~8.3k minor page faults per resolution-300 grid
-# (getrusage, warm), against ~2.9k with 1024-row blocks.  OpenBLAS
+# in again on every block: ~6.2k minor page faults per resolution-300 grid
+# (getrusage, warm), against ~2.4k with 1024-row blocks.  OpenBLAS
 # takes another dgemm path below ~1000 rows, which rounds some cells
 # differently, so no block of a grid of at least this many cells is
 # shorter than this.
@@ -63,11 +63,34 @@ def predict(model: TwoHeadModel, x: np.ndarray, delta: float
 
 @dataclass
 class EvalReport:
+    """What ``evaluate`` measured; the average and the density curves are
+    computed from it on each read."""
+
     per_class_accuracy: dict[int, float]   # class index (UNKNOWN for private)
-    average_accuracy: float
     common_divergences: np.ndarray
     private_divergences: np.ndarray
-    density_curves: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+
+    @property
+    def average_accuracy(self) -> float:
+        return float(np.mean(list(self.per_class_accuracy.values())))
+
+    @property
+    def density_curves(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """KDE curves of the common and private divergences on one grid: the
+        sorted union of a ``DENSITY_POINTS``-point grid per group spanning
+        that group +- 5 of its own bandwidths, so each curve is resolved on
+        its own scale however narrow it is next to the other.  A group of
+        fewer than 2 values or of zero variance has no curve."""
+        groups = {"common": self.common_divergences, "private": self.private_divergences}
+        usable = {k: v for k, v in groups.items()
+                  if v.size >= 2 and float(np.std(v, ddof=1)) > 0.0}
+        if not usable:
+            return {}
+        pads = {k: 5.0 * scott_bandwidth(v) for k, v in usable.items()}
+        grid = np.unique(np.concatenate([
+            np.linspace(float(v.min()) - pads[k], float(v.max()) + pads[k], DENSITY_POINTS)
+            for k, v in usable.items()]))
+        return {k: (grid, divergence_density(v, grid)) for k, v in usable.items()}
 
     @property
     def common_accuracy(self) -> float:
@@ -108,43 +131,17 @@ def evaluate(model: TwoHeadModel, target: DomainDataset, delta: float) -> EvalRe
         raise DataError("target has no sample of a common class: common accuracy "
                         "is undefined")
 
-    private_mask = np.array([roles[t] is ClassRole.TARGET_PRIVATE for t in true])
+    private_mask = np.array([r is ClassRole.TARGET_PRIVATE for r in roles])[true]
     if private_mask.any():
         per_class[UNKNOWN] = float((preds[private_mask] == UNKNOWN).mean())
     else:
         warnings.warn("target has no private samples; averaging over the "
                       "common classes only", stacklevel=2)
 
-    common_mask_true = np.array([roles[t] is ClassRole.COMMON for t in true])
-    report = EvalReport(
-        per_class_accuracy=per_class,
-        average_accuracy=float(np.mean(list(per_class.values()))),
-        common_divergences=l_crs[common_mask_true],
-        private_divergences=l_crs[private_mask],
-    )
-    _attach_density_curves(report)
-    return report
-
-
-def _attach_density_curves(report: EvalReport) -> None:
-    """KDE curves of the common and private divergences on one grid: the
-    sorted union of a ``DENSITY_POINTS``-point grid per group spanning that group
-    +- 5 of its own bandwidths, so each curve is resolved on its own scale
-    however narrow it is next to the other."""
-    groups = {"common": report.common_divergences,
-              "private": report.private_divergences}
-    usable = {k: v for k, v in groups.items()
-              if v.size >= 2 and float(np.std(v, ddof=1)) > 0.0}
-    if not usable:
-        return
-
-    def own_grid(v: np.ndarray) -> np.ndarray:
-        h = scott_bandwidth(v)
-        return np.linspace(float(v.min()) - 5.0 * h, float(v.max()) + 5.0 * h, DENSITY_POINTS)
-
-    grid = np.unique(np.concatenate([own_grid(v) for v in usable.values()]))
-    for name, v in usable.items():
-        report.density_curves[name] = (grid, divergence_density(v, grid))
+    common_mask = np.array([r is ClassRole.COMMON for r in roles])[true]
+    return EvalReport(per_class_accuracy=per_class,
+                      common_divergences=l_crs[common_mask],
+                      private_divergences=l_crs[private_mask])
 
 
 def scott_bandwidth(values: np.ndarray) -> float:
@@ -209,11 +206,12 @@ def boundary_grid(model: TwoHeadModel, bounds: tuple[tuple[float, float], tuple[
                   resolution: int, delta: float) -> BoundaryGrid:
     """Evaluate both heads on a regular 2-D grid (resolution cells per
     axis).  Cells go through the network GRID_BLOCK_ROWS at a time, the
-    last block taking the remainder, so the forward caches and head
-    probabilities of at most two blocks are alive at once.  A ``resolution``
-    that is not an integer in [2, MAX_GRID_RESOLUTION], a ``delta`` that
-    is not finite and > 0, or an axis whose low equals its high raises
-    ConfigError before anything is allocated."""
+    last block taking the remainder.  Only each block's head probabilities
+    are kept, so one block's forward cache and the probabilities of at most
+    two blocks are alive at once.  A ``resolution`` that is not an integer
+    in [2, MAX_GRID_RESOLUTION], a ``delta`` that is not finite and > 0, or
+    an axis whose low equals its high raises ConfigError before anything
+    is allocated."""
     _check_delta(delta)
     check_number("resolution", resolution, integer=True)
     if not 2 <= resolution <= MAX_GRID_RESOLUTION:
@@ -234,9 +232,9 @@ def boundary_grid(model: TwoHeadModel, bounds: tuple[tuple[float, float], tuple[
     l_crs = np.empty(len(pts))
     preds = np.empty((2, len(pts)), dtype=np.int64)   # head 1's and head 2's argmax
     for a, b in zip(starts, starts[1:] + [len(pts)]):
-        cache = forward(model, pts[a:b])
-        l_crs[a:b] = crs_rows(cache.p)
-        preds[:, a:b] = np.argmax(cache.p, axis=-1)
+        p = forward(model, pts[a:b]).p
+        l_crs[a:b] = crs_rows(p)
+        preds[:, a:b] = np.argmax(p, axis=-1)
     l_crs = l_crs.reshape(resolution, resolution)
     return BoundaryGrid(
         xs=xs, ys=ys,
@@ -307,8 +305,8 @@ def write_boundary_svg(grid: BoundaryGrid, path,
 def density_to_csv(report: EvalReport, path) -> None:
     """x,pdf_common,pdf_private on a shared grid (empty cells when a curve
     is unavailable)."""
-    common = report.density_curves.get("common")
-    private = report.density_curves.get("private")
+    curves = report.density_curves
+    common, private = curves.get("common"), curves.get("private")
     grid = (common or private or (np.array([]),))[0].tolist()
 
     def column(curve) -> list[str]:

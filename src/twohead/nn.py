@@ -31,7 +31,7 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 from typing import Callable, Iterator, Sequence
@@ -408,10 +408,10 @@ class GradCheckReport:
     max_rel_error: float
     worst_param: str
     tol: float
-    passed: bool = field(init=False)
 
-    def __post_init__(self):
-        self.passed = self.max_rel_error < self.tol
+    @property
+    def passed(self) -> bool:
+        return self.max_rel_error < self.tol
 
 
 def grad_check(model: TwoHeadModel, loss_fns: Sequence[LossFn], x: np.ndarray,

@@ -2,7 +2,9 @@
 expensive, so they are session-scoped and reused by the unit tests and
 the acceptance criteria alike."""
 
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -42,15 +44,24 @@ def reference_run(toy_data):
     return state, report, elapsed
 
 
+def _variant_report(variant):
+    """Train and evaluate ``variant`` on the reference seed's scenario,
+    every setting passed in its TrainConfig: a pool worker imports this
+    module afresh and sees no attribute a test patched."""
+    source, target = build_toy_scenario(REFERENCE_SEED)
+    state = train(source, target, TrainConfig(seed=REFERENCE_SEED, variant=variant))
+    return evaluate(state.model, target, state.delta)
+
+
 @pytest.fixture(scope="session")
-def variant_reports(toy_data, reference_run):
+def variant_reports(reference_run):
     """EvalReport of ``full`` and of each variant the ablation criterion
-    reads (``REFERENCE_MARGINS``), all on identical data and seed."""
-    source, target = toy_data
+    reads (``REFERENCE_MARGINS``), all on identical data and seed; the
+    variants train two at a time in spawned worker processes."""
     reports = {MethodVariant.FULL: reference_run[1]}
-    for variant in REFERENCE_MARGINS:
-        state = train(source, target, TrainConfig(seed=REFERENCE_SEED, variant=variant))
-        reports[variant] = evaluate(state.model, target, state.delta)
+    with ProcessPoolExecutor(max_workers=2,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        reports.update(zip(REFERENCE_MARGINS, pool.map(_variant_report, REFERENCE_MARGINS)))
     return reports
 
 

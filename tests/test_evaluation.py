@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -195,6 +196,23 @@ def test_boundary_grid_folds_the_remainder_into_the_last_block(monkeypatch):
     monkeypatch.setattr(evaluation, "forward", counting_forward)
     boundary_grid(init_model([2, 8, 8, 8], 3, seed=4), ((-3.0, 5.0), (-4.0, 2.0)), 10, 1.0)
     assert seen == [7] * 13 + [9]
+
+
+def test_boundary_grid_frees_each_block_cache_before_the_next_forward(monkeypatch):
+    """Only a block's probabilities outlive its forward, so the cache's
+    layer outputs are freed before the next block's are allocated."""
+    caches, alive = [], []
+
+    def tracking_forward(model, x, *args, **kwargs):
+        alive.append(sum(ref() is not None for ref in caches))
+        cache = forward(model, x, *args, **kwargs)
+        caches.append(weakref.ref(cache))
+        return cache
+
+    monkeypatch.setattr(evaluation, "GRID_BLOCK_ROWS", 7)
+    monkeypatch.setattr(evaluation, "forward", tracking_forward)
+    boundary_grid(init_model([2, 8, 8, 8], 3, seed=4), ((-3.0, 5.0), (-4.0, 2.0)), 10, 1.0)
+    assert alive == [0] * 14
 
 
 @pytest.mark.parametrize("resolution", [1, 0, -3])
@@ -417,9 +435,8 @@ def test_density_csv_resolves_a_narrow_curve_next_to_a_wide_one(tmp_path):
     rng = make_rng(0, "narrow-wide")
     common = rng.normal(size=600) * 0.02 + 0.3    # bandwidth ~0.006
     private = rng.normal(size=300) * 2.5 + 6.0    # bandwidth ~0.78
-    report = EvalReport(per_class_accuracy={}, average_accuracy=0.0,
+    report = EvalReport(per_class_accuracy={},
                         common_divergences=common, private_divergences=private)
-    evaluation._attach_density_curves(report)
     path = tmp_path / "density.csv"
     density_to_csv(report, path)
     with open(path, newline="") as fh:
@@ -435,20 +452,56 @@ def test_density_csv_resolves_a_narrow_curve_next_to_a_wide_one(tmp_path):
 
 @pytest.mark.parametrize("curves", [("common", "private"), ("common",), ("private",), ()])
 def test_density_csv_matches_csv_writer_reference(tmp_path, curves):
+    """A group in ``curves`` has 40 divergences and so a curve; the other
+    has one, too few for a curve, and its column stays empty."""
     rng = make_rng(1, "density-csv")
-    grid = np.sort(rng.normal(size=40))
-    report = EvalReport(per_class_accuracy={}, average_accuracy=0.0,
-                        common_divergences=np.zeros(0), private_divergences=np.zeros(0),
-                        density_curves={k: (grid, rng.random(40)) for k in curves})
+    groups = {k: rng.exponential(size=40 if k in curves else 1) for k in ("common", "private")}
+    report = EvalReport(per_class_accuracy={}, common_divergences=groups["common"],
+                        private_divergences=groups["private"])
+    density = report.density_curves
+    assert sorted(density) == sorted(curves)
     density_to_csv(report, tmp_path / "density.csv")
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["x", "pdf_common", "pdf_private"])
-    for i, x in enumerate(grid if curves else []):
+    for i, x in enumerate(density[curves[0]][0] if curves else []):
         writer.writerow([repr(float(x))] + [
-            repr(float(report.density_curves[k][1][i])) if k in curves else ""
+            repr(float(density[k][1][i])) if k in curves else ""
             for k in ("common", "private")])
     assert (tmp_path / "density.csv").read_bytes() == expected.getvalue().encode()
+
+
+def test_a_report_holds_only_what_was_measured():
+    """The average and the curves are read from the measurements, so a
+    report cannot hold values that disagree with them."""
+    assert [f.name for f in dataclasses.fields(EvalReport)] == [
+        "per_class_accuracy", "common_divergences", "private_divergences"]
+    assert isinstance(EvalReport.average_accuracy, property)
+    assert isinstance(EvalReport.density_curves, property)
+    rng = make_rng(2, "report")
+    report = EvalReport(per_class_accuracy={0: 0.5, 1: 1.0},
+                        common_divergences=rng.exponential(size=30),
+                        private_divergences=rng.exponential(size=20) + 3.0)
+    assert report.average_accuracy == 0.75
+    report.per_class_accuracy[UNKNOWN] = 0.0
+    assert report.average_accuracy == 0.5
+    grid, pdf = report.density_curves["private"]
+    assert np.array_equal(pdf, divergence_density(report.private_divergences, grid))
+    report.private_divergences = report.private_divergences[:1]
+    assert set(report.density_curves) == {"common"}
+
+
+def test_evaluate_masks_follow_the_roles_of_the_true_labels(toy_data):
+    """The common and private divergences are the crs of the rows whose
+    true class is common and target-private, in row order."""
+    _, target = toy_data
+    m = init_model([2, 8, 8, 8], 3, seed=1)
+    report = evaluate(m, target, delta=math.log(3))
+    _, l_crs = predict(m, target.features, math.log(3))
+    roles = [target.class_roles[t] for t in target.true_labels.tolist()]
+    for role, got in ((ClassRole.COMMON, report.common_divergences),
+                      (ClassRole.TARGET_PRIVATE, report.private_divergences)):
+        assert np.array_equal(got, l_crs[[r is role for r in roles]])
 
 
 def test_density_csv(tmp_path, reference_run):

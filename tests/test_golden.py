@@ -37,6 +37,10 @@ by block length, so a change of block layout can move cells; and the
 writers share formatted strings between cells, which a slip would show
 in these bytes.  They were recorded with 4096-row blocks, and 1024-row
 blocks with the remainder folded into the last give the same bytes.
+
+The seed-7 model's ``eval_report.csv`` and ``density.csv`` are pinned
+too: the report's recalls and average, and the KDE curves of its
+divergences on their shared grid, which nothing else fixes to the bit.
 """
 
 import hashlib
@@ -44,7 +48,7 @@ import hashlib
 import pytest
 
 from twohead import MethodVariant, TrainConfig, build_toy_scenario
-from twohead.evaluation import boundary_grid, write_boundary_svg
+from twohead.evaluation import boundary_grid, density_to_csv, evaluate, write_boundary_svg
 from twohead.experiment import TOY_BOUNDS
 from twohead.nn import save_model_csv
 from twohead.selfcheck import run_selftest
@@ -58,6 +62,9 @@ BOUNDARY_SHA256 = {
     300: ("83f587b93b3555bf2c81db7392c8d1989f337126e8242f4c4edd32bae8de3b18",
           "39df33f801f879887fdc79d23c083f78fdce4ebf3d0b381482990538063dcb63"),
 }
+# (eval_report.csv, density.csv) of the seed-7 model
+REPORT_SHA256 = ("d116b8b5c278b51fa38ff7079f34326ae06a6f7a948bcb0ababe9e33df79897d",
+                 "741463f85d22b9cc2717a3743c2f69f921fc8b0bb6de986528ea49e78e32ca65")
 TRACE_SHA256 = "24a035934bb124a62a19a9b922da9b64821ae6d4f420305664fcefe5813b0cc9"
 MODEL_SHA256 = "0b70fc6d5c58e5fdbfd8201bdbac8561c4b6e51c93a14d6bb5a112483373a21a"
 
@@ -138,6 +145,14 @@ def test_seed7_boundary_digests(toy_data, seed7_state, tmp_path, resolution):
     write_boundary_svg(grid, tmp_path / "boundary.svg", source=source, target=target)
     assert (_sha256(tmp_path / "boundary.csv"),
             _sha256(tmp_path / "boundary.svg")) == BOUNDARY_SHA256[resolution]
+
+
+def test_seed7_report_and_density_digests(toy_data, seed7_state, tmp_path):
+    report = evaluate(seed7_state.model, toy_data[1], seed7_state.delta)
+    report.to_csv(tmp_path / "eval_report.csv")
+    density_to_csv(report, tmp_path / "density.csv")
+    assert (_sha256(tmp_path / "eval_report.csv"),
+            _sha256(tmp_path / "density.csv")) == REPORT_SHA256
 
 
 @pytest.mark.parametrize("variant", [v.value for v in MethodVariant])

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import re
@@ -231,6 +232,10 @@ def test_grad_check_detects_corruption():
     report, = grad_check(m, [corrupted], x, tol=1e-4)
     assert report.max_rel_error > 1e-4
     assert not report.passed
+    # passed is read from the error and the tolerance, never stored
+    assert [f.name for f in dataclasses.fields(report)] == ["max_rel_error", "worst_param", "tol"]
+    report.tol = 2.0 * report.max_rel_error
+    assert report.passed
 
 
 def test_grad_check_validates_h():
