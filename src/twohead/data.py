@@ -30,7 +30,7 @@ class NoiseKind(Enum):
     SYMMETRIC_FLIP = "symmetric"
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseSpec:
     kind: NoiseKind
     rate: float
@@ -47,7 +47,7 @@ class NoiseSpec:
                 "unrecoverable", stacklevel=2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlobSpec:
     centers: list[tuple[float, ...]]
     stddevs: list[float]

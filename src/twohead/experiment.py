@@ -57,31 +57,33 @@ def _convert(kind, value):
         return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment: scenario settings plus a full training config.  The
-    flat config mapping has one key per field of both, with ``lam`` spelled
-    ``lambda``.  ``noise``, not a field, is the NoiseSpec of ``noise_kind``
-    and ``noise_rate``, built (and so checked) here."""
+    """One experiment: scenario settings plus a full training config,
+    checked once when the spec is made.  The flat config mapping has one
+    key per field of both, with ``lam`` spelled ``lambda``."""
 
     preset: str = "toy"
     noise_kind: NoiseKind = NoiseKind.SYMMETRIC_FLIP
     noise_rate: float = 0.2
     samples_per_class: int = 300
     stddev: float = 1.0
-    train: TrainConfig = None  # type: ignore[assignment]
+    train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
         if self.preset != "toy":
             raise ConfigError(f"preset: only 'toy' is supported, got {self.preset!r}")
-        self.noise = NoiseSpec(self.noise_kind, self.noise_rate)
+        self.noise  # built to check the noise settings
         # the toy's source blobs check stddev and samples_per_class as a run would
         BlobSpec(list(TOY_SOURCE_CENTERS), [self.stddev] * len(TOY_SOURCE_CENTERS),
                  self.samples_per_class)
-        if self.train is None:
-            self.train = TrainConfig()
         # the toy source has one class per center, so delta is known before a run
         self.train.separation(len(TOY_SOURCE_CENTERS))
+
+    @property
+    def noise(self) -> NoiseSpec:
+        """The NoiseSpec of ``noise_kind`` and ``noise_rate``."""
+        return NoiseSpec(self.noise_kind, self.noise_rate)
 
     def to_dict(self) -> dict:
         out = {}

@@ -103,7 +103,7 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeparationParams:
     """Dead-band hinge parameters: threshold ``delta``, margin ``margin``."""
 
@@ -367,7 +367,7 @@ def crs(p: np.ndarray, weight: float = 1.0,
 
 # --- variant plumbing ----------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class VariantPlan:
     """Effective objective set for one method variant; the defaults are
     ``full``'s.  A-2 runs when either hinge weight ``sep_*`` is non-zero."""

@@ -56,7 +56,7 @@ class Scope(Enum):
     GENERATOR_ONLY = "generator_only"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SgdConfig:
     learning_rate: float
     momentum: float = 0.0
@@ -444,18 +444,23 @@ def grad_check(model: TwoHeadModel, loss_fns: Sequence[LossFn], x: np.ndarray,
     if model.members:
         raise UsageError("grad_check takes a model without members")
 
-    n_fns = len(loss_fns)
-    # member j of ``errors`` holds loss j's gradient, in the model's layout,
-    # and then its error per cell
-    errors = TwoHeadModel(*model.widths, members=(n_fns,))
+    n_fns, size = len(loss_fns), model.params.size
+    # row j holds loss j's analytic gradient, and then its error per cell
+    err = np.empty((n_fns, size))
     cache = forward(model, x)
     for j, loss_fn in enumerate(loss_fns):
         model.zero_grads()
         backward(model, cache, loss_fn(cache.p)[1])
-        errors.params[j] = model.grads
+        err[j] = model.grads
+    # every cell's flat index and name, in named_layers order: the grad
+    # views read back a buffer that holds its own indices
+    model.grads[:] = np.arange(size)
+    order, names = zip(*[(int(i), f"{name}.{kind}[{k}]")
+                         for name, layer in model.named_layers()
+                         for kind, cells in (("w", layer.grad_weight), ("b", layer.grad_bias))
+                         for k, i in enumerate(cells.ravel().tolist())])
     model.zero_grads()
 
-    size = model.params.size
     copies = TwoHeadModel(*model.widths, members=(2 * _FD_CELLS,))
     numeric = np.empty((n_fns, size))
     for start in range(0, size, _FD_CELLS):
@@ -469,25 +474,16 @@ def grad_check(model: TwoHeadModel, loss_fns: Sequence[LossFn], x: np.ndarray,
         for j, loss_fn in enumerate(loss_fns):
             value = np.broadcast_to(loss_fn(p)[0], (2 * _FD_CELLS,))
             numeric[j, idx] = (value[k] - value[_FD_CELLS + k]) / (2.0 * h)
-    err = errors.params
     denom = np.maximum(np.abs(err), np.abs(numeric))
     err -= numeric
     np.abs(err, out=err)
     np.divide(err, denom, out=err, where=denom >= _ZERO_GRAD_FLOOR)
 
-    worst = [0.0] * n_fns
-    worst_param = [""] * n_fns
-    for name, layer in errors.named_layers():
-        for kind, cells in (("w", layer.weight), ("b", layer.bias)):
-            cells = cells.reshape(n_fns, -1)
-            # per loss, the first largest error, or the first NaN
-            for j, i in enumerate(np.argmax(cells, axis=1).tolist()):
-                e = float(cells[j, i])
-                if e > worst[j] or (math.isnan(e) and not math.isnan(worst[j])):
-                    worst[j] = e
-                    worst_param[j] = f"{name}.{kind}[{i}]"
-    return [GradCheckReport(max_rel_error=w, worst_param=wp, tol=tol)
-            for w, wp in zip(worst, worst_param)]
+    err = err[:, list(order)]
+    first = np.argmax(err, axis=1)   # per loss, the first largest error, or the first NaN
+    return [GradCheckReport(max_rel_error=e, tol=tol,
+                            worst_param=names[i] if e > 0.0 or math.isnan(e) else "")
+            for i, e in zip(first.tolist(), err[np.arange(n_fns), first].tolist())]
 
 
 # --- parameter serialization -------------------------------------------------

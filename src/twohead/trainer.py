@@ -53,16 +53,14 @@ HIDDEN_WIDTH = 32
 N_HIDDEN_LAYERS = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """All training hyperparameters.
+    """All training hyperparameters, checked when the config is made.
 
     ``delta`` defaults to ln(num classes) when left as None; ``alpha`` is
     the fraction of each source batch dropped by small-loss selection.
     ``margin`` must lie in (0, delta): at or above delta, C's subset
     (crs < delta - margin) is empty; at 0, so is A-2's hinge window.
-    ``sgd``, not a field, is the SgdConfig of ``learning_rate``,
-    ``momentum`` and ``weight_decay``, built (and so checked) here.
     """
 
     alpha: float = 0.2
@@ -94,8 +92,7 @@ class TrainConfig:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
         # before the class count is known, a None delta is at most ln(float max)
         self.separation(sys.float_info.max)
-        self.sgd = SgdConfig(learning_rate=self.learning_rate, momentum=self.momentum,
-                             weight_decay=self.weight_decay)
+        self.sgd  # built to check the SGD settings
         if self.minimax_weight <= 0:
             raise ConfigError(f"minimax_weight must be > 0, got {self.minimax_weight}")
         if self.n_inner < 1:
@@ -104,6 +101,11 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
+
+    @property
+    def sgd(self) -> SgdConfig:
+        """The SgdConfig of ``learning_rate``, ``momentum`` and ``weight_decay``."""
+        return SgdConfig(self.learning_rate, self.momentum, self.weight_decay)
 
     def separation(self, num_classes: float) -> SeparationParams:
         """Delta (ln ``num_classes`` when None) and margin; raises
@@ -132,21 +134,19 @@ class TraceRow:
 
 @dataclass
 class TrainState:
-    """One run: the data and config ``init_state`` checked, what it derived
-    from them, the next epoch to run and the trace so far."""
+    """One run: the data and config ``init_state`` checked, the model, the
+    next epoch and the trace so far.  Each epoch reads ``config`` afresh."""
 
     source: DomainDataset
     target: DomainDataset
     config: TrainConfig
-    sep: SeparationParams
-    plan: VariantPlan
     model: TwoHeadModel
     epoch: int = 0
     trace: list[TraceRow] = field(default_factory=list)
 
     @property
     def delta(self) -> float:
-        return self.sep.delta
+        return self.config.separation(self.source.num_model_classes).delta
 
     @property
     def step_counter(self) -> int:
@@ -285,17 +285,17 @@ def init_state(source: DomainDataset, target: DomainDataset, config: TrainConfig
     n_classes = source.num_model_classes
     if n_classes < 2:
         raise ConfigError(f"need >= 2 source classes, got {n_classes}")
-    sep = config.separation(n_classes)
-    plan = losses.variant_losses(config.variant, config.alpha, config.lam)
+    config.separation(n_classes)
     widths = [source.features.shape[1]] + [HIDDEN_WIDTH] * N_HIDDEN_LAYERS
     model = init_model(widths, n_classes, derive_seed(config.seed, "model"))
-    return TrainState(source, target, config, sep, plan, model)
+    return TrainState(source, target, config, model)
 
 
 def train_epoch(state: TrainState) -> None:
     """Run epoch ``state.epoch``, a TraceRow per batch step, and advance it."""
-    source, target, config = state.source, state.target, state.config
-    model, sep, plan, sgd, epoch = state.model, state.sep, state.plan, config.sgd, state.epoch
+    source, target, config, model = state.source, state.target, state.config, state.model
+    epoch, sgd, sep = state.epoch, config.sgd, config.separation(source.num_model_classes)
+    plan = losses.variant_losses(config.variant, config.alpha, config.lam)
     clean = source.observed_labels == source.true_labels
     src_batches = minibatches(source, config.batch_size,
                               derive_seed(config.seed, "batch-source"), epoch)

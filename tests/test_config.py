@@ -3,6 +3,7 @@ accept exactly the same values, and every library call that takes a
 number refuses a bool, a string or a non-finite value with a ConfigError
 that names the setting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twohead import (BlobSpec, ConfigError, SeparationParams, SgdConfig, TrainConfig,
-                     boundary_grid, build_toy_scenario, grad_check, init_model, minibatches,
-                     predict)
+from twohead import (BlobSpec, ConfigError, MethodVariant, NoiseKind, NoiseSpec,
+                     SeparationParams, SgdConfig, TrainConfig, boundary_grid,
+                     build_toy_scenario, grad_check, init_model, minibatches, predict,
+                     variant_losses)
 from twohead.experiment import TOY_BOUNDS, ExperimentSpec, _config_fields
 from twohead.selfcheck import check_loss_identities, check_selection_contract
 
@@ -112,3 +114,38 @@ def test_from_dict_accepts_what_the_constructor_accepts(key, value):
     assert (spec is None) == (direct is None)
     if spec is not None:
         assert spec.to_dict() == direct.to_dict()
+
+
+@pytest.mark.parametrize("config, name", [
+    (TrainConfig(), "learning_rate"),
+    (SgdConfig(0.01), "learning_rate"),
+    (SeparationParams(1.0, 0.5), "margin"),
+    (variant_losses(MethodVariant.FULL, 0.2, 0.1), "minimax"),
+    (NoiseSpec(NoiseKind.SYMMETRIC_FLIP, 0.2), "rate"),
+    (BlobSpec([(0.0, 0.0)], [1.0], 5), "samples_per_class"),
+    (ExperimentSpec(), "train"),
+], ids=lambda v: type(v).__name__ if dataclasses.is_dataclass(v) else v)
+def test_a_config_cannot_change_after_its_check(config, name):
+    """A field assigned after the check trained a value nothing had
+    checked: ``cfg.learning_rate = 5.0`` left ``cfg.sgd`` at 0.01, and
+    ``n_inner = 0`` with ``minimax_weight = -3.0`` skipped C and flipped
+    B's target push without an error."""
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, name, getattr(config, name))
+
+
+@pytest.mark.parametrize("key, value", [("epochs", 0), ("n_inner", 0),
+                                        ("minimax_weight", -3.0), ("learning_rate", -1.0)])
+def test_replace_checks_the_changed_config_again(key, value):
+    """``dataclasses.replace`` is the one way to change a setting, and it
+    runs every check the constructor runs."""
+    with pytest.raises(ConfigError, match=key):
+        dataclasses.replace(TrainConfig(), **{key: value})
+
+
+def test_experiment_spec_train_defaults_to_a_fresh_config():
+    """``train`` has a default factory, not a None that the spec replaced
+    after construction."""
+    train = {f.name: f for f in dataclasses.fields(ExperimentSpec)}["train"]
+    assert train.default is dataclasses.MISSING and train.default_factory is TrainConfig
+    assert ExperimentSpec().train == TrainConfig()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twohead import (ConfigError, MethodVariant, NonFiniteLossError,
+from twohead import (ConfigError, MethodVariant, NoiseKind, NoiseSpec, NonFiniteLossError,
                      NumericError, SeparationParams, SgdConfig, TrainConfig,
                      boundary_grid, build_toy_scenario, evaluate, init_model, nn,
                      trainer, variant_losses)
@@ -110,12 +110,45 @@ def test_separation_resolves_delta_for_a_class_count():
 
 
 def test_sgd_is_not_a_config_field():
-    """``sgd`` is derived from three fields, so the config format, the
-    manifest and equality see only those."""
-    assert "sgd" not in {f.name for f in dataclasses.fields(TrainConfig)}
-    assert "sgd" not in ExperimentSpec.default_dict()
+    """``sgd`` is derived from three fields and ``noise`` from two, so the
+    config format, the manifest and equality see only those, and a config
+    stores nothing but its fields: both are computed on read."""
+    for owner, derived in ((TrainConfig, "sgd"), (ExperimentSpec, "noise")):
+        names = {f.name for f in dataclasses.fields(owner)}
+        assert derived not in names
+        assert derived not in ExperimentSpec.default_dict()
+        assert set(vars(owner())) == names
     cfg = dataclasses.replace(TrainConfig(), learning_rate=0.05)
     assert cfg.sgd.learning_rate == 0.05
+    spec = dataclasses.replace(ExperimentSpec(), noise_kind=NoiseKind.PAIR_FLIP, noise_rate=0.3)
+    assert spec.noise == NoiseSpec(NoiseKind.PAIR_FLIP, 0.3)
+
+
+def test_train_state_holds_no_derived_value():
+    """The separation and the variant plan are read from ``config`` each
+    epoch, so a state cannot hold a copy that disagrees with it."""
+    assert [f.name for f in dataclasses.fields(trainer.TrainState)] == \
+        ["source", "target", "config", "model", "epoch", "trace"]
+
+
+def test_a_config_replaced_between_epochs_trains_the_next_epoch(toy_data, monkeypatch):
+    """``state.delta`` and the separation every A-2 and C step of the next
+    epoch reads follow a config set between epochs."""
+    source, target = toy_data
+    seen = []
+    for name in ("step_a2", "step_c"):
+        def wrapper(model, x_t, sep, *args, _fn=getattr(trainer, name), **kwargs):
+            seen.append((kwargs["epoch"], sep))
+            return _fn(model, x_t, sep, *args, **kwargs)
+        monkeypatch.setattr(trainer, name, wrapper)
+    state = init_state(source, target, TrainConfig(**SHORT))
+    train_epoch(state)
+    assert state.delta == math.log(3)
+    state.config = dataclasses.replace(state.config, delta=1.5)
+    assert state.delta == 1.5
+    train_epoch(state)
+    assert {epoch: {sep for e, sep in seen if e == epoch} for epoch in (0, 1)} == \
+        {0: {SeparationParams(math.log(3), 1.0)}, 1: {SeparationParams(1.5, 1.0)}}
 
 
 @pytest.mark.parametrize("value", [1.5, 64.0, True, "4", None])
