@@ -73,6 +73,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.preset != "toy":
             raise ConfigError(f"preset: only 'toy' is supported, got {self.preset!r}")
+        if not isinstance(self.train, TrainConfig):
+            raise ConfigError(f"train must be a TrainConfig, got {self.train!r}")
         self.noise  # built to check the noise settings
         # the toy's source blobs check stddev and samples_per_class as a run would
         BlobSpec(list(TOY_SOURCE_CENTERS), [self.stddev] * len(TOY_SOURCE_CENTERS),

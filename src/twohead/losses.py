@@ -81,10 +81,9 @@ def _other(x: np.ndarray) -> np.ndarray:
 def _mean(per: np.ndarray, rows: np.ndarray, k: int) -> float | np.ndarray:
     """Mean of ``per`` over the ``k`` rows of its last axis that the mask
     ``rows`` keeps: a float for one pair, one value per member for a stack."""
-    if per.ndim == 1:
-        return float(np.add.reduce(per[rows]) / k)
-    # compress, unlike a mask gather, keeps rows row-major: adds as one pair does
-    return np.add.reduce(np.compress(rows, per, axis=-1), axis=-1) / k
+    # compress, unlike a mask gather, keeps a stack's rows row-major
+    mean = np.add.reduce(np.compress(rows, per, axis=-1), axis=-1) / k
+    return float(mean) if per.ndim == 1 else mean
 
 
 def _one_row_set(p: np.ndarray, what: str) -> None:

@@ -19,11 +19,9 @@ since, its ``gen`` when only the heads have, and nothing otherwise.
 ``sgd_step`` bumps ``model.version`` on every update, ``model.gen_version``
 when the generator moves; a cache of another batch is refused (UsageError).
 
-A model built with ``members=(M,)`` holds M copies of its parameters, and
-``forward``, ``backward`` and ``sgd_step`` run all of them at once, each
-member bit for bit as a model of its own; ``grad_check`` evaluates its
-perturbed models that way, and every objective it checks reads the same
-perturbed forwards.
+A model built with ``members=(M,)`` holds M copies of its parameters,
+and ``forward`` runs all of them at once, each member bit for bit as a
+model of its own; ``grad_check`` evaluates its perturbed models that way.
 """
 
 from __future__ import annotations
@@ -77,24 +75,16 @@ class SgdConfig:
 class DenseLayer:
     """Fully connected layer with weight (out, in), bias (out,) and an
     activation, or a stack of such layers sharing one activation, with
-    weight (k, out, in) and bias (k, out), each behind the model's member
-    axes if it has any.  The weight, bias and gradient arrays are views
-    into the owning model's flat buffers, so an in-place edit of any of
-    them edits the model."""
+    weight (k, out, in) and bias (k, out); a member stack's weight and
+    bias have its member axis first.  The weight, bias and gradient arrays
+    are views into the owning model's flat buffers, so an in-place edit of
+    any of them edits the model."""
 
     def __init__(self, params: tuple[np.ndarray, np.ndarray],
                  grads: tuple[np.ndarray, np.ndarray], activation: Activation):
         self.weight, self.bias = params
         self.grad_weight, self.grad_bias = grads
         self.activation = activation
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[-2]
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[-1]
 
     def member(self, k: int) -> DenseLayer:
         """Layer ``k`` of a stacked layer, as views into the same buffers.
@@ -124,11 +114,9 @@ class TwoHeadModel:
     layer; ``head1[d]`` and ``head2[d]`` are its two members.  So the
     generator is ``[0, gen_end)`` of each buffer and the heads are the rest.
 
-    ``members`` is a leading shape for the buffers, ``(M,)`` for M copies
-    of the model's parameters: each buffer is then ``(M, size)``, and the
-    layers' arrays gain the same leading axes, ``(M, out, in)`` for a
-    generator weight and ``(M, 2, out, in)`` for a stacked head weight.
-    ``forward`` runs every member on the same batch at once.
+    ``members=(M,)`` makes ``params`` ``(M, size)``, M copies that only
+    ``forward`` takes, and the layers' weights and biases gain that leading
+    axis; ``grads`` and ``velocity`` stay one model's.
     """
 
     def __init__(self, gen_widths: Sequence[int], head_widths: Sequence[int],
@@ -141,8 +129,8 @@ class TwoHeadModel:
                        for i in range(len(head_widths) - 1)]
         size = sum(math.prod(s) + math.prod(s[:-1]) for s in gen_shapes + head_shapes)
         self.params = np.zeros(members + (size,))
-        self.grads = np.zeros(members + (size,))
-        self.velocity = np.zeros(members + (size,))
+        self.grads = np.zeros(size)
+        self.velocity = np.zeros(size)
         offset = 0
 
         def carve(shape: tuple[int, ...], activation: Activation) -> DenseLayer:
@@ -150,9 +138,9 @@ class TwoHeadModel:
             n_w, n_b = math.prod(shape), math.prod(shape[:-1])
 
             def views(flat):
-                return (flat[..., offset:offset + n_w].reshape(members + shape),
+                return (flat[..., offset:offset + n_w].reshape(flat.shape[:-1] + shape),
                         flat[..., offset + n_w:offset + n_w + n_b].reshape(
-                            members + shape[:-1]))
+                            flat.shape[:-1] + shape[:-1]))
 
             layer = DenseLayer(views(self.params), views(self.grads), activation)
             offset += n_w + n_b
@@ -175,7 +163,7 @@ class TwoHeadModel:
 
     @property
     def input_dim(self) -> int:
-        return self.generator[0].in_dim
+        return self.widths[0][0]
 
     def named_layers(self) -> Iterator[tuple[str, DenseLayer]]:
         for i, layer in enumerate(self.generator):
@@ -350,6 +338,8 @@ def backward(model: TwoHeadModel, cache: ForwardCache, dp: np.ndarray,
     Only ``scope``'s slice of the grad buffer is written: HEADS_ONLY stops
     at the features, and GENERATOR_ONLY carries only dX through the heads.
     """
+    if model.members:
+        raise UsageError("backward takes a model without members")
     if cache.version != model.version:
         raise UsageError("stale forward cache: parameters changed since forward()")
     if dp.shape != cache.p.shape:
@@ -362,7 +352,7 @@ def backward(model: TwoHeadModel, cache: ForwardCache, dp: np.ndarray,
     dfeat = _stack_backward(model.heads, cache.heads, dz, to_heads, to_gen)
     if not to_gen:
         return
-    dfeat = dfeat[..., 0, :, :] + dfeat[..., 1, :, :]
+    dfeat = dfeat[0] + dfeat[1]
     # through h -> scale * h / ||h||: project out the radial component
     unit = cache.gen[-1] / cache.feat_norms
     radial = np.add.reduce(dfeat * unit, axis=-1, keepdims=True)
@@ -376,10 +366,12 @@ def sgd_step(model: TwoHeadModel, cfg: SgdConfig, scope: Scope = Scope.ALL) -> N
     parameters stay bit-identical.  The whole grad buffer is zeroed
     afterward.  Bumps ``model.version``, and ``model.gen_version`` when the
     scope includes the generator."""
+    if model.members:
+        raise UsageError("sgd_step takes a model without members")
     s = model.scope_slice(scope)
-    params, vel = model.params[..., s], model.velocity[..., s]
+    params, vel = model.params[s], model.velocity[s]
     vel *= cfg.momentum
-    vel += model.grads[..., s]
+    vel += model.grads[s]
     if cfg.weight_decay:
         vel += cfg.weight_decay * params
     params -= cfg.learning_rate * vel
@@ -398,8 +390,8 @@ LossFn = Callable[[np.ndarray], tuple[float | np.ndarray, np.ndarray]]
 
 _ZERO_GRAD_FLOOR = 1e-6  # below this magnitude, compare absolutely
 # parameter cells per batched forward, two members each; more cells take
-# fewer forwards, but each member holds ~20 KB of buffers, activations and
-# loss temporaries on an 8-row batch of the selftest model: 2.5 MB at 64
+# fewer forwards, but each member holds ~11 KB of parameters, activations and
+# loss temporaries on an 8-row batch of the selftest model: 1.4 MB at 64
 _FD_CELLS = 64
 
 

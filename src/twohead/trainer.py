@@ -264,7 +264,7 @@ def step_c(model: TwoHeadModel, x_t: np.ndarray, sep: SeparationParams,
 
 
 def init_state(source: DomainDataset, target: DomainDataset, config: TrainConfig) -> TrainState:
-    """Check the datasets against ``config`` and build the model: epoch 0."""
+    """Check the datasets and build the model for ``config``: epoch 0."""
     if source.features.shape[1] != target.features.shape[1]:
         raise ConfigError("source and target feature dimensions differ")
     if source.observed_labels is None:
@@ -272,15 +272,6 @@ def init_state(source: DomainDataset, target: DomainDataset, config: TrainConfig
     for name, dataset in (("source", source), ("target", target)):
         if not np.isfinite(dataset.features).all():
             raise NumericError(f"{name} features contain NaN/Inf")
-        if len(dataset) < config.batch_size:
-            raise ConfigError(
-                f"{name} has {len(dataset)} rows, fewer than batch_size "
-                f"{config.batch_size}: no training step would run")
-    n_src, n_tgt = len(source) // config.batch_size, len(target) // config.batch_size
-    if n_src != n_tgt:
-        raise ConfigError(
-            f"source gives {n_src} batches per epoch and target {n_tgt}: "
-            f"each batch step pairs one of each, so the surplus would never train")
 
     n_classes = source.num_model_classes
     if n_classes < 2:
@@ -292,7 +283,8 @@ def init_state(source: DomainDataset, target: DomainDataset, config: TrainConfig
 
 
 def train_epoch(state: TrainState) -> None:
-    """Run epoch ``state.epoch``, a TraceRow per batch step, and advance it."""
+    """Run epoch ``state.epoch``, a TraceRow per batch step, and advance it;
+    a ``batch_size`` that the datasets cannot pair raises ConfigError first."""
     source, target, config, model = state.source, state.target, state.config, state.model
     epoch, sgd, sep = state.epoch, config.sgd, config.separation(source.num_model_classes)
     plan = losses.variant_losses(config.variant, config.alpha, config.lam)
@@ -301,6 +293,15 @@ def train_epoch(state: TrainState) -> None:
                               derive_seed(config.seed, "batch-source"), epoch)
     tgt_batches = minibatches(target, config.batch_size,
                               derive_seed(config.seed, "batch-target"), epoch)
+    for name, dataset, batches in (("source", source, src_batches),
+                                   ("target", target, tgt_batches)):
+        if not batches:
+            raise ConfigError(f"{name} has {len(dataset)} rows, fewer than batch_size "
+                              f"{config.batch_size}: no training step would run")
+    if len(src_batches) != len(tgt_batches):
+        raise ConfigError(f"source gives {len(src_batches)} batches per epoch and target "
+                          f"{len(tgt_batches)}: each batch step pairs one of each, so the "
+                          f"surplus would never train")
     for src_idx, tgt_idx in zip(src_batches, tgt_batches):
         x_s = source.features[src_idx]
         y_s = source.observed_labels[src_idx]

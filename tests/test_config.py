@@ -43,11 +43,12 @@ def _zero_loss(p):
      "batch_size"),
     (lambda: check_loss_identities("3"), "n_pairs"),
     (lambda: check_selection_contract("3"), "n_vectors"),
+    (lambda: ExperimentSpec(train=None), "train"),
 ], ids=["from_dict-str", "TrainConfig-str", "TrainConfig-float32", "ExperimentSpec-inf",
         "SgdConfig-bool", "SgdConfig-str", "SgdConfig-None", "SeparationParams-nan",
         "SeparationParams-str", "BlobSpec-inf", "boundary_grid-float", "predict-str",
         "grad_check-str", "minibatches-float", "check_loss_identities-str",
-        "check_selection_contract-str"])
+        "check_selection_contract-str", "ExperimentSpec-None"])
 def test_a_setting_that_is_not_a_finite_number_is_refused(call, setting):
     """Each call raised TypeError or trained, or was refused by one of the
     config file and the constructor but not the other.  A numpy float32

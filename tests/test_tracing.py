@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracing  # noqa: E402
 
-from twohead import TrainConfig, trainer  # noqa: E402
+from twohead import TrainConfig, nn, selfcheck, trainer  # noqa: E402
 
 
 def test_tracer_wraps_a_training_run_and_restores_the_program(toy_data):
@@ -30,3 +30,16 @@ def test_tracer_wraps_a_training_run_and_restores_the_program(toy_data):
     steps = state.step_counter
     assert totals["trainer.train"][2] == steps
     assert totals["trainer.a1"][0] == steps
+
+
+def test_tracer_wraps_the_selftest_and_restores_the_program():
+    originals = dict(vars(nn)), dict(vars(selfcheck))
+    tracer = tracing.Tracer()
+    with tracer.active():
+        assert selfcheck.run_selftest(verbose=False)
+    assert (dict(vars(nn)), dict(vars(selfcheck))) == originals
+
+    totals = tracer.totals()
+    for name in ("nn.grad_check", "selfcheck.gradients", "selfcheck.selection",
+                 "selfcheck.identities"):
+        assert totals[name][0] == 1, name

@@ -566,6 +566,24 @@ def test_train_rejects_domains_with_different_batch_counts(toy_data):
     assert state.step_counter == 900 // 64
 
 
+def test_train_epoch_checks_the_batch_size_of_each_epoch(toy_data):
+    """A config set between epochs is checked against the data as the first
+    one is: before any step, leaving the run where it was.  Unchecked, the
+    first case trained 0 steps and still advanced the epoch."""
+    source, target = toy_data
+    cases = [(build_toy_scenario(7, samples_per_class=40), 1000, "fewer than batch_size 1000"),
+             ((_first_rows(source, 14 * 64), target), 100, r"source gives 8 .* target 9")]
+    for (src, tgt), batch_size, message in cases:
+        state = init_state(src, tgt, TrainConfig(**SHORT))
+        train_epoch(state)
+        trace, params = list(state.trace), state.model.parameters_blob()
+        state.config = dataclasses.replace(state.config, batch_size=batch_size)
+        with pytest.raises(ConfigError, match=message):
+            train_epoch(state)
+        assert state.epoch == 1 and state.trace == trace
+        assert state.model.parameters_blob() == params
+
+
 @settings(max_examples=30, deadline=None)
 @given(batch_size=st.integers(2, 48), counts=st.tuples(st.integers(0, 2), st.integers(0, 2)),
        data=st.data())
